@@ -205,19 +205,27 @@ def quadratic_root_bound(alpha: float, beta: float) -> float:
     return beta * s * s
 
 
+def _worst_of(candidates: Iterable[BoundReport]) -> list[BoundReport]:
+    """The first report of least margin, as a one-item list; empty if none."""
+    worst = min(candidates, key=lambda r: r.margin, default=None)
+    return [] if worst is None else [worst]
+
+
 def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 200, seed: int = 0) -> list[BoundReport]:
     """Verdicts for the dimension-uniform constants used by the main bounds.
 
     Covers, for g = 1..g_max: (a) c2(g) <= 11 c1(g) plus the g >= 6 closed
-    form and envelope monotonicity; (b) (g+eps)^g - g^g <= g^g eps/(1-eps) on
-    an eps-grid; (c) the epsilon-choice inequality
-    (g + (6 sqrt2 - 8) g^-g xi)^g <= g^g + xi/2 on a xi-grid; (d) random
-    instances of the quadratic-root fact; (e) Hermite/Blichfeldt
-    gamma_{2t} t!^{-1/t} <= 1 for t = 2..50. Aggregated checks echo the
-    worst-case grid point in their inputs.
+    form and envelope monotonicity; (b) (g+eps)^g - g^g <= g^g eps/(1-eps)
+    for eps in [1/eps_grid, 1), evaluated at its proved worst point; (c) the
+    epsilon-choice inequality (g + (6 sqrt2 - 8) g^-g xi)^g <= g^g + xi/2
+    for xi in (0, 1], likewise; (d) random instances of the quadratic-root
+    fact; (e) Hermite/Blichfeldt gamma_{2t} t!^{-1/t} <= 1 for t = 2..50.
+    Aggregated checks echo their worst case in their inputs.
     """
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
+    if eps_grid < 2:
+        raise ValueError("eps_grid must be >= 2")
     pc = PROOF_CONSTANTS
     reports: list[BoundReport] = []
 
@@ -232,81 +240,73 @@ def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 2
             )
         )
     # g >= 6 branch: the max(...) in c2 vanishes, i.e. 3g g!^{1/g} >= 2 pi^2 e
-    worst = None
-    for g in range(6, g_max + 1):
-        lhs = 2.0 * math.pi**2 * math.e
-        rhs = 3.0 * g * math.exp(_log_factorial(g) / g)
-        if worst is None or rhs - lhs < worst.margin:
-            worst = BoundReport("c2_is_three_halves_for_g_ge_6", lhs, rhs, inputs={"g": g})
-    reports.append(worst)
+    reports += _worst_of(
+        BoundReport(
+            "c2_is_three_halves_for_g_ge_6",
+            2.0 * math.pi**2 * math.e,
+            3.0 * g * math.exp(_log_factorial(g) / g),
+            inputs={"g": g},
+        )
+        for g in range(6, g_max + 1)
+    )
 
     def envelope(g: int) -> float:
         return math.pi / 6.0 - (math.log(11.0) + 2.0 * math.log(g)) / (22.0 * math.log(g) - 22.0)
 
-    worst = None
-    for g in range(6, g_max):
-        step = envelope(g + 1) - envelope(g)
-        if worst is None or step < worst.margin:
-            worst = BoundReport("c1_envelope_increasing_g_ge_6", 0.0, step, inputs={"g": g})
-    reports.append(worst)
+    reports += _worst_of(
+        BoundReport("c1_envelope_increasing_g_ge_6", 0.0, envelope(g + 1) - envelope(g), inputs={"g": g})
+        for g in range(6, g_max)
+    )
     reports.append(BoundReport("c1_envelope_at_6_exceeds_3_22", 3.0 / 22.0, envelope(6), inputs={}))
-    worst = None
-    for g in range(6, g_max + 1):
-        m = c1_of_g(g) - envelope(g)
-        if worst is None or m < worst.margin:
-            worst = BoundReport("c1_dominates_envelope_g_ge_6", 0.0, m, inputs={"g": g})
-    reports.append(worst)
+    reports += _worst_of(
+        BoundReport("c1_dominates_envelope_g_ge_6", 0.0, c1_of_g(g) - envelope(g), inputs={"g": g})
+        for g in range(6, g_max + 1)
+    )
 
     # (b) r(g, eps) <= g^g eps/(1-eps), in log space to avoid overflow:
-    # (1 + eps/g)^g <= 1/(1-eps)
-    worst = None
-    for g in range(2, g_max + 1):
-        for i in range(1, eps_grid):
-            eps = i / eps_grid
-            lhs = g * math.log1p(eps / g)
-            rhs = -math.log1p(-eps)
-            if worst is None or rhs - lhs < worst.margin:
-                worst = BoundReport(
-                    "r_g_eps_bound", lhs, rhs, inputs={"g": g, "eps": eps, "form": "log of (1+eps/g)^g <= 1/(1-eps)"}
-                )
-    reports.append(worst)
+    # (1 + eps/g)^g <= 1/(1-eps). The margin -log(1-eps) - g log(1+eps/g)
+    # has eps-derivative 1/(1-eps) - 1/(1+eps/g) > 0, and g log(1+x/g)
+    # increases in g, so the margin is least at the largest g, smallest eps.
+    g, eps = g_max, 1 / eps_grid
+    reports.append(
+        BoundReport(
+            "r_g_eps_bound",
+            g * math.log1p(eps / g),
+            -math.log1p(-eps),
+            inputs={"g": g, "eps": eps, "form": "log of (1+eps/g)^g <= 1/(1-eps)"},
+        )
+    )
 
     # (c) (g + c g^-g xi)^g <= g^g + xi/2 with c = 6 sqrt2 - 8.
-    # g = 2 expands exactly: 4 + c xi + (c xi)^2/16 <= 4 + xi/2, with equality
-    # at xi = 1 since c + c^2/16 = 1/2.
+    # g = 2 expands exactly: 4 + c xi + (c xi)^2/16 <= 4 + xi/2. Since
+    # c + c^2/16 = 1/2 the margin is (c^2/16)(xi - xi^2), least on (0, 1] at
+    # xi = 1 where it is zero; rounding leaves -1.1e-15, inside the tolerance.
     c = pc.eps_coefficient
-    worst = None
-    for i in range(1, eps_grid + 1):
-        xi = i / eps_grid
-        lhs = c * xi + (c * xi) ** 2 / 16.0
-        if worst is None or xi / 2.0 - lhs < worst.margin:
-            worst = BoundReport("eps_choice_inequality_g2", lhs, xi / 2.0, inputs={"g": 2, "xi": xi})
-    reports.append(worst)
+    xi = 1.0
+    reports.append(
+        BoundReport("eps_choice_inequality_g2", c * xi + (c * xi) ** 2 / 16.0, xi / 2.0, inputs={"g": 2, "xi": xi})
+    )
     # g >= 3: with t = c xi g^{-(g+1)} and s = (xi/2) g^-g the claim is
     # g log1p(t) <= log1p(s); since g t = c xi g^-g and log1p(s) >= s - s^2/2,
     # it suffices that c + (xi/4) g^-g / 2 <= 1/2, checked after dividing out
-    # xi g^-g (which would underflow for g beyond ~140).
-    worst = None
-    for g in range(3, g_max + 1):
-        gg = math.exp(-g * math.log(g)) if g * math.log(g) < 700 else 0.0
-        for i in range(1, eps_grid + 1):
-            xi = i / eps_grid
-            lhs = c + (xi / 8.0) * gg
-            if worst is None or 0.5 - lhs < worst.margin:
-                worst = BoundReport(
-                    "eps_choice_inequality_g_ge_3",
-                    lhs,
-                    0.5,
-                    inputs={"g": g, "xi": xi, "form": "scaled sufficient condition"},
-                )
-    reports.append(worst)
+    # xi g^-g. The left side rises in xi and falls in g: worst at g = 3, xi = 1.
+    if g_max >= 3:
+        g = 3
+        reports.append(
+            BoundReport(
+                "eps_choice_inequality_g_ge_3",
+                c + (xi / 8.0) * math.exp(-g * math.log(g)),
+                0.5,
+                inputs={"g": g, "xi": xi, "form": "scaled sufficient condition"},
+            )
+        )
 
     # (d) random instances of the quadratic-root fact
     import random
 
     rng = random.Random(seed)
-    worst = None
-    for _ in range(n_fact_trials):
+
+    def trial() -> BoundReport:
         alpha = rng.uniform(0.0, 10.0)
         beta = rng.uniform(0.1, 100.0)
         cap = quadratic_root_bound(alpha, beta)
@@ -314,9 +314,9 @@ def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 2
         # by construction m - alpha sqrt(m) <= beta; check m <= cap
         if m - alpha * math.sqrt(m) > beta + 1e-9:
             raise AssertionError("random trial violated its own hypothesis")
-        if worst is None or cap - m < worst.margin:
-            worst = BoundReport("quadratic_root_fact", m, cap, inputs={"alpha": alpha, "beta": beta})
-    reports.append(worst)
+        return BoundReport("quadratic_root_fact", m, cap, inputs={"alpha": alpha, "beta": beta})
+
+    reports += _worst_of(trial() for _ in range(n_fact_trials))
     reports.append(
         BoundReport("quadratic_root_fact_alpha0", quadratic_root_bound(0.0, 7.5), 7.5, inputs={"beta": 7.5})
     )
@@ -331,18 +331,14 @@ def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 2
                 inputs={"t": t, "gamma_2t": gamma},
             )
         )
-    worst = None
-    for t in range(4, 51):
-        lhs = (2.0 / math.pi) * (t + 1.0) ** (1.0 / t)
-        if worst is None or 1.0 - lhs < worst.margin:
-            worst = BoundReport("blichfeldt_ratio_t_ge_4", lhs, 1.0, inputs={"t": t})
-    reports.append(worst)
-    worst = None
-    for t in range(4, 51):
-        lhs = (1.0 + t) ** (1.0 / t)
-        if worst is None or math.pi / 2.0 - lhs < worst.margin:
-            worst = BoundReport("one_plus_t_root_le_half_pi", lhs, math.pi / 2.0, inputs={"t": t})
-    reports.append(worst)
+    reports += _worst_of(
+        BoundReport("blichfeldt_ratio_t_ge_4", (2.0 / math.pi) * (t + 1.0) ** (1.0 / t), 1.0, inputs={"t": t})
+        for t in range(4, 51)
+    )
+    reports += _worst_of(
+        BoundReport("one_plus_t_root_le_half_pi", (1.0 + t) ** (1.0 / t), math.pi / 2.0, inputs={"t": t})
+        for t in range(4, 51)
+    )
     return reports
 
 

@@ -167,6 +167,8 @@ def _record_from_obj(obj: dict) -> CurveRecord:
     embeddings = []
     for emb in obj["embeddings"]:
         re, im = float(emb["tau_re"]), float(emb["tau_im"])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"embedding ({re}, {im}) is not finite")
         try:
             embeddings.append(SiegelTau(re, im))
         except ValueError:
@@ -495,7 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_records(path: Optional[str]) -> tuple[list[CurveRecord], dict]:
     actual = path or default_fixture_path()
     records = ingest_curves(actual)
-    return records, {actual: _digest(actual)}
+    if not records:
+        raise ValueError(f"no valid records in {actual}")
+    return records, {os.path.basename(actual): _digest(actual)}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

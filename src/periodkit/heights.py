@@ -47,8 +47,8 @@ class CurveRecord:
     - ``degree`` -- field degree D >= 1
     - ``embeddings`` -- one reduced period ratio per complex embedding
     - ``log_norm_minimal_discriminant`` -- log |N(minimal discriminant)|,
-      nonnegative; semi-stability of the underlying curve is the caller's
-      responsibility
+      finite and nonnegative; semi-stability of the underlying curve is the
+      caller's responsibility
     - ``j_rational`` -- optional (numerator, denominator) pair
     """
 
@@ -67,8 +67,8 @@ class CurveRecord:
         for e in embs:
             if not isinstance(e, SiegelTau):
                 raise TypeError("embeddings must be SiegelTau instances")
-        if self.log_norm_minimal_discriminant < 0:
-            raise ValueError("log |N(min disc)| must be >= 0")
+        if not 0.0 <= self.log_norm_minimal_discriminant < math.inf:
+            raise ValueError("log |N(min disc)| must be finite and >= 0")
         if self.j_rational is not None:
             num, den = self.j_rational
             if den == 0:

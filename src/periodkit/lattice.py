@@ -23,14 +23,17 @@ class SiegelTau:
 
     INPUT:
 
-    - ``re``, ``im`` -- real and imaginary parts; must satisfy |re| <= 1/2,
-      im >= sqrt(3)/2 and re^2 + im^2 >= 1, all up to ``DEFAULT_TOL``.
+    - ``re``, ``im`` -- real and imaginary parts; must be finite and satisfy
+      |re| <= 1/2, im >= sqrt(3)/2 and re^2 + im^2 >= 1, all up to
+      ``DEFAULT_TOL``.
     """
 
     re: float
     im: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError(f"tau = ({self.re}, {self.im}) is not finite")
         if abs(self.re) > 0.5 + DEFAULT_TOL:
             raise ValueError(f"re={self.re} outside [-1/2, 1/2]")
         if self.im < math.sqrt(3.0) / 2.0 - DEFAULT_TOL:

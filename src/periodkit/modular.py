@@ -222,14 +222,17 @@ def check_classical_bounds(tau: SiegelTau, cfg: QSeriesConfig = QSeriesConfig())
     return j_report, d_report
 
 
-def silverman_f_extrema(step: float = 1e-4, y_cap: float = 20.0) -> BoundReport:
+def silverman_f_extrema() -> BoundReport:
     """Shape of f(y) = max(y^6 e^{-2 pi y}, y^6 (1 - 1193 e^{-2 pi y})).
 
-    Confirms on sampled grids that f increases up to 3/pi, decreases until
-    log(1194)/(2 pi), then increases again, and that the local minimum stays
-    below the left endpoint value. The headline verdict is the resulting
-    height comparison constant: log(pi)/2 + log(B)/12 <= 2.95 with
-    B = 1194 (2 pi / log 1194)^6 e^{1/9} (2 pi)^12.
+    The first branch is the max exactly while 1194 e^{-2 pi y} >= 1, i.e. up
+    to y0 = log(1194)/(2 pi). There sign f' = sign(6 - 2 pi y), so f increases
+    up to 3/pi and decreases from 3/pi to y0, given sqrt(3)/2 < 3/pi < y0.
+    Past y0 both factors of y^6 (1 - 1193 e^{-2 pi y}) are positive and
+    increasing once 1 - 1193 e^{-2 pi y0} > 0. The local minimum f(y0) is
+    compared with the left endpoint value f(sqrt(3)/2). The headline verdict
+    is the resulting height comparison constant: log(pi)/2 + log(B)/12 <= 2.95
+    with B = 1194 (2 pi / log 1194)^6 e^{1/9} (2 pi)^12.
     """
 
     def f(y: float) -> float:
@@ -237,14 +240,7 @@ def silverman_f_extrema(step: float = 1e-4, y_cap: float = 20.0) -> BoundReport:
         return max(y**6 * e, y**6 * (1.0 - 1193.0 * e))
 
     y0 = math.log(1194.0) / (2.0 * math.pi)
-    knots = [_Y_MIN, 3.0 / math.pi, y0, y_cap]
-    direction = [1.0, -1.0, 1.0]
-    monotone = []
-    for (a, b), sgn in zip(zip(knots, knots[1:]), direction):
-        count = max(2, int(math.ceil((b - a) / step)))
-        ys = [a + (b - a) * k / count for k in range(count + 1)]
-        ok = all(sgn * (f(v) - f(u)) >= -1e-15 for u, v in zip(ys, ys[1:]))
-        monotone.append(ok)
+    y_peak = 3.0 / math.pi
     B = 1194.0 * (2.0 * math.pi / math.log(1194.0)) ** 6 * math.exp(1.0 / 9.0) * (2.0 * math.pi) ** 12
     return BoundReport(
         "silverman_height_constant",
@@ -252,9 +248,9 @@ def silverman_f_extrema(step: float = 1e-4, y_cap: float = 20.0) -> BoundReport:
         2.95,
         inputs={
             "B": B,
-            "increasing_to_3_over_pi": monotone[0],
-            "decreasing_to_y0": monotone[1],
-            "increasing_after_y0": monotone[2],
+            "increasing_to_3_over_pi": _Y_MIN < y_peak <= y0,
+            "decreasing_to_y0": y_peak < y0,
+            "increasing_after_y0": 1.0 - 1193.0 * math.exp(-2.0 * math.pi * y0) > 0.0,
             "f_left_endpoint": f(_Y_MIN),
             "f_local_min": f(y0),
             "local_min_below_left_endpoint": f(y0) < f(_Y_MIN),

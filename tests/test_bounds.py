@@ -150,6 +150,50 @@ class TestStructuralConstants:
         for report in reports:
             assert report.satisfied, str(report)
 
+    def test_closed_form_worst_points_match_brute_force_grid(self):
+        # reference sweep: the (g, eps) and (g, xi) grids the closed forms
+        # replace, keeping the first point of least margin
+        g_max, grid = 60, 200
+        c = PROOF_CONSTANTS.eps_coefficient
+        by_name = {r.name: r for r in structural_constants(g_max, eps_grid=grid)}
+
+        def first_min(points):
+            return min(points, key=lambda p: p[1] - p[0])
+
+        def same(report, lhs, rhs, **inputs):
+            assert (report.lhs, report.rhs) == (lhs, rhs), report.name
+            for key, value in inputs.items():
+                assert report.inputs[key] == value, (report.name, key)
+
+        lhs, rhs, g, eps = first_min(
+            (g * math.log1p(i / grid / g), -math.log1p(-i / grid), g, i / grid)
+            for g in range(2, g_max + 1)
+            for i in range(1, grid)
+        )
+        same(by_name["r_g_eps_bound"], lhs, rhs, g=g, eps=eps)
+        lhs, rhs, xi = first_min(
+            (c * (i / grid) + (c * (i / grid)) ** 2 / 16.0, (i / grid) / 2.0, i / grid)
+            for i in range(1, grid + 1)
+        )
+        same(by_name["eps_choice_inequality_g2"], lhs, rhs, g=2, xi=xi)
+        assert by_name["eps_choice_inequality_g2"].margin < 0.0  # float rounding at xi = 1
+        lhs, rhs, g, xi = first_min(
+            (c + (i / grid / 8.0) * math.exp(-g * math.log(g)), 0.5, g, i / grid)
+            for g in range(3, g_max + 1)
+            for i in range(1, grid + 1)
+        )
+        same(by_name["eps_choice_inequality_g_ge_3"], lhs, rhs, g=g, xi=xi)
+
+    def test_small_g_max_emits_only_reports(self):
+        for g_max in (2, 3, 5, 6):
+            reports = structural_constants(g_max)
+            assert all(isinstance(r, BoundReport) and r.satisfied for r in reports), g_max
+        names = {r.name for r in structural_constants(5)}
+        assert "eps_choice_inequality_g_ge_3" in names
+        assert "c2_is_three_halves_for_g_ge_6" not in names
+        with pytest.raises(ValueError):
+            structural_constants(10, eps_grid=1)
+
     def test_c2_at_most_11_c1_prefix(self):
         for g in range(1, 40):
             assert c2_of_g(g) <= 11.0 * c1_of_g(g) + 1e-12

@@ -71,6 +71,54 @@ class TestIngest:
         assert [r.label for r in ingest_curves(default_fixture_path())] == ["probe"]
 
 
+NON_FINITE_LINES = (
+    '{"label": "nan_tau", "degree": 1, "embeddings": [{"tau_re": NaN, "tau_im": NaN}], '
+    '"log_norm_minimal_discriminant": 1.0}\n'
+    '{"label": "inf_im", "degree": 1, "embeddings": [{"tau_re": 0.1, "tau_im": Infinity}], '
+    '"log_norm_minimal_discriminant": 1.0}\n'
+    '{"label": "nan_disc", "degree": 1, "embeddings": [{"tau_re": 0.0, "tau_im": 1.5}], '
+    '"log_norm_minimal_discriminant": NaN}\n'
+)
+
+
+class TestStrictInput:
+    def test_non_finite_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text(NON_FINITE_LINES + VALID_LINE + "\n")
+        with pytest.warns(UserWarning, match="skipped invalid record") as caught:
+            records = ingest_curves(str(path))
+        assert [r.label for r in records] == ["probe"]
+        assert [str(w.message).split(": skipped")[0] for w in caught] == [f"{path}:{n}" for n in (1, 2, 3)]
+        assert not any("reduced" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("content", ["", "\n\n", NON_FINITE_LINES])
+    @pytest.mark.parametrize(
+        "argv",
+        [["height"], ["verify"], ["verify", "--suite", "heights"], ["bound", "matrix-lemma"]],
+    )
+    def test_no_valid_records_is_an_input_error(self, tmp_path, capsys, recwarn, content, argv):
+        path = tmp_path / "curves.jsonl"
+        path.write_text(content)
+        assert main(argv + ["--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no valid records in {path}\n"
+
+    def test_json_identical_across_checkouts(self, tmp_path):
+        with open(default_fixture_path(), "rb") as fh:
+            fixture = fh.read()
+        outputs = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            curves = tmp_path / name / "curves.jsonl"
+            curves.write_bytes(fixture)
+            out = tmp_path / name / "report.json"
+            assert main(["verify", "--suite", "heights", "--curves", str(curves), "--json", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["input_digests"].keys() == {"curves.jsonl"}
+
+
 class TestRunSuite:
     def test_serre_manifest_contains_threshold(self):
         manifest = run_suite("serre", [])

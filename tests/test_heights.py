@@ -112,6 +112,11 @@ class TestFaltingsHeight:
         with pytest.raises(ValueError):
             CurveRecord("bad", 1, (SiegelTau(0.0, 1.0),), -1.0, None)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_discriminant_rejected(self, value):
+        with pytest.raises(ValueError):
+            CurveRecord("bad", 1, (SiegelTau(0.0, 1.0),), value, None)
+
 
 class TestConversions:
     @given(st.floats(-5, 5), st.integers(1, 4))

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ import oracles
 from periodkit.interpolation import (
     AnalyticTestFunction,
     InterpolationParams,
+    _circle_max,
+    _contour_mean,
     hermite_identity_check,
     lemma52_checks,
     poly_P,
@@ -117,6 +120,44 @@ class TestHermiteIdentity:
         with pytest.raises(ValueError):
             hermite_identity_check(f, InterpolationParams(2, 1), 2.5 + 0.0j)
 
+    def test_array_contour_mean_matches_loop(self):
+        # reference: the trapezoid rule summed node by node
+        f = AnalyticTestFunction.polynomial([1.0, 2.0, 0.0, 1.0])
+        z, n = 0.37 + 0.21j, 2048
+
+        def g(w):
+            return f(w) / (poly_P(3, w) ** 2 * (w - z))
+
+        for center, radius in ((0.0, 3.0), (1.0, 0.5 - 1.0 / 12.0)):
+            terms = []
+            for k in range(n):
+                w = center + radius * cmath.exp(2j * math.pi * k / n)
+                terms.append(g(w) * (w - center))
+            want = sum(terms) / n
+            scale = sum(abs(t) for t in terms) / n
+            assert abs(_contour_mean(g, center, radius, n) - want) <= 1e-12 * scale
+
+
+class TestArrayEvaluation:
+    def test_array_call_matches_scalar_call(self):
+        zs = np.array([0.3 + 0.4j, -1.2 + 0.0j, 2.0 - 0.7j, 0.0j])
+        for f in (
+            AnalyticTestFunction.monomial(0),
+            AnalyticTestFunction.monomial(7),
+            AnalyticTestFunction.exponential(-1.3 + 0.2j),
+            AnalyticTestFunction.polynomial([1.0, 2.0, 0.0, 1.0]),
+        ):
+            got = f(zs)
+            assert got.shape == zs.shape
+            for w, value in zip(zs, got):
+                assert value == pytest.approx(complex(f(complex(w))), rel=1e-14, abs=1e-300)
+
+    def test_poly_P_on_array_matches_scalar(self):
+        zs = np.array([0.5 + 0.25j, 2.0 + 0.0j, -1.7 - 0.4j])
+        got = poly_P(4, zs)
+        for w, value in zip(zs, got):
+            assert value == pytest.approx(poly_P(4, complex(w)), rel=1e-14, abs=1e-300)
+
 
 class TestDividedDerivatives:
     @given(st.integers(0, 8), st.integers(0, 8))
@@ -195,8 +236,45 @@ class TestSchwarzLemma:
                     1 + 1e-12
                 )
 
+    def test_exact_families_take_closed_form_maxima(self):
+        sharp, simplified = schwarz_lemma_check(
+            AnalyticTestFunction.monomial(10), InterpolationParams(3, 2)
+        )
+        assert sharp.lhs == simplified.lhs == 1.0
+        assert sharp.inputs["f_S"] == 3.0**10
+        sharp, _ = schwarz_lemma_check(
+            AnalyticTestFunction.exponential(-2.0), InterpolationParams(4, 1)
+        )
+        assert sharp.lhs == math.exp(2.0)
+        assert sharp.inputs["f_S"] == math.exp(8.0)
+
+    def test_polynomial_bounds_lhs_above_and_f_S_below(self):
+        f = AnalyticTestFunction.polynomial([1.0, -2.0j, 0.0, 1.0])
+        sharp, simplified = schwarz_lemma_check(f, InterpolationParams(3, 2))
+        assert sharp.lhs == 4.0  # sum of |a_k|
+        assert sharp.lhs >= sup_on_circle(f, 1.0)
+        assert sharp.inputs["f_S"] == sup_on_circle(f, 3.0)
+        assert sharp.satisfied and simplified.satisfied
+
 
 class TestSupOnCircle:
+    def test_exact_circle_maxima_match_sampled_maxima(self):
+        # a sample |r e^{i theta}|^d carries a few ulps of rounding per
+        # factor, so "exact >= sampled" is checked up to 1e-14 relative
+        functions = [AnalyticTestFunction.monomial(d) for d in range(11)]
+        functions += [AnalyticTestFunction.exponential(c) for c in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+        for f in functions:
+            for radius in (0.5, 1.0, 2.0, 3.0, 4.0):
+                exact = _circle_max(f, radius)
+                sampled = sup_on_circle(f, radius)
+                assert exact >= sampled * (1.0 - 1e-14), (f.describe(), radius)
+                assert exact == pytest.approx(sampled, rel=1e-12), (f.describe(), radius)
+
+    def test_polynomial_circle_bound_dominates_samples(self):
+        f = AnalyticTestFunction.polynomial([0.5, -1.0, 0.25j, 2.0])
+        for radius in (0.5, 1.0, 3.0):
+            assert _circle_max(f, radius) >= sup_on_circle(f, radius)
+
     @given(st.integers(0, 8), st.floats(0.5, 4.0))
     @settings(max_examples=60)
     def test_monomial_sup_is_radius_power(self, d, radius):

@@ -75,6 +75,13 @@ class TestSiegelReduce:
         t, _ = siegel_reduce(EllipticLattice(1.0, complex(-0.3, math.sqrt(1 - 0.09))))
         assert t.re >= 0
 
+    @pytest.mark.parametrize(
+        "re,im", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 2.0)]
+    )
+    def test_non_finite_tau_rejected(self, re, im):
+        with pytest.raises(ValueError, match="not finite"):
+            SiegelTau(re, im)
+
     def test_degenerate_basis_rejected(self):
         with pytest.raises(ValueError):
             EllipticLattice(1.0, 2.0)

@@ -167,3 +167,23 @@ class TestSilvermanExtrema:
         assert report.inputs["decreasing_to_y0"]
         assert report.inputs["increasing_after_y0"]
         assert report.inputs["local_min_below_left_endpoint"]
+
+    def test_proved_shape_agrees_with_dense_scan(self):
+        # reference sweep: f on the three intervals, sampled far more finely
+        # than its features, must move the way the proved flags say
+        report = silverman_f_extrema()
+        y0 = report.inputs["y0"]
+
+        def f(y):
+            e = np.exp(-2.0 * math.pi * y)
+            return np.maximum(y**6 * e, y**6 * (1.0 - 1193.0 * e))
+
+        for (a, b), sign, flag in (
+            ((math.sqrt(3.0) / 2.0, 3.0 / math.pi), 1.0, "increasing_to_3_over_pi"),
+            ((3.0 / math.pi, y0), -1.0, "decreasing_to_y0"),
+            ((y0, 20.0), 1.0, "increasing_after_y0"),
+        ):
+            ys = np.linspace(a, b, 200_001)
+            scanned = bool((sign * np.diff(f(ys)) >= -1e-15).all())
+            assert scanned == report.inputs[flag] is True, flag
+        assert f(np.array([y0]))[0] == pytest.approx(report.inputs["f_local_min"], rel=1e-14)
