@@ -163,10 +163,19 @@ def default_fixture_path() -> str:
     return str(resources.files("periodkit").joinpath("fixtures/curves.jsonl"))
 
 
+def _embedding_pair(emb) -> tuple[float, float]:
+    """(re, im) from either documented form: {"tau_re": re, "tau_im": im} or [re, im]."""
+    if isinstance(emb, dict):
+        return float(emb["tau_re"]), float(emb["tau_im"])
+    if isinstance(emb, list) and len(emb) == 2:
+        return float(emb[0]), float(emb[1])
+    raise ValueError(f"embedding {emb!r} is neither {{tau_re, tau_im}} nor [re, im]")
+
+
 def _record_from_obj(obj: dict) -> CurveRecord:
     embeddings = []
     for emb in obj["embeddings"]:
-        re, im = float(emb["tau_re"]), float(emb["tau_im"])
+        re, im = _embedding_pair(emb)
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"embedding ({re}, {im}) is not finite")
         try:
@@ -235,7 +244,7 @@ def _equality_report(name: str, value: float, expected: float, tol: float, **inp
     return BoundReport(name, abs(value - expected), tol, inputs={"value": value, "expected": expected, **inputs})
 
 
-def _suite_lattice(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_lattice(records, seed: int) -> list[BoundReport]:
     rng = np.random.default_rng(seed)
     reports: list[BoundReport] = []
     worst = 0.0
@@ -271,7 +280,7 @@ def _suite_lattice(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_modular(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_modular(records, seed: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     ji = modular.j_invariant(SiegelTau(0.0, 1.0))
     reports.append(_equality_report("j_at_i", ji.value.real, 1728.0, 1e-9, imag=abs(ji.value.imag)))
@@ -290,7 +299,7 @@ def _suite_modular(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_theta(records, tol: float, seed: int, quad: int) -> list[BoundReport]:
+def _suite_theta(records, seed: int, quad: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     for label, mat in (
         ("i", [[1j]]),
@@ -306,7 +315,7 @@ def _suite_theta(records, tol: float, seed: int, quad: int) -> list[BoundReport]
     return reports
 
 
-def _suite_heights(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_heights(records, seed: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     floor = -0.5 * math.log(2.0 * math.pi)
     for rec in records:
@@ -325,7 +334,7 @@ def _suite_heights(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_bounds(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_bounds(records, seed: int) -> list[BoundReport]:
     reports = bnd.structural_constants(500)
     _, _, checks = bnd.prop_ell_solver(1.0)
     reports += checks
@@ -350,7 +359,7 @@ def _suite_bounds(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_interpolation(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_interpolation(records, seed: int) -> list[BoundReport]:
     reports = itp.lemma52_checks(8, seed=seed)
     reports += itp.u_sequence(1000)
     for d in (0, 3, 10):
@@ -365,7 +374,7 @@ def _suite_interpolation(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_isogeny(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_isogeny(records, seed: int) -> list[BoundReport]:
     reports = [cp.report for cp in iso.chain_checkpoints()]
     reports += iso.surface_bound_constants()
     general = iso.explicit_bound(iso.IsogenyBoundInput(1, 900.0, "general"))
@@ -392,7 +401,7 @@ def _suite_isogeny(records, tol: float, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_serre(records, tol: float, seed: int) -> list[BoundReport]:
+def _suite_serre(records, seed: int) -> list[BoundReport]:
     th = serre.find_threshold()
     return [
         _equality_report("threshold_integer", float(th.p_star), 3094027.0, 0.0),
@@ -404,7 +413,6 @@ def _suite_serre(records, tol: float, seed: int) -> list[BoundReport]:
 def run_suite(
     suite: str,
     records: Sequence[CurveRecord],
-    tolerances: Optional[dict] = None,
     seed: int = 0,
     quad_points: int = 64,
     input_digests: Optional[dict] = None,
@@ -412,19 +420,18 @@ def run_suite(
     """Execute one named suite (or all) and collect a manifest."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    # "tol" keeps the canonical manifest byte-stable; each check sets its own tolerance
     tols = {"tol": 1e-9, "quad_points": quad_points, "seed": seed}
-    if tolerances:
-        tols.update(tolerances)
     t0 = time.perf_counter()
     dispatch = {
-        "lattice": lambda: _suite_lattice(records, tols["tol"], seed),
-        "modular": lambda: _suite_modular(records, tols["tol"], seed),
-        "theta": lambda: _suite_theta(records, tols["tol"], seed, quad_points),
-        "heights": lambda: _suite_heights(records, tols["tol"], seed),
-        "bounds": lambda: _suite_bounds(records, tols["tol"], seed),
-        "interpolation": lambda: _suite_interpolation(records, tols["tol"], seed),
-        "isogeny": lambda: _suite_isogeny(records, tols["tol"], seed),
-        "serre": lambda: _suite_serre(records, tols["tol"], seed),
+        "lattice": lambda: _suite_lattice(records, seed),
+        "modular": lambda: _suite_modular(records, seed),
+        "theta": lambda: _suite_theta(records, seed, quad_points),
+        "heights": lambda: _suite_heights(records, seed),
+        "bounds": lambda: _suite_bounds(records, seed),
+        "interpolation": lambda: _suite_interpolation(records, seed),
+        "isogeny": lambda: _suite_isogeny(records, seed),
+        "serre": lambda: _suite_serre(records, seed),
     }
     names = list(dispatch) if suite == "all" else [suite]
     reports: list[dict] = []
@@ -448,7 +455,6 @@ def run_suite(
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptk", description="period and isogeny bound toolkit")
-    p.add_argument("--tol", type=float, default=1e-9, help="floating tolerance (default 1e-9)")
     p.add_argument("--quad-points", type=int, default=64, help="quadrature points per axis")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = p.add_subparsers(dest="command", required=True)
@@ -540,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "bound" and args.bound_command == "matrix-lemma":
             records, digests = _load_records(args.curves)
-            manifest = run_suite("bounds", records, {"tol": args.tol}, args.seed, args.quad_points, digests)
+            manifest = run_suite("bounds", records, args.seed, args.quad_points, digests)
             emit_report(manifest, "text")
             return 0 if manifest.all_satisfied else 1
         if args.command == "bound" and args.bound_command == "isogeny":
@@ -558,9 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "verify":
             records, digests = _load_records(args.curves)
-            manifest = run_suite(
-                args.suite, records, {"tol": args.tol}, args.seed, args.quad_points, digests
-            )
+            manifest = run_suite(args.suite, records, args.seed, args.quad_points, digests)
             emit_report(manifest, "text")
             if args.json:
                 emit_report(manifest, "json", args.json)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -119,6 +120,47 @@ class TestStrictInput:
         assert json.loads(outputs[0])["input_digests"].keys() == {"curves.jsonl"}
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_curve_line() -> str:
+    """The example record of the README's "Curve fixtures" section, on one line."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Curve fixtures", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    return " ".join(block.split())
+
+
+class TestEmbeddingForms:
+    def test_readme_example_ingests_like_the_fixture(self, tmp_path, bundled_records):
+        line = _readme_curve_line()
+        assert '"embeddings": [[0.5, 1.1493901061232524]]' in line
+        path = tmp_path / "readme.jsonl"
+        path.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = ingest_curves(str(path))
+        assert records == [bundled_records[0]]
+
+    def test_height_on_readme_example(self, tmp_path, capsys):
+        path = tmp_path / "readme.jsonl"
+        path.write_text(_readme_curve_line() + "\n")
+        assert main(["height", "--curves", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert main(["height"]) == 0
+        assert out == capsys.readouterr().out.splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize(
+        "embeddings",
+        ["[[0.5]]", "[[0.5, 1.2, 0.0]]", "[0.5]", '["0.5 1.2"]', '[{"tau_re": 0.5}]', "[[null, 1.2]]"],
+    )
+    def test_other_embedding_shapes_are_skipped(self, tmp_path, embeddings):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', embeddings) + "\n")
+        with pytest.warns(UserWarning, match="skipped invalid record"):
+            assert ingest_curves(str(path)) == []
+
+
 class TestRunSuite:
     def test_serre_manifest_contains_threshold(self):
         manifest = run_suite("serre", [])
@@ -202,6 +244,12 @@ class TestExitCodes:
         code = main(["verify", "--suite", "heights", "--curves", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_tol_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", "1", "verify"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ptk")
 
     def test_reduce_subcommand(self, capsys):
         assert main(["reduce", "5.3", "0.2"]) == 0

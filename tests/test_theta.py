@@ -147,6 +147,48 @@ class TestTorusIntegrals:
         )
 
 
+def _grid_l2_mean(tau: RiemannTau, m: int) -> float:
+    """Reference sweep: mean of |F|^2 over the full m^g x m^g midpoint grid."""
+    box = default_truncation(tau)
+    axis = (np.arange(m) + 0.5) / m
+    pts = np.stack(np.meshgrid(*[axis] * tau.g, indexing="ij"), axis=-1).reshape(-1, tau.g)
+    ns = np.stack(
+        np.meshgrid(*[np.arange(-box, box + 1)] * tau.g, indexing="ij"), axis=-1
+    ).reshape(-1, tau.g)
+    w = ns[:, None, :] + pts[None, :, :]
+    A = np.exp(1j * math.pi * np.einsum("kij,jl,kil->ki", w, tau.matrix, w))
+    B = np.exp(2j * math.pi * (ns @ pts.T))
+    F = float(np.linalg.det(2.0 * tau.y)) ** 0.25 * (A.T @ B)
+    return float(np.mean(np.abs(F) ** 2))
+
+
+TAU_ALIAS_G1 = RiemannTau(1, [[0.3 + 0.08j]])
+TAU_ALIAS_G2 = RiemannTau(2, [[0.2 + 0.1j, 0.05], [0.05, 0.3 + 0.12j]])
+# thin and with real part 0, so the wrapped terms n and n + 16 move the mean of |F|^2
+TAU_WRAP_G1 = RiemannTau(1, [[0.02j]])
+TAU_WRAP_G2 = RiemannTau(2, [[0.03j, 0.01j], [0.01j, 0.04j]])
+
+
+class TestL2Fold:
+    @pytest.mark.parametrize(
+        "tau, m",
+        [(TAU_I, m) for m in (16, 64, 256)]
+        + [(TAU_CORNER, m) for m in (16, 64, 256)]
+        + [(TAU_G2, 16), (TAU_G2, 32)]
+        + [(RiemannTau(2, [[0.4 + 1.1j, 0.1 + 0.3j], [0.1 + 0.3j, -0.2 + 0.9j]]), m) for m in (16, 32)]
+        + [(TAU_ALIAS_G1, 16), (TAU_ALIAS_G2, 16), (TAU_WRAP_G1, 16), (TAU_WRAP_G2, 16)],
+    )
+    def test_matches_full_grid(self, tau, m):
+        assert abs(torus_l2_norm(tau, m) - _grid_l2_mean(tau, m)) <= 1e-13
+
+    def test_aliasing_cases_have_more_terms_than_points(self):
+        # 2 box + 1 > m = 16, so the coefficients wrap mod m in the cases above
+        assert (default_truncation(TAU_ALIAS_G1), default_truncation(TAU_ALIAS_G2)) == (15, 14)
+        for tau in (TAU_WRAP_G1, TAU_WRAP_G2):
+            assert 2 * default_truncation(tau) + 1 > 2 * 16
+            assert 1.0 - torus_l2_norm(tau, 16) > 1e-6
+
+
 class TestBostInequality:
     def test_all_fixtures_satisfied(self, bundled_records):
         for rec in bundled_records:
