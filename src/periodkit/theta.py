@@ -8,8 +8,11 @@ with the half-step offset keeping theta zeros at cell corners.
 F is a finite Fourier series in q, so the L2 norm skips the q-grid: by
 discrete Parseval the mean of |F|^2 over the m^g midpoint q-points is the
 sum of its squared coefficients, folded per axis by n mod m when
-2 box + 1 > m, which equals the midpoint grid sum exactly. The log integral
-is still summed over the full m^g x m^g grid.
+2 box + 1 > m, which equals the midpoint grid sum exactly. For g = 1 the
+log integral skips the grid too: the Jacobi triple product turns the mean
+of log|F| over the midpoint q-points into a short sum of closed forms per
+p-point. For g = 2, which has no such product, it is summed over the full
+m^2 x m^2 grid.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ class RiemannTau:
         if g not in (1, 2):
             raise ValueError("g must be 1 or 2")
         m = np.array(matrix, dtype=complex).reshape(g, g)
-        if not np.allclose(m, m.T, rtol=0, atol=1e-9):
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        if np.abs(m - m.T).max() > 1e-9:
             raise ValueError("matrix must be symmetric")
         y = m.imag
         if np.linalg.eigvalsh(y).min() <= 0:
@@ -212,7 +217,7 @@ def _coefficients(tau: RiemannTau, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _grid_log_mean(tau: RiemannTau, m: int) -> float:
-    """Mean of log|F| over the m^g x m^g midpoint grid."""
+    """Mean of log|F| over the m^g x m^g midpoint grid (g = 2)."""
     pts = _tensor_grid(tau.g, m)  # p and q share the grid
     ns, A, scale = _coefficients(tau, pts)
     sum_log = 0.0
@@ -221,6 +226,51 @@ def _grid_log_mean(tau: RiemannTau, m: int) -> float:
         mod = np.abs(scale * (A.T @ B))
         sum_log += float(np.log(np.maximum(mod, 1e-300)).sum())
     return sum_log / pts.shape[0] ** 2
+
+
+_BLOCK = 1 << 16  # entries per block in _sum_log_abs_1p_exp
+
+
+def _sum_log_abs_1p_exp(z_of, n_max: int, width: int) -> float:
+    """Sum of log|1 + e^z| over z = z_of(n) for n = 1..n_max.
+
+    z_of maps an array of n to an array of width entries per n. The n run in
+    blocks of at most _BLOCK entries, because n_max grows like 1/Im tau. For
+    Re z > 0, log|1 + e^z| = Re z + log|1 + e^-z|, and with a = -|Re z| <= 0,
+    |1 + e^(a + i Im z)|^2 = expm1(a)^2 + 4 e^a cos^2(Im z / 2), which neither
+    overflows nor cancels near the zeros of 1 + e^z.
+    """
+    step = max(1, _BLOCK // width)
+    total = 0.0
+    for n0 in range(1, n_max + 1, step):
+        z = z_of(np.arange(n0, min(n0 + step, n_max + 1)))
+        a = -np.abs(z.real)
+        mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag) ** 2
+        total += float((0.5 * np.log(mod_sq) + np.maximum(z.real, 0.0)).sum())
+    return total
+
+
+def _product_log_mean(tau: RiemannTau, m: int) -> float:
+    """Mean of log|F| over the m x m midpoint grid for g = 1, with no grid.
+
+    See torus_log_integral for the identity. Each factor family stops where
+    its first omitted term is below e^-TAIL_EXPONENT: the product family
+    log|1 - Q^2n| at 2 pi y n >= TAIL_EXPONENT, and the q-mean family, where
+    |e^z| <= e^(-pi m y (2n - 3)) for n >= 2, at pi m y (2n - 3) >= TAIL_EXPONENT.
+    """
+    t = complex(tau.matrix[0, 0])
+    y = t.imag
+    n_prod = math.ceil(TAIL_EXPONENT / (2.0 * math.pi * y)) + 1
+    n_mean = math.ceil(1.5 + TAIL_EXPONENT / (2.0 * math.pi * m * y)) + 1
+    two_p = np.array([2.0, -2.0])[:, None, None] * _axis_grid(m)
+    # 1 - Q^2n = 1 + e^(i pi (2 n tau + 1))
+    product = _sum_log_abs_1p_exp(lambda n: 1j * math.pi * (2.0 * n * t + 1.0), n_prod, 1)
+    # (1/m) sum over (n, +-) at each p-point, averaged over the m p-points
+    q_mean = _sum_log_abs_1p_exp(
+        lambda n: 1j * math.pi * m * t * ((2.0 * n - 1.0)[:, None] + two_p), n_mean, 2 * m
+    ) / (m * m)
+    mean_p_sq = 1.0 / 3.0 - 1.0 / (12.0 * m * m)  # exact mean of p^2 over the midpoints
+    return 0.25 * math.log(2.0 * y) - math.pi * y * mean_p_sq + product + q_mean
 
 
 def _fold(C: np.ndarray, axis: int, m: int) -> np.ndarray:
@@ -268,12 +318,24 @@ def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) ->
 
     The integrand has integrable log singularities along the theta divisor;
     the leading quadrature error from cells meeting it scales as the square
-    of the step, so the value is Richardson-extrapolated from one internal
-    resolution doubling.
+    of the step, so the midpoint mean over the m^g x m^g grid is
+    Richardson-extrapolated from one internal resolution doubling.
+
+    For g = 1 the mean is evaluated without the grid. There
+    F(p, q) = (2y)^(1/4) e^(i pi p^2 tau) theta_3(p tau + q | tau), and with
+    Q = e^(i pi tau) the Jacobi triple product gives
+    theta_3(z | tau) = prod_n (1 - Q^2n)(1 + Q^(2n-1) e^(2 i pi z))(1 + Q^(2n-1) e^(-2 i pi z)).
+    On the even midpoint grid q_j = (j + 1/2)/m, prod_j (1 + a e^(+-2 i pi q_j)) = 1 + a^m
+    exactly for every complex a, so the mean of log|F(p, .)| over the q-points is
+    (1/4) log 2y - pi y p^2 + sum_n log|1 - Q^2n|
+    + (1/m) sum_(n, +-) log|1 + exp(i pi m tau (2n - 1 +- 2p))|,
+    and a grid mean costs O(m N) for N product terms instead of
+    O(m^2 (2 box + 1)). For g = 2 the grid is summed term by term.
     """
     m = _resolution(quadrature_points_per_axis)
-    coarse = _grid_log_mean(tau, m)
-    fine = _grid_log_mean(tau, 2 * m)
+    mean = _product_log_mean if tau.g == 1 else _grid_log_mean
+    coarse = mean(tau, m)
+    fine = mean(tau, 2 * m)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -152,6 +152,36 @@ def mp_F1(tau, p, q, box=30, dps=30):
         return (2 * y) ** mp.mpf("0.25") * total
 
 
+def mp_log_grid_mean_g1(tau, m, box=45, dps=50):
+    """Mean of log|F| over the m x m midpoint grid ((i + 1/2)/m, (j + 1/2)/m), g=1."""
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for i in range(m):
+            for j in range(m):
+                p = mp.mpf(2 * i + 1) / (2 * m)
+                q = mp.mpf(2 * j + 1) / (2 * m)
+                total += mp.log(abs(mp_F1(tau, p, q, box, dps)))
+        return total / m ** 2
+
+
+def mp_log_integral_g1(tau, dps=30):
+    """Exact torus integral of log|F|, g=1: (1/4) log 2y + log|eta(tau)|.
+
+    eta is evaluated at -1/tau, where its product converges fast for thin
+    tau, and brought back by |eta(tau)| = |eta(-1/tau)| / |tau|^(1/2).
+    """
+    with mp.workdps(dps):
+        t = mp.mpmathify(tau)
+        s = -1 / t
+        q = mp.e ** (2j * mp.pi * s)
+        log_eta_s = mp.re(2j * mp.pi * s / 24)
+        n = 1
+        while abs(q) ** n > mp.mpf(10) ** (-dps):
+            log_eta_s += mp.log(abs(1 - q ** n))
+            n += 1
+        return mp.log(2 * mp.im(t)) / 4 + log_eta_s - mp.log(abs(t)) / 2
+
+
 def mp_F2_diag(tau1, tau2, p, q, box=15, dps=30):
     """g=2 diagonal tau: the sum factors into two g=1 sums."""
     return mp_F1(tau1, p[0], q[0], box, dps) * mp_F1(tau2, p[1], q[1], box, dps)
@@ -475,6 +505,8 @@ def main():
     out["scipy_l2_tau_i"] = scipy_l2_g1(1j, tol=1e-10)
     out["scipy_log_tau_i"] = scipy_log_integral_g1(1j, tol=1e-9)
     out["scipy_log_tau_5i"] = scipy_log_integral_g1(5j, tol=1e-9)
+    out["log_grid_mean_002i_m16"] = mp_log_grid_mean_g1(mp.mpc(0, "0.02"), 16)
+    out["log_integral_0001i"] = mp_log_integral_g1(mp.mpc(0, "0.001"))
 
     # Siegel reduction targets
     z, m = siegel_bfs(complex(5.3, 0.2))

@@ -269,6 +269,11 @@ class TestExitCodes:
         assert main(["theta", "check", "--tau-im", "1.0"]) == 0
         assert "expect 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [("--tau-im", "inf"), ("--tau-re", "nan")])
+    def test_theta_check_rejects_non_finite_tau(self, flag, value, capsys):
+        assert main(["theta", "check", flag, value]) == 2
+        assert "error: matrix entries must be finite" in capsys.readouterr().err
+
     def test_height_subcommand(self, capsys):
         assert main(["height"]) == 0
         out = capsys.readouterr().out

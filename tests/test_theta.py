@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from periodkit import theta
+from periodkit.cli import default_fixture_path, ingest_curves
 from periodkit.heights import CurveRecord
 from periodkit.lattice import SiegelTau
 from periodkit.theta import (
@@ -187,6 +189,59 @@ class TestL2Fold:
         for tau in (TAU_WRAP_G1, TAU_WRAP_G2):
             assert 2 * default_truncation(tau) + 1 > 2 * 16
             assert 1.0 - torus_l2_norm(tau, 16) > 1e-6
+
+
+def _grid_log_mean_g1(tau: RiemannTau, m: int) -> float:
+    """Reference sweep: mean of log|F| over the full m x m midpoint grid, g=1."""
+    box = default_truncation(tau)
+    t = complex(tau.matrix[0, 0])
+    axis = (np.arange(m) + 0.5) / m
+    ns = np.arange(-box, box + 1)
+    A = np.exp(1j * math.pi * t * (ns[:, None] + axis[None, :]) ** 2)
+    B = np.exp(2j * math.pi * np.outer(ns, axis))
+    F = (2.0 * t.imag) ** 0.25 * (A.T @ B)
+    return float(np.mean(np.log(np.abs(F))))
+
+
+LOG_TAUS = [
+    1j,
+    5j,
+    0.5 + 0.5j * math.sqrt(3.0),
+    0.5 + 1j * math.sqrt(3.0),
+    0.3 + 0.9j,
+    0.3 + 0.08j,
+    -0.4 + 7.9j,
+    0.1 + 20j,
+] + sorted(
+    {complex(e.re, e.im) for r in ingest_curves(default_fixture_path()) for e in r.embeddings},
+    key=lambda t: (t.real, t.imag),
+)
+
+
+class TestLogProduct:
+    @pytest.mark.parametrize("m", (16, 32, 64, 128, 256, 512))
+    @pytest.mark.parametrize("t", LOG_TAUS, ids=str)
+    def test_matches_full_grid(self, t, m):
+        tau = RiemannTau(1, [[t]])
+        assert abs(theta._product_log_mean(tau, m) - _grid_log_mean_g1(tau, m)) <= 1e-12
+
+    def test_thin_tau_grid_mean_matches_mpmath(self):
+        # oracles.mp_log_grid_mean_g1(0.02j, 16) at 50 digits; the float grid sum is off by 2.4e-3
+        got = theta._product_log_mean(RiemannTau(1, [[0.02j]]), 16)
+        assert abs(got - (-11.887544150530927)) <= 1e-10
+
+    # at 1e-5j the product family has 636,621 terms, summed in blocks
+    @pytest.mark.parametrize("t", [0.001j, 1e-5j])
+    def test_thin_tau_log_integral_matches_eta(self, t):
+        want = float(oracles.mp_log_integral_g1(t))
+        assert abs(torus_log_integral(RiemannTau(1, [[t]]), 64) - want) <= 1e-6
+
+    def test_g1_never_builds_the_grid(self, monkeypatch):
+        def refuse(tau, m):
+            raise AssertionError("grid built for g=1")
+
+        monkeypatch.setattr(theta, "_grid_log_mean", refuse)
+        assert torus_log_integral(TAU_I, 64) == pytest.approx(-0.090385275108931573, abs=1e-8)
 
 
 class TestBostInequality:
