@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Relative tolerance used for verdicts: satisfied <=> margin >= -tol*max(1,|rhs|).
 REPORT_TOL = 1e-12
@@ -122,6 +122,22 @@ def matrix_lemma_report(T: float, h: float, deg: float, g: int, variant: str = "
     )
 
 
+def bisect_last(pred: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Bisect a bracket with pred(lo) true and pred(hi) false; returns the final lo.
+
+    Stops once the midpoint rounds to an end of the bracket: from then on
+    every further halving would leave the bracket unchanged.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def prop_ell_delta_max(h: float) -> float:
     """Largest delta >= 3/pi with pi delta <= 3 log delta + 6h + 8.66 (bisection).
 
@@ -139,13 +155,7 @@ def prop_ell_delta_max(h: float) -> float:
     hi = max(2.0 * lo, 2.0)
     while excess(hi) <= 0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_last(lambda d: excess(d) <= 0, lo, hi)
 
 
 def prop_ell_solver(h: float) -> tuple[float, float, list[BoundReport]]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bounds import BoundReport
+from .bounds import BoundReport, bisect_last
 from .lattice import SiegelTau
 
 CASES = ("general", "cm", "real_place_non_cm")
@@ -84,13 +84,8 @@ def implicit_delta_solver(D: float, H: float) -> float:
     hi = 2.0
     while excess(hi) <= 0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo * lo
+    root = bisect_last(lambda s: excess(s) <= 0, lo, hi)
+    return root * root
 
 
 def _min_margin_pair(name: str, first: tuple[float, float], second: tuple[float, float],

@@ -3,6 +3,13 @@
 Evaluation is by truncated q-series with certified geometric tail bounds; the
 classical lower bounds for |j| and |Delta| on the fundamental domain are
 exposed as verdict reports.
+
+The Delta product stops at the first order whose relative tail bound is at
+most 2^-70, far below the 2^-53 rounding of a double, unless the absolute
+tail then misses the configured tolerance; ``truncation_order`` is the cap.
+On the fundamental domain |q| <= e^{-pi sqrt 3} ~ 0.0043, so at most nine
+of the default 64 factors are multiplied. The E4 series always runs to the
+full order, from a divisor-sum table built once per order.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bounds import BoundReport
@@ -17,6 +25,9 @@ from .lattice import SiegelTau
 
 ZETA3 = 1.2020569031595942854
 _Y_MIN = math.sqrt(3.0) / 2.0
+# Relative Delta tail at which the product stops. At 2^-60 some values
+# already move by one ulp against the full-order product.
+_STOP_TAIL = 2.0**-70
 
 
 class InsufficientTruncationError(ValueError):
@@ -31,10 +42,12 @@ class InsufficientTruncationError(ValueError):
 class QSeriesConfig:
     """Truncation order and tail tolerance for q-series evaluation.
 
-    The order should make the geometric tail bound fall below
-    ``tail_tolerance`` for the intended Im tau >= sqrt(3)/2; the evaluators
-    enforce this for the actual argument and report the order that would
-    suffice when it does not hold.
+    ``truncation_order`` caps the Delta product, which stops earlier once
+    its relative tail bound is at most 2^-70 and the absolute tail meets
+    ``tail_tolerance``; E4 always uses the full order. The order should make
+    the geometric tail bound fall below ``tail_tolerance`` for the intended
+    Im tau >= sqrt(3)/2; the evaluators enforce this for the actual argument
+    and report the order that would suffice when it does not hold.
     """
 
     truncation_order: int = 64
@@ -70,13 +83,33 @@ def _required_order(abs_q: float, scale: float, tolerance: float) -> int:
     return n
 
 
+def _stop_order(abs_q: float, cap: int) -> int:
+    """First order n <= cap with relative product tail <= 2^-70, else cap."""
+    if abs_q == 0.0:
+        return 1
+    if not abs_q < 1.0:
+        return cap
+    # solve 24 |q|^(n+1) / (1-|q|)^2 = 2^-70, then correct the rounding
+    n = math.ceil(math.log(_STOP_TAIL * (1.0 - abs_q) ** 2 / 24.0) / math.log(abs_q)) - 1
+    n = min(max(n, 1), cap)
+    while n > 1 and _delta_product_tail(abs_q, n - 1) <= _STOP_TAIL:
+        n -= 1
+    while n < cap and _delta_product_tail(abs_q, n) > _STOP_TAIL:
+        n += 1
+    return n
+
+
 def delta_on_upper_half_plane(
     z: complex, cfg: QSeriesConfig = QSeriesConfig(), normalization: str = "ramanujan"
 ) -> SeriesValue:
     """Discriminant q-series at any point of the upper half-plane.
 
     normalization "ramanujan" gives q prod (1-q^n)^24; "two_pi_12" multiplies
-    by (2 pi)^12. The tail field certifies |returned - true| <= tail.
+    by (2 pi)^12. The tail field certifies |returned - true| <= tail for the
+    factors actually multiplied. The product stops at the first order whose
+    relative tail bound is <= 2^-70 if the scaled absolute tail then meets
+    ``cfg.tail_tolerance``; otherwise it runs to ``cfg.truncation_order``,
+    so an early stop never raises where the full order would not.
     """
     if normalization not in ("ramanujan", "two_pi_12"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -86,15 +119,20 @@ def delta_on_upper_half_plane(
     abs_q = abs(q)
     prod = complex(1.0)
     qn = complex(1.0)
-    for _ in range(cfg.truncation_order):
-        qn *= q
-        prod *= (1.0 - qn) ** 24
-    value = q * prod
-    tail = abs(value) * _delta_product_tail(abs_q, cfg.truncation_order)
-    if normalization == "two_pi_12":
-        scale = (2.0 * math.pi) ** 12
-        value *= scale
-        tail *= scale
+    done = 0
+    for order in (_stop_order(abs_q, cfg.truncation_order), cfg.truncation_order):
+        for _ in range(order - done):
+            qn *= q
+            prod *= (1.0 - qn) ** 24
+        done = order
+        value = q * prod
+        tail = abs(value) * _delta_product_tail(abs_q, order)
+        if normalization == "two_pi_12":
+            scale = (2.0 * math.pi) ** 12
+            value *= scale
+            tail *= scale
+        if tail <= cfg.tail_tolerance:
+            break
     if tail > cfg.tail_tolerance:
         required = _required_order(abs_q, abs(value), cfg.tail_tolerance)
         raise InsufficientTruncationError(
@@ -112,14 +150,15 @@ def delta_tau(
     return delta_on_upper_half_plane(tau.value, cfg, normalization)
 
 
-def _sigma3_prefix(n: int) -> list[int]:
-    """sigma_3(1..n) by sieving divisors."""
+@lru_cache(maxsize=8)
+def _sigma3_prefix(n: int) -> tuple[int, ...]:
+    """sigma_3(1..n) by sieving divisors, built once per n."""
     s = [0] * (n + 1)
     for d in range(1, n + 1):
         cube = d * d * d
         for m in range(d, n + 1, d):
             s[m] += cube
-    return s[1:]
+    return tuple(s[1:])
 
 
 def _e4(q: complex, order: int) -> SeriesValue:

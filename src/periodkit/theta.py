@@ -45,8 +45,7 @@ class RiemannTau:
             raise ValueError("matrix entries must be finite")
         if np.abs(m - m.T).max() > 1e-9:
             raise ValueError("matrix must be symmetric")
-        y = m.imag
-        if np.linalg.eigvalsh(y).min() <= 0:
+        if not _min_eigenvalue(m.imag) > 0:
             raise ValueError("imaginary part must be positive-definite")
         m.setflags(write=False)
         object.__setattr__(self, "g", g)
@@ -58,7 +57,14 @@ class RiemannTau:
 
     @property
     def lambda_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.y).min())
+        return _min_eigenvalue(self.y)
+
+
+def _min_eigenvalue(y: np.ndarray) -> float:
+    """Smallest eigenvalue of a real symmetric matrix; the entry itself for g=1."""
+    if y.shape == (1, 1):
+        return float(y[0, 0])
+    return float(np.linalg.eigvalsh(y).min())
 
 
 @dataclass(frozen=True)

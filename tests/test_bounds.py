@@ -9,6 +9,7 @@ from periodkit.bounds import (
     PROOF_CONSTANTS,
     BoundReport,
     autissier_report,
+    bisect_last,
     c1_of_g,
     c2_of_g,
     clef_g1_reduction_report,
@@ -128,6 +129,50 @@ class TestPropEll:
         general, large, _ = prop_ell_solver(2000.0)
         assert general == pytest.approx(6.45 * 2000.0)
         assert large == pytest.approx(1.92 * 2000.0)
+
+
+def _bisect_200(pred, lo, hi):
+    """Reference: the fixed 200-step loop that bisect_last replaced."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _prop_ell_delta_max_200(h):
+    rhs_const = 6.0 * h + 8.66
+
+    def excess(d):
+        return math.pi * d - 3.0 * math.log(d) - rhs_const
+
+    lo = 3.0 / math.pi
+    hi = max(2.0 * lo, 2.0)
+    while excess(hi) <= 0:
+        hi *= 2.0
+    return _bisect_200(lambda d: excess(d) <= 0, lo, hi)
+
+
+class TestBisectLast:
+    @pytest.mark.parametrize("c", [0.5, 2.0, 3.0, 10.0, 1e6, 1e30])
+    def test_equals_fixed_200_step_loop(self, c):
+        calls = []
+
+        def pred(x):
+            calls.append(x)
+            return x * x <= c
+
+        got = bisect_last(pred, 0.0, max(1.0, c))
+        assert got == _bisect_200(lambda x: x * x <= c, 0.0, max(1.0, c))
+        assert len(calls) < 200
+        assert got * got <= c < math.nextafter(got, math.inf) ** 2
+
+    def test_prop_ell_delta_max_equals_200_step_loop_on_h_grid(self):
+        hs = [-0.9, -0.5, 0.0, 0.25] + [10.0 ** (k / 8.0) for k in range(-16, 57)]
+        for h in hs:
+            assert prop_ell_delta_max(h) == _prop_ell_delta_max_200(h), h
 
 
 class TestQuadraticRootBound:

@@ -79,6 +79,33 @@ class TestImplicitSolver:
         assert delta <= cap
 
 
+def _implicit_delta_solver_200(D, H):
+    """Reference: the solver with its fixed 200-step bisection."""
+    C = 1778.0 * D * math.sqrt(2.0 / 3.0)
+    base = H + 0.5 * math.log(H) + 2.4
+
+    def excess(s):
+        return s - C * (base + 4.0 * math.log(s))
+
+    lo, hi = 1.0, 2.0
+    while excess(hi) <= 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo * lo
+
+
+class TestImplicitSolverBisection:
+    @pytest.mark.parametrize("D", [1.0, 1.5, 2.0, 4.0, 8.0, 100.0, 1e6])
+    def test_equals_200_step_loop_on_grid(self, D):
+        for H in (1000.0, 1000.5, 1500.0, 4321.0, 1e4, 1e6, 1e9, 1e15):
+            assert implicit_delta_solver(D, H) == _implicit_delta_solver_200(D, H), (D, H)
+
+
 class TestChainCheckpoints:
     def test_exactly_seven_all_satisfied(self):
         cps = chain_checkpoints()

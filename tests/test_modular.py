@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from periodkit.lattice import EllipticLattice, SiegelTau, UnimodularMap, siegel_
 from periodkit.modular import (
     InsufficientTruncationError,
     QSeriesConfig,
+    _delta_product_tail,
+    _stop_order,
     check_classical_bounds,
     delta_on_upper_half_plane,
     delta_tau,
@@ -187,3 +190,92 @@ class TestSilvermanExtrema:
             scanned = bool((sign * np.diff(f(ys)) >= -1e-15).all())
             assert scanned == report.inputs[flag] is True, flag
         assert f(np.array([y0]))[0] == pytest.approx(report.inputs["f_local_min"], rel=1e-14)
+
+
+def _delta_full_order(z, normalization="ramanujan"):
+    """Reference: the fixed 64-factor product that ran before the early stop."""
+    q = cmath.exp(2j * math.pi * z)
+    prod = complex(1.0)
+    qn = complex(1.0)
+    for _ in range(64):
+        qn *= q
+        prod *= (1.0 - qn) ** 24
+    value = q * prod
+    if normalization == "two_pi_12":
+        value *= (2.0 * math.pi) ** 12
+    return value
+
+
+def _j_rebuilding_sigma3(z):
+    """Reference: E4 from a divisor-sum sieve rebuilt on every call."""
+    order = 64
+    sig = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for m in range(d, order + 1, d):
+            sig[m] += d * d * d
+    q = cmath.exp(2j * math.pi * z)
+    acc = complex(1.0)
+    qn = complex(1.0)
+    for n in range(1, order + 1):
+        qn *= q
+        acc += 240.0 * sig[n] * qn
+    return acc**3 / _delta_full_order(z)
+
+
+def _early_stop_grid():
+    """|Re tau| = 1/2 and |tau| = 1 edges, Re tau in {0, +-1e-15}, Im tau up to 40."""
+    points = []
+    for re in (-0.5, 0.5, 0.0, 1e-15, -1e-15):
+        im0 = math.sqrt(1.0 - re * re)
+        points += [complex(re, im0 + (40.0 - im0) * k / 160) for k in range(161)]
+    for k in range(121):
+        t = math.pi / 3.0 + (math.pi / 3.0) * k / 120
+        points.append(complex(math.cos(t), math.sin(t)))
+    return points
+
+
+class TestEarlyStop:
+    def test_values_equal_full_order_product_on_grid(self, bundled_records):
+        points = _early_stop_grid() + [t.value for r in bundled_records for t in r.embeddings]
+        for z in points:
+            for normalization in ("ramanujan", "two_pi_12"):
+                got = delta_on_upper_half_plane(z, normalization=normalization).value
+                assert got == _delta_full_order(z, normalization), (z, normalization)
+
+    def test_j_equals_sigma3_rebuilding_path(self, bundled_records):
+        taus = [t for r in bundled_records for t in r.embeddings]
+        taus += [SiegelTau(z.real, z.imag) for z in _early_stop_grid()[::4]]
+        for tau in taus:
+            assert j_invariant(tau).value == _j_rebuilding_sigma3(tau.value), tau
+
+    @pytest.mark.parametrize("z", [1j, complex(0.5, math.sqrt(3.0) / 2.0)])
+    def test_within_tail_of_long_product(self, z):
+        # The oracle runs in 53-bit arithmetic like the float product: both
+        # round 1 - q^n before the 24th power, which alone puts either about
+        # 19 ulp from the exact value at i.
+        got = delta_on_upper_half_plane(z)
+        with mpmath.workprec(53):
+            want = complex(oracles.mp_delta(z))
+        assert abs(got.value - want) <= got.tail + 4.0 * math.ulp(abs(got.value))
+
+    def test_tight_tolerance_runs_to_the_cap(self):
+        cfg = QSeriesConfig(64, 1e-30)
+        got = delta_on_upper_half_plane(1j, cfg)
+        assert got.tail <= 1e-30
+        assert got.value == _delta_full_order(1j)
+
+    def test_tail_is_for_the_factors_multiplied(self):
+        z = complex(0.5, math.sqrt(3.0) / 2.0)
+        abs_q = math.exp(-2.0 * math.pi * z.imag)
+        n = _stop_order(abs_q, 64)
+        assert n < 64
+        got = delta_on_upper_half_plane(z)
+        assert got.tail == pytest.approx(abs(got.value) * _delta_product_tail(abs_q, n), rel=1e-12)
+        assert 0.0 < got.tail <= 2.0**-70 * abs(got.value)
+
+    @pytest.mark.parametrize(
+        "abs_q", [0.0, 5e-324, 1e-200, 1e-5, 0.0043, 0.01, 0.1, 0.5, 0.6, 0.9, 1.0 - 2.0**-53]
+    )
+    def test_stop_order_is_the_first_order_below_two_pow_minus_70(self, abs_q):
+        want = next((n for n in range(1, 64) if _delta_product_tail(abs_q, n) <= 2.0**-70), 64)
+        assert _stop_order(abs_q, 64) == want

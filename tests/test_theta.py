@@ -32,6 +32,26 @@ TAU_G2 = RiemannTau(2, [[1j, 0.0], [0.0, 2j]])
 unit_coords = st.floats(0.0, 0.999)
 
 
+class TestRiemannTau:
+    @pytest.mark.parametrize("tau", [0.3 + 0j, -0.2 - 1j, 0.5 - 1e-300j, -5e-324j])
+    def test_g1_non_positive_imaginary_part_rejected(self, tau):
+        with pytest.raises(ValueError, match="imaginary part must be positive-definite"):
+            RiemannTau(1, [[tau]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1j, 2j], [2j, 1j]], [[1j, 0.0], [0.0, -1j]], [[1j, 1j], [1j, 1j]]],
+    )
+    def test_g2_non_positive_definite_rejected(self, matrix):
+        with pytest.raises(ValueError, match="imaginary part must be positive-definite"):
+            RiemannTau(2, matrix)
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-300, 0.02, math.sqrt(3.0) / 2.0, 1.0, 7.25, 1e300])
+    def test_g1_lambda_min_equals_eigvalsh(self, y):
+        tau = RiemannTau(1, [[0.3 + 1j * y]])
+        assert tau.lambda_min == float(np.linalg.eigvalsh(np.array([[y]])).min()) == y
+
+
 class TestSeriesEvaluation:
     def test_central_value_at_i(self):
         got = eval_F(TAU_I, TorusPoint([0.0], [0.0]))
