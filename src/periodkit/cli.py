@@ -2,12 +2,19 @@
 
 Exit codes: 0 all checks satisfied, 1 at least one inequality violated,
 2 input or usage error.
+
+The canonical JSON report is the manifest written by the standard ``json``
+encoder with sorted keys, a 2-space indent and floats in their shortest
+round-trip form (``repr``); ``wall_time`` is written as null, so repeated
+runs give identical bytes. A non-finite float raises ``ValueError`` before
+anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bnd
 from . import interpolation as itp
 from . import isogeny as iso
@@ -29,8 +37,10 @@ from .heights import (
     CurveRecord,
     convert_height,
     faltings_height_silverman,
-    height_inequality_suite,
     hetj_report,
+    isogeny_height_report,
+    product_additivity_report,
+    subvariety_height_report,
     weil_height_rational_j,
 )
 from .lattice import (
@@ -46,9 +56,6 @@ from .lattice import (
     smith_index,
 )
 
-TOOL_VERSION = "0.1.0"
-SUITES = ("all", "lattice", "modular", "theta", "heights", "bounds", "interpolation", "isogeny", "serre")
-
 
 # ---------------------------------------------------------------------------
 # Manifest and reporting
@@ -60,7 +67,7 @@ class RunManifest:
     reports: list  # list of BoundReport.as_dict() dictionaries
     tolerances: dict
     wall_time: Optional[float]
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     input_digests: dict = field(default_factory=dict)
 
     @property
@@ -78,58 +85,16 @@ class RunManifest:
             "input_digests": dict(self.input_digests),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            suites=list(d["suites"]),
-            reports=[dict(r) for r in d["reports"]],
-            tolerances=dict(d["tolerances"]),
-            wall_time=d.get("wall_time"),
-            tool_version=d.get("tool_version", TOOL_VERSION),
-            input_digests=dict(d.get("input_digests", {})),
-        )
-
-
-def _render_json(obj, indent: int = 0) -> str:
-    """Canonical JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite float in report")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + _render_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (np.floating,)):
-        return _render_json(float(obj), indent)
-    if isinstance(obj, (np.integer,)):
-        return str(int(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
 
 def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str] = None) -> None:
     """Write the manifest as a human table or canonical JSON."""
     if format == "json":
-        text = _render_json(manifest.to_dict()) + "\n"
+        # json.dump streams into one buffer: json.dumps would keep every chunk
+        # alive until the join, and a ValueError leaves no partial file
+        buf = io.StringIO()
+        json.dump(manifest.to_dict(), buf, indent=2, sort_keys=True, allow_nan=False)
+        buf.write("\n")
+        text = buf.getvalue()
     elif format == "text":
         lines = [f"suites: {', '.join(manifest.suites)}  (tool {manifest.tool_version})"]
         name_w = max((len(r["name"]) for r in manifest.reports), default=4)
@@ -244,7 +209,7 @@ def _equality_report(name: str, value: float, expected: float, tol: float, **inp
     return BoundReport(name, abs(value - expected), tol, inputs={"value": value, "expected": expected, **inputs})
 
 
-def _suite_lattice(records, seed: int) -> list[BoundReport]:
+def _suite_lattice(records, seed: int, quad: int) -> list[BoundReport]:
     rng = np.random.default_rng(seed)
     reports: list[BoundReport] = []
     worst = 0.0
@@ -280,7 +245,7 @@ def _suite_lattice(records, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_modular(records, seed: int) -> list[BoundReport]:
+def _suite_modular(records, seed: int, quad: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     ji = modular.j_invariant(SiegelTau(0.0, 1.0))
     reports.append(_equality_report("j_at_i", ji.value.real, 1728.0, 1e-9, imag=abs(ji.value.imag)))
@@ -315,7 +280,7 @@ def _suite_theta(records, seed: int, quad: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_heights(records, seed: int) -> list[BoundReport]:
+def _suite_heights(records, seed: int, quad: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     floor = -0.5 * math.log(2.0 * math.pi)
     for rec in records:
@@ -325,16 +290,17 @@ def _suite_heights(records, seed: int) -> list[BoundReport]:
         )
         if rec.j_rational is not None:
             reports.append(hetj_report(rec))
-    reports += height_inequality_suite(
-        isogeny=[(1.0, 1.0), (0.5, 4.0, 1.0)],
-        subvariety=[(0.0, 1, 1.0)],
-        products=[(0.25, -0.5, -0.25)],
-        split_degrees=[(2.0, 3.0, 2.0)],
-    )
+    reports += [
+        isogeny_height_report(1.0, 1.0),
+        isogeny_height_report(0.5, 4.0, 1.0),
+        subvariety_height_report(0.0, 1, 1.0),
+        product_additivity_report(0.25, -0.5, -0.25),
+        bnd.orthogonal_split_degree_report(2.0, 3.0, 2.0),
+    ]
     return reports
 
 
-def _suite_bounds(records, seed: int) -> list[BoundReport]:
+def _suite_bounds(records, seed: int, quad: int) -> list[BoundReport]:
     reports = bnd.structural_constants(500)
     _, _, checks = bnd.prop_ell_solver(1.0)
     reports += checks
@@ -359,7 +325,7 @@ def _suite_bounds(records, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_interpolation(records, seed: int) -> list[BoundReport]:
+def _suite_interpolation(records, seed: int, quad: int) -> list[BoundReport]:
     reports = itp.lemma52_checks(8, seed=seed)
     reports += itp.u_sequence(1000)
     for d in (0, 3, 10):
@@ -374,7 +340,7 @@ def _suite_interpolation(records, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_isogeny(records, seed: int) -> list[BoundReport]:
+def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
     reports = [cp.report for cp in iso.chain_checkpoints()]
     reports += iso.surface_bound_constants()
     general = iso.explicit_bound(iso.IsogenyBoundInput(1, 900.0, "general"))
@@ -401,13 +367,26 @@ def _suite_isogeny(records, seed: int) -> list[BoundReport]:
     return reports
 
 
-def _suite_serre(records, seed: int) -> list[BoundReport]:
+def _suite_serre(records, seed: int, quad: int) -> list[BoundReport]:
     th = serre.find_threshold()
     return [
         _equality_report("threshold_integer", float(th.p_star), 3094027.0, 0.0),
         BoundReport("f_above_one_at_threshold", 1.0, th.f_at_p_star, inputs={"p": th.p_star}),
         BoundReport("f_below_one_after", th.f_at_p_star_plus_1, 1.0, inputs={"p": th.p_star + 1}),
     ]
+
+
+# Suite name -> check function, in the order "all" runs them.
+SUITES = {
+    "lattice": _suite_lattice,
+    "modular": _suite_modular,
+    "theta": _suite_theta,
+    "heights": _suite_heights,
+    "bounds": _suite_bounds,
+    "interpolation": _suite_interpolation,
+    "isogeny": _suite_isogeny,
+    "serre": _suite_serre,
+}
 
 
 def run_suite(
@@ -418,32 +397,20 @@ def run_suite(
     input_digests: Optional[dict] = None,
 ) -> RunManifest:
     """Execute one named suite (or all) and collect a manifest."""
-    if suite not in SUITES:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    # "tol" keeps the canonical manifest byte-stable; each check sets its own tolerance
-    tols = {"tol": 1e-9, "quad_points": quad_points, "seed": seed}
     t0 = time.perf_counter()
-    dispatch = {
-        "lattice": lambda: _suite_lattice(records, seed),
-        "modular": lambda: _suite_modular(records, seed),
-        "theta": lambda: _suite_theta(records, seed, quad_points),
-        "heights": lambda: _suite_heights(records, seed),
-        "bounds": lambda: _suite_bounds(records, seed),
-        "interpolation": lambda: _suite_interpolation(records, seed),
-        "isogeny": lambda: _suite_isogeny(records, seed),
-        "serre": lambda: _suite_serre(records, seed),
-    }
-    names = list(dispatch) if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     reports: list[dict] = []
     for name in names:
-        for rep in dispatch[name]():
+        for rep in SUITES[name](records, seed, quad_points):
             d = rep.as_dict()
             d["suite"] = name
             reports.append(d)
     return RunManifest(
         suites=names,
         reports=reports,
-        tolerances=tols,
+        tolerances={"quad_points": quad_points, "seed": seed},
         wall_time=time.perf_counter() - t0,
         input_digests=dict(input_digests or {}),
     )
@@ -494,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub.add_parser("threshold", help="locate the exact integer threshold")
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITES, default="all")
+    pv.add_argument("--suite", choices=("all", *SUITES), default="all")
     pv.add_argument("--json", default=None, help="also write canonical JSON report here")
     pv.add_argument("--curves", default=None)
     return p
@@ -569,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.json:
                 emit_report(manifest, "json", args.json)
             return 0 if manifest.all_satisfied else 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

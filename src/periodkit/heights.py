@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import BoundReport
 from .lattice import SiegelTau
@@ -180,36 +180,3 @@ def hetj_report(record: CurveRecord, cfg: QSeriesConfig = QSeriesConfig()) -> Bo
         hj / 12.0 + 2.95,
         inputs={"label": record.label, "h_faltings": hF.value, "h_j": hj},
     )
-
-
-def height_inequality_suite(
-    *,
-    isogeny: Iterable[tuple] = (),
-    subvariety: Iterable[tuple] = (),
-    products: Iterable[tuple] = (),
-    split_degrees: Iterable[tuple] = (),
-    hetj_records: Iterable[CurveRecord] = (),
-    cfg: QSeriesConfig = QSeriesConfig(),
-) -> list[BoundReport]:
-    """Evaluate the height inequalities on caller-supplied instances.
-
-    isogeny: (h_source, deg) or (h_source, deg, h_target) tuples.
-    subvariety: (h_ambient, g, h0) or (h_ambient, g, h0, h_sub).
-    products: (h1, h2, h_product).
-    split_degrees: (h0_B, h0_Bperp, h0_A) for the addition-map degree bound.
-    hetj_records: curve records with rational j.
-    """
-    from .bounds import orthogonal_split_degree_report
-
-    reports: list[BoundReport] = []
-    for item in isogeny:
-        reports.append(isogeny_height_report(*item))
-    for item in subvariety:
-        reports.append(subvariety_height_report(*item))
-    for item in products:
-        reports.append(product_additivity_report(*item))
-    for item in split_degrees:
-        reports.append(orthogonal_split_degree_report(*item))
-    for rec in hetj_records:
-        reports.append(hetj_report(rec, cfg))
-    return reports

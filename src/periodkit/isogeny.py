@@ -27,6 +27,8 @@ class IsogenyBoundInput:
     def __post_init__(self) -> None:
         if self.D_k < 1:
             raise ValueError("D_k must be >= 1")
+        if not math.isfinite(self.h_F):
+            raise ValueError(f"h_F = {self.h_F} is not finite")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
 

@@ -38,7 +38,8 @@ class SiegelTau:
             raise ValueError(f"re={self.re} outside [-1/2, 1/2]")
         if self.im < math.sqrt(3.0) / 2.0 - DEFAULT_TOL:
             raise ValueError(f"im={self.im} below sqrt(3)/2")
-        if self.re**2 + self.im**2 < 1.0 - DEFAULT_TOL:
+        # im >= 1 already clears the unit circle; squaring a huge im would overflow
+        if self.im < 1.0 and self.re**2 + self.im**2 < 1.0 - DEFAULT_TOL:
             raise ValueError("re^2 + im^2 < 1: point below the unit circle")
 
     @property

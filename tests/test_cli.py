@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
+import struct
 import warnings
 
 import pytest
 
 from periodkit.cli import (
     RunManifest,
-    _render_json,
     default_fixture_path,
     emit_report,
     ingest_curves,
@@ -194,8 +195,7 @@ class TestEmitReport:
         manifest = self.make_manifest()
         path = tmp_path / "report.json"
         emit_report(manifest, "json", str(path))
-        loaded = RunManifest.from_dict(json.loads(path.read_text()))
-        assert loaded.to_dict() == manifest.to_dict()
+        assert json.loads(path.read_text()) == manifest.to_dict()
 
     def test_json_bytes_stable_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -209,17 +209,117 @@ class TestEmitReport:
         assert "margin" in out.splitlines()[1]
         assert "PASS" in out
 
-    def test_float_rendering_17_significant_digits(self):
-        rendered = _render_json({"x": 1.0 / 3.0})
-        assert "0.33333333333333331" in rendered
+    @staticmethod
+    def emit_tolerances(tolerances, path) -> str:
+        emit_report(RunManifest([], [], tolerances, None), "json", str(path))
+        return path.read_text()
 
-    def test_sorted_keys(self):
-        rendered = _render_json({"b": 1, "a": 2})
+    @pytest.mark.parametrize("x", [1.0 / 3.0, 1.0, 1e16, 5e-324, -0.0])
+    def test_floats_round_trip_exactly(self, x, tmp_path):
+        text = self.emit_tolerances({"x": x}, tmp_path / "x.json")
+        assert f'"x": {x!r}' in text
+        back = json.loads(text)["tolerances"]["x"]
+        assert type(back) is float
+        assert struct.pack("<d", back) == struct.pack("<d", x)
+
+    def test_sorted_keys(self, tmp_path):
+        rendered = self.emit_tolerances({"b": 1, "a": 2}, tmp_path / "k.json")
         assert rendered.index('"a"') < rendered.index('"b"')
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_and_writes_nothing(self, x, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            self.emit_tolerances({"seed": 0, "x": x}, path)
+        assert not path.exists()
 
     def test_unwritable_path_raises(self):
         with pytest.raises(OSError):
             emit_report(self.make_manifest(), "json", "/nonexistent-dir/x.json")
+
+
+def _render_json_17g(obj, indent: int = 0) -> str:
+    """The former canonical emitter: sorted keys, floats at 17 significant digits."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite float in report")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + _render_json_17g(v, indent + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {_render_json_17g(v, indent + 1)}"
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# indent, optional key, scalar token, optional trailing comma
+_SCALAR_LINE = re.compile(r'^( *(?:"(?:[^"\\]|\\.)*": )?)([-+.0-9eE]+)(,?)$')
+
+
+def _assert_bit_identical(loaded, expected, where="$"):
+    assert type(loaded) is type(expected), where
+    if isinstance(expected, dict):
+        assert loaded.keys() == expected.keys(), where
+        for key in expected:
+            _assert_bit_identical(loaded[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(loaded) == len(expected), where
+        for k, (a, b) in enumerate(zip(loaded, expected)):
+            _assert_bit_identical(a, b, f"{where}[{k}]")
+    elif isinstance(expected, float):
+        assert struct.pack("<d", loaded) == struct.pack("<d", expected), where
+    else:
+        assert loaded == expected, where
+
+
+class TestCanonicalJson:
+    """The stdlib emitter against the former 17-digit one, on the fixture run."""
+
+    @pytest.fixture(scope="class")
+    def fixture_manifest(self, bundled_records):
+        return run_suite("all", bundled_records)
+
+    @pytest.fixture(scope="class")
+    def emitted(self, fixture_manifest, tmp_path_factory):
+        path = tmp_path_factory.mktemp("canonical") / "report.json"
+        emit_report(fixture_manifest, "json", str(path))
+        return path.read_text(encoding="utf-8")
+
+    def test_only_float_spelling_changes(self, fixture_manifest, emitted):
+        old = (_render_json_17g(fixture_manifest.to_dict()) + "\n").splitlines()
+        new = emitted.splitlines()
+        assert len(new) == len(old)
+        changed = 0
+        for a, b in zip(old, new):
+            if a == b:
+                continue
+            head_a, token_a, comma_a = _SCALAR_LINE.match(a).groups()
+            head_b, token_b, comma_b = _SCALAR_LINE.match(b).groups()
+            assert (head_a, comma_a) == (head_b, comma_b)
+            assert token_b == repr(float(token_a))
+            changed += 1
+        assert changed > 0
+
+    def test_parses_back_bit_identical(self, fixture_manifest, emitted):
+        _assert_bit_identical(json.loads(emitted), fixture_manifest.to_dict())
 
 
 class TestExitCodes:
@@ -294,5 +394,42 @@ class TestExitCodes:
     def test_verify_writes_json_when_asked(self, tmp_path):
         out = tmp_path / "m.json"
         assert main(["verify", "--suite", "serre", "--json", str(out)]) == 0
-        manifest = RunManifest.from_dict(json.loads(out.read_text()))
-        assert manifest.all_satisfied
+        reports = json.loads(out.read_text())["reports"]
+        assert reports and all(r["satisfied"] for r in reports)
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("reduce", "tau = 0 + 1.0000000000000001e+298i\nmap = (-1, 0; 10, -1)\n"),
+            ("rho", "rho^-2 = 1.0000000000000001e+298\n"),
+            ("delta", None),
+        ],
+        ids=["reduce", "rho", "delta"],
+    )
+    def test_point_near_the_cusp(self, command, expected, capsys):
+        code = main([command, "0.1", "1e-300"])
+        captured = capsys.readouterr()
+        if expected is None:
+            assert code == 2
+            assert captured.err.startswith("error: ")
+        else:
+            assert code == 0
+            assert captured.out == expected
+
+    @pytest.mark.parametrize("argv", [["height"], ["verify"]])
+    def test_record_near_the_cusp_is_an_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "cusp.jsonl"
+        path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
+        with pytest.warns(UserWarning, match="reduced"):
+            code = main(argv + ["--curves", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bound_isogeny_rejects_non_finite_h_f(self, value, capsys):
+        assert main(["bound", "isogeny", f"--h-f={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: h_F = {float(value)} is not finite\n"

@@ -11,13 +11,13 @@ from periodkit.heights import (
     HeightValue,
     convert_height,
     faltings_height_silverman,
-    height_inequality_suite,
     hetj_report,
     isogeny_height_report,
     product_additivity_report,
     subvariety_height_report,
     weil_height_rational_j,
 )
+from periodkit.cli import run_suite
 from periodkit.lattice import SiegelTau
 
 
@@ -175,13 +175,16 @@ class TestInequalityReports:
             assert report.satisfied, str(report)
             assert report.margin > 0
 
-    def test_suite_collects_everything(self, bundled_records):
-        reports = height_inequality_suite(
-            isogeny=[(1.0, 1.0)],
-            subvariety=[(0.0, 1, 1.0)],
-            products=[(0.1, 0.2, 0.3)],
-            split_degrees=[(2.0, 3.0, 2.0)],
-            hetj_records=[r for r in bundled_records if r.j_rational],
-        )
-        assert len(reports) == 4 + len(bundled_records)
-        assert all(r.satisfied for r in reports)
+    def test_heights_suite_report_names(self, bundled_records):
+        manifest = run_suite("heights", bundled_records)
+        per_record = []
+        for label in ("11a1", "37a1", "11a1-quad", "square", "hex-corner"):
+            per_record += [f"height_floor[{label}]", "height_vs_j_height"]
+        assert [r["name"] for r in manifest.reports] == per_record + [
+            "isogeny_height_shift",
+            "isogeny_height_shift",
+            "subvariety_height",
+            "product_additivity",
+            "orthogonal_split_degree",
+        ]
+        assert manifest.all_satisfied
