@@ -15,6 +15,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 _BOUNDARY_EPS = 1e-12
+# Largest coefficient box enumerated: about a minute at ~5e6 points per second.
+MAX_GRID_POINTS = 250_000_000
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,9 @@ def _box_bounds(gram: np.ndarray, radius_sq: float) -> list[int]:
 
 def _grid_chunks(bounds: Sequence[int], chunk_rows: int = 200_000):
     """Integer coefficient grid [-b_i, b_i]^k, yielded as (rows, k) arrays."""
+    points = math.prod(2 * b + 1 for b in bounds)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"coefficient box holds {points} points, more than {MAX_GRID_POINTS}")
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     if len(axes) == 1:
         yield axes[0].reshape(-1, 1)

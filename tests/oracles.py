@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +449,51 @@ def mp_serre_f(p, dps=50):
 def mp_u(S, dps=50):
     with mp.workdps(dps):
         return mp.mpf(4) ** S * mp.factorial(S - 1) ** 2 / mp.factorial(2 * S - 1)
+
+
+# ---------------------------------------------------------------------------
+# Sampled circle sweeps (the interpolation checks evaluate proofs instead)
+# ---------------------------------------------------------------------------
+
+def sup_on_circle(f, radius, samples=4096, lipschitz=None):
+    """Sampled max|f| on the circle of given radius about 0, for any callable f.
+
+    With ``lipschitz`` (a bound for |f'| near the circle) the sampled maximum
+    is inflated by half the arc step times the bound, giving a certified
+    upper bound; without it the raw sampled maximum is returned, a lower
+    estimate.
+    """
+    angles = 2.0 * math.pi * np.arange(samples) / samples
+    pts = radius * np.exp(1j * angles)
+    m = max(abs(f(complex(w))) for w in pts)
+    if lipschitz is None:
+        return m
+    return m + lipschitz * (math.pi * radius / samples)
+
+
+def node_poly_on_circle(S, center, radius, samples):
+    """Sample points of a circle and |prod (z - j)| over j = 1-S..S-1 at each."""
+    angles = 2.0 * math.pi * np.arange(samples) / samples
+    zs = center + radius * np.exp(1j * angles)
+    return zs, np.abs(np.prod(zs[:, None] - np.arange(1 - S, S, dtype=float)[None, :], axis=1))
+
+
+def region_upper_sweep(S, samples=4096):
+    """Sampled max of |P| on |z| = 1 and |z -+ 1| = 1/2, each circle inflated
+    by half its arc step times the largest sampled sum of cofactors
+    sum_k prod_{j != k} |z - j| (a bound for |P'| at the samples only)."""
+    worst = 0.0
+    for center, radius in ((0.0, 1.0), (1.0, 0.5), (-1.0, 0.5)):
+        zs, vals = node_poly_on_circle(S, center, radius, samples)
+        dists = np.abs(zs[:, None] - np.arange(1 - S, S, dtype=float)[None, :])
+        deriv = sum(np.prod(np.delete(dists, k, axis=1), axis=1) for k in range(2 * S - 1))
+        worst = max(worst, float(vals.max() + deriv.max() * math.pi * radius / samples))
+    return worst
+
+
+def circle_min_sweep(S, k, rho, samples=8192):
+    """Sampled min of |P| on the circle |w - k| = rho."""
+    return float(node_poly_on_circle(S, k, rho, samples)[1].min())
 
 
 # ---------------------------------------------------------------------------

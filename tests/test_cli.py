@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
 import os
 import re
 import struct
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +368,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "delta = 0.5" in out
 
+    def test_delta_subcommand_at_im_1e3(self, capsys):
+        assert main(["delta", "0", "1e3"]) == 0
+        assert capsys.readouterr().out == (
+            "delta = 0.022360679774997897\nrho/sqrt(2) = 0.022360679774997894\n"
+        )
+
+    def test_delta_subcommand_refuses_an_oversized_box(self, capsys):
+        start = time.perf_counter()
+        assert main(["delta", "0", "1e6"]) == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coefficient box holds 2000004066225 points, more than 250000000\n"
+        )
+
     def test_theta_check_subcommand(self, capsys):
         assert main(["theta", "check", "--tau-im", "1.0"]) == 0
         assert "expect 1" in capsys.readouterr().out
@@ -433,3 +452,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: h_F = {float(value)} is not finite\n"
+
+
+def _perfbench_check():
+    """The benchmark's reference check module, loaded read-only from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPinnedReferences:
+    """Report names, order, verdicts and margin signs pinned by the benchmark."""
+
+    @pytest.mark.parametrize(
+        "workload, argv",
+        [
+            ("verify-fixtures", ["verify", "--suite", "all"]),
+            ("theta-fine", ["--quad-points", "256", "verify", "--suite", "theta"]),
+        ],
+    )
+    def test_summary_equals_committed_reference(self, workload, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PTK_FIXTURES", raising=False)
+        check = _perfbench_check()
+        with open(os.path.join(check.REFS, f"{workload}.json"), encoding="utf-8") as fh:
+            reference = json.load(fh)
+        out = tmp_path / "reports.json"
+        assert main(argv + ["--json", str(out)]) == check.expected_rc(reference)
+        summary = check.summarize(json.loads(out.read_text())["reports"])
+        assert len(summary) == len(reference)
+        for got, want in zip(summary, reference):
+            assert got == want

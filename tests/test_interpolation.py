@@ -12,12 +12,13 @@ from periodkit.interpolation import (
     AnalyticTestFunction,
     InterpolationParams,
     _circle_max,
+    _circle_min,
     _contour_mean,
+    _half_disc_bound,
     hermite_identity_check,
     lemma52_checks,
     poly_P,
     schwarz_lemma_check,
-    sup_on_circle,
     u_sequence,
     u_value,
 )
@@ -59,6 +60,53 @@ class TestLemma52Suite:
             "node_poly_region_upper",
             "node_poly_circle_min",
         }
+
+    def test_unit_disc_value_is_P_at_i_and_above_samples(self):
+        # the half-disc bound stays below the unit-disc maximum, so the
+        # region report carries the exact value |P(+-i)|; 2^16 samples on
+        # |z| = 1 may land a few ulps above it by rounding
+        regions = [r for r in lemma52_checks(12) if r.name.startswith("node_poly_region_upper")]
+        for S, report in zip(range(2, 13), regions):
+            assert report.lhs == abs(poly_P(S, 1j)) == abs(poly_P(S, -1j))
+            _, vals = oracles.node_poly_on_circle(S, 0.0, 1.0, 2**16)
+            assert report.lhs >= vals.max() * (1.0 - 1e-14)
+
+    def test_half_disc_bound_dominates_dense_samples(self):
+        for S in range(2, 13):
+            bound = _half_disc_bound(S)
+            for center in (1.0, -1.0):
+                _, vals = oracles.node_poly_on_circle(S, center, 0.5, 2**16)
+                assert bound >= vals.max(), (S, center)
+
+    def test_region_lhs_only_falls_against_the_cofactor_sweep(self):
+        regions = [r for r in lemma52_checks(12) if r.name.startswith("node_poly_region_upper")]
+        for S, report in zip(range(2, 13), regions):
+            assert report.lhs <= oracles.region_upper_sweep(S), S
+
+    def test_cofactor_sweep_reproduces_the_sampled_report_values(self):
+        # lhs of node_poly_region_upper[S] when it was the inflated sweep
+        old = {2: 2.003703357222533, 5: 1705.7712075688803, 8: 82110554.78808558}
+        for S, value in old.items():
+            assert oracles.region_upper_sweep(S) == pytest.approx(value, rel=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_circle_min_is_the_real_point_toward_zero(self, data):
+        S = data.draw(st.integers(2, 10))
+        k = data.draw(st.integers(1 - S, S - 1))
+        rho = data.draw(st.floats(0.1, S - abs(k) + 0.5))
+        proved = _circle_min(S, k, rho)
+        left, right = abs(poly_P(S, k - rho)), abs(poly_P(S, k + rho))
+        assert proved == (left if k > 0 else right if k < 0 else min(left, right))
+        dense = oracles.circle_min_sweep(S, k, rho, samples=2**14)
+        assert proved <= dense * (1.0 + 1e-12)
+
+    def test_circle_min_reports_match_the_sampled_circle(self):
+        for report in lemma52_checks(8, seed=3):
+            if report.name.startswith("node_poly_circle_min"):
+                S, k, rho = report.inputs["S"], report.inputs["k"], report.inputs["rho"]
+                assert report.margin == 0.0
+                assert report.rhs == pytest.approx(oracles.circle_min_sweep(S, k, rho), rel=1e-12)
 
     def test_contour_nodes_keep_unit_separation(self):
         # points on the outer circle |w| = S stay at distance >= 1 from
@@ -232,7 +280,7 @@ class TestSchwarzLemma:
             AnalyticTestFunction.polynomial([1.0, 2.0, 3.0]),
         ):
             for S in (2, 3, 4):
-                assert sup_on_circle(fam, 1.0) <= sup_on_circle(fam, float(S)) * (
+                assert oracles.sup_on_circle(fam, 1.0) <= oracles.sup_on_circle(fam, float(S)) * (
                     1 + 1e-12
                 )
 
@@ -252,9 +300,25 @@ class TestSchwarzLemma:
         f = AnalyticTestFunction.polynomial([1.0, -2.0j, 0.0, 1.0])
         sharp, simplified = schwarz_lemma_check(f, InterpolationParams(3, 2))
         assert sharp.lhs == 4.0  # sum of |a_k|
-        assert sharp.lhs >= sup_on_circle(f, 1.0)
-        assert sharp.inputs["f_S"] == sup_on_circle(f, 3.0)
+        assert sharp.lhs >= oracles.sup_on_circle(f, 1.0)
+        assert sharp.inputs["f_S"] == math.sqrt(766.0)  # 1 + 4 * 3^2 + 3^6
+        assert sharp.inputs["f_S"] <= oracles.sup_on_circle(f, 3.0)
         assert sharp.satisfied and simplified.satisfied
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1.0, 2.0, 0.0, 1.0], [0.5, -1.0, 0.25j, 2.0], [2.0, 0.0, -1.0, 3.0], [0.0, 0.0, 3.0]],
+    )
+    def test_parseval_f_S_is_the_l2_mean_below_the_maximum(self, coeffs):
+        # the trapezoid rule on n > 2 deg points integrates |f|^2 exactly;
+        # for a single term |f| is constant on the circle and both agree
+        f = AnalyticTestFunction.polynomial(coeffs)
+        for S in (2, 3, 4):
+            sharp, _ = schwarz_lemma_check(f, InterpolationParams(S, 1))
+            f_S = sharp.inputs["f_S"]
+            w = S * np.exp(2j * math.pi * np.arange(64) / 64)
+            assert f_S == pytest.approx(math.sqrt(np.mean(np.abs(f(w)) ** 2)), rel=1e-13)
+            assert f_S <= oracles.sup_on_circle(f, float(S)) * (1.0 + 1e-14)
 
 
 class TestSupOnCircle:
@@ -266,27 +330,27 @@ class TestSupOnCircle:
         for f in functions:
             for radius in (0.5, 1.0, 2.0, 3.0, 4.0):
                 exact = _circle_max(f, radius)
-                sampled = sup_on_circle(f, radius)
+                sampled = oracles.sup_on_circle(f, radius)
                 assert exact >= sampled * (1.0 - 1e-14), (f.describe(), radius)
                 assert exact == pytest.approx(sampled, rel=1e-12), (f.describe(), radius)
 
     def test_polynomial_circle_bound_dominates_samples(self):
         f = AnalyticTestFunction.polynomial([0.5, -1.0, 0.25j, 2.0])
         for radius in (0.5, 1.0, 3.0):
-            assert _circle_max(f, radius) >= sup_on_circle(f, radius)
+            assert _circle_max(f, radius) >= oracles.sup_on_circle(f, radius)
 
     @given(st.integers(0, 8), st.floats(0.5, 4.0))
     @settings(max_examples=60)
     def test_monomial_sup_is_radius_power(self, d, radius):
         f = AnalyticTestFunction.monomial(d)
-        got = sup_on_circle(f, radius)
+        got = oracles.sup_on_circle(f, radius)
         assert got >= radius**d * (1 - 1e-9)
         assert got <= radius**d * (1 + 1e-3)
 
     def test_lipschitz_inflation_is_an_upper_bound(self):
         f = AnalyticTestFunction.monomial(3)
-        plain = sup_on_circle(f, 2.0, samples=64)
-        inflated = sup_on_circle(f, 2.0, samples=64, lipschitz=3.0 * 4.0)
+        plain = oracles.sup_on_circle(f, 2.0, samples=64)
+        inflated = oracles.sup_on_circle(f, 2.0, samples=64, lipschitz=3.0 * 4.0)
         assert plain == pytest.approx(8.0, rel=1e-12)
         assert inflated >= 8.0
         assert inflated > plain

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import product_torus, random_reduced_tau
 from periodkit.lattice import (
+    MAX_GRID_POINTS,
     EllipticLattice,
     PolarizedTorus,
     SiegelTau,
     Subspace,
     UnimodularMap,
+    _grid_chunks,
     avoidance_minimum,
     conjugate_torus,
     rho_inverse_squared,
@@ -210,6 +212,20 @@ class TestAvoidanceMinimum:
         assert avoidance_minimum(torus, Subspace(2, [[0.0, 1.0]])) == pytest.approx(
             rho1, abs=1e-10
         )
+
+    def test_oversized_box_is_refused_before_enumeration(self):
+        # Im tau = 1e6 asks for a 1414215 x 1 x 1414215 x 1 box
+        with pytest.raises(ValueError, match="holds 2000004066225 points"):
+            next(_grid_chunks([707107, 0, 707107, 0]))
+        torus = product_torus(1e6j)
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS}"):
+            avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+
+    def test_box_at_the_limit_is_enumerated(self):
+        side = 2 * 7905 + 1  # side**2 = 249,948,961 points
+        assert side * side <= MAX_GRID_POINTS < (side + 2) ** 2
+        first = next(_grid_chunks([7905, 7905], chunk_rows=1))
+        assert first.shape == (side, 2)
 
 
 class TestPolarizedTorusValidation:
