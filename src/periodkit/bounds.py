@@ -158,15 +158,19 @@ def prop_ell_delta_max(h: float) -> float:
     return bisect_last(lambda d: excess(d) <= 0, lo, hi)
 
 
+def prop_ell_caps(h: float) -> tuple[float, float]:
+    """Elliptic mean-Im bounds (general, large height): 6.45 max(h,1) and 1.92 max(h,1000)."""
+    return 6.45 * max(h, 1.0), 1.92 * max(h, 1000.0)
+
+
 def prop_ell_solver(h: float) -> tuple[float, float, list[BoundReport]]:
-    """Elliptic mean-Im bounds 6.45 max(h,1) and 1.92 max(h,1000), with proof checks.
+    """The caps of :func:`prop_ell_caps`, with proof checks.
 
     Returns (general bound, large-height bound, constant checks). The checks
     verify 6Z + 8.66 <= pi Y - 3 log Y for (Y,Z) in {(6.45,1),(1920,1000)} and
     report the largest admissible delta of the base inequality.
     """
-    t_general = 6.45 * max(h, 1.0)
-    t_large = 1.92 * max(h, 1000.0)
+    t_general, t_large = prop_ell_caps(h)
     checks = []
     for Y, Z in ((6.45, 1.0), (1920.0, 1000.0)):
         checks.append(
@@ -221,16 +225,17 @@ def _worst_of(candidates: Iterable[BoundReport]) -> list[BoundReport]:
     return [] if worst is None else [worst]
 
 
-def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 200, seed: int = 0) -> list[BoundReport]:
+def structural_constants(g_max: int, eps_grid: int = 200, seed: int = 0) -> list[BoundReport]:
     """Verdicts for the dimension-uniform constants used by the main bounds.
 
     Covers, for g = 1..g_max: (a) c2(g) <= 11 c1(g) plus the g >= 6 closed
     form and envelope monotonicity; (b) (g+eps)^g - g^g <= g^g eps/(1-eps)
     for eps in [1/eps_grid, 1), evaluated at its proved worst point; (c) the
     epsilon-choice inequality (g + (6 sqrt2 - 8) g^-g xi)^g <= g^g + xi/2
-    for xi in (0, 1], likewise; (d) random instances of the quadratic-root
-    fact; (e) Hermite/Blichfeldt gamma_{2t} t!^{-1/t} <= 1 for t = 2..50.
-    Aggregated checks echo their worst case in their inputs.
+    for xi in (0, 1], likewise; (d) 200 random instances of the
+    quadratic-root fact, drawn from ``seed``; (e) Hermite/Blichfeldt
+    gamma_{2t} t!^{-1/t} <= 1 for t = 2..50. Aggregated checks echo their
+    worst case in their inputs.
     """
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
@@ -326,7 +331,7 @@ def structural_constants(g_max: int, eps_grid: int = 200, n_fact_trials: int = 2
             raise AssertionError("random trial violated its own hypothesis")
         return BoundReport("quadratic_root_fact", m, cap, inputs={"alpha": alpha, "beta": beta})
 
-    reports += _worst_of(trial() for _ in range(n_fact_trials))
+    reports += _worst_of(trial() for _ in range(200))
     reports.append(
         BoundReport("quadratic_root_fact_alpha0", quadratic_root_bound(0.0, 7.5), 7.5, inputs={"beta": 7.5})
     )

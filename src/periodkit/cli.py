@@ -21,7 +21,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -254,12 +254,8 @@ def _suite_modular(records, seed: int, quad: int) -> list[BoundReport]:
     for rec in records:
         for k, t in enumerate(rec.embeddings):
             r1, r2 = modular.check_classical_bounds(t)
-            reports.append(
-                BoundReport(f"j_lower[{rec.label}:{k}]", r1.lhs, r1.rhs, inputs=r1.inputs, tol=r1.tol)
-            )
-            reports.append(
-                BoundReport(f"delta_lower[{rec.label}:{k}]", r2.lhs, r2.rhs, inputs=r2.inputs, tol=r2.tol)
-            )
+            reports.append(replace(r1, name=f"j_lower[{rec.label}:{k}]"))
+            reports.append(replace(r2, name=f"delta_lower[{rec.label}:{k}]"))
     reports.append(modular.silverman_f_extrema())
     return reports
 
@@ -301,27 +297,20 @@ def _suite_heights(records, seed: int, quad: int) -> list[BoundReport]:
 
 
 def _suite_bounds(records, seed: int, quad: int) -> list[BoundReport]:
-    reports = bnd.structural_constants(500)
+    reports = bnd.structural_constants(500, seed=seed)
     _, _, checks = bnd.prop_ell_solver(1.0)
     reports += checks
-    if records:
-        taus = [t for rec in records for t in rec.embeddings]
-        rhos = [1.0 / math.sqrt(t.im) for t in taus]
-        for rec in records:
-            hF = faltings_height_silverman(rec).value
-            h = hF + 0.5 * math.log(math.pi)
-            rec_rhos = [1.0 / math.sqrt(t.im) for t in rec.embeddings]
-            reports.append(bnd.autissier_report(rec_rhos, h, 1))
-            T = sum(t.im for t in rec.embeddings) / rec.degree
-            reports.append(bnd.matrix_lemma_report(T, h, 1.0, 1, "eleven"))
-            reports.append(bnd.matrix_lemma_report(T, hF, 1.0, 1, "fourteen"))
-            t_gen, t_large, _ = bnd.prop_ell_solver(h)
-            reports.append(
-                BoundReport(f"ell_general[{rec.label}]", T, t_gen, inputs={"h": h})
-            )
-            reports.append(
-                BoundReport(f"ell_large[{rec.label}]", T, t_large, inputs={"h": h})
-            )
+    for rec in records:
+        hF = faltings_height_silverman(rec).value
+        h = hF + 0.5 * math.log(math.pi)
+        rec_rhos = [1.0 / math.sqrt(t.im) for t in rec.embeddings]
+        reports.append(bnd.autissier_report(rec_rhos, h, 1))
+        T = sum(t.im for t in rec.embeddings) / rec.degree
+        reports.append(bnd.matrix_lemma_report(T, h, 1.0, 1, "eleven"))
+        reports.append(bnd.matrix_lemma_report(T, hF, 1.0, 1, "fourteen"))
+        t_gen, t_large = bnd.prop_ell_caps(h)
+        reports.append(BoundReport(f"ell_general[{rec.label}]", T, t_gen, inputs={"h": h}))
+        reports.append(BoundReport(f"ell_large[{rec.label}]", T, t_large, inputs={"h": h}))
     return reports
 
 

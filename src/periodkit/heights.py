@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .bounds import BoundReport
 from .lattice import SiegelTau
-from .modular import QSeriesConfig, delta_tau
+from .modular import delta_tau
 
 CONVENTIONS = ("faltings_original", "paper_h", "colmez")
 
@@ -78,10 +78,11 @@ class CurveRecord:
         self._validate_conjugate_pairs(embs)
 
     @staticmethod
-    def _validate_conjugate_pairs(embs: Sequence[SiegelTau], tol: float = 1e-6) -> None:
-        # loose: every off-axis tau wants a partner at the mirrored abscissa;
-        # an unpaired one only warns because all downstream quantities depend
-        # on |re| alone
+    def _validate_conjugate_pairs(embs: Sequence[SiegelTau]) -> None:
+        # loose: every off-axis tau wants a partner at the mirrored abscissa,
+        # to within 1e-6; an unpaired one only warns because all downstream
+        # quantities depend on |re| alone
+        tol = 1e-6
         unmatched = [t for t in embs if abs(t.re) > tol and abs(abs(t.re) - 0.5) > tol]
         while unmatched:
             t = unmatched.pop()
@@ -102,7 +103,7 @@ def weil_height_rational_j(j) -> float:
     return math.log(m) if m > 1 else 0.0
 
 
-def faltings_height_silverman(record: CurveRecord, cfg: QSeriesConfig = QSeriesConfig()) -> HeightValue:
+def faltings_height_silverman(record: CurveRecord) -> HeightValue:
     """Stable height from the minimal-discriminant norm and period ratios.
 
     h = (1/(12 D)) [ log|N(min disc)| - sum over embeddings of
@@ -111,7 +112,7 @@ def faltings_height_silverman(record: CurveRecord, cfg: QSeriesConfig = QSeriesC
     """
     total = 0.0
     for t in record.embeddings:
-        dl = delta_tau(t, cfg, normalization="two_pi_12")
+        dl = delta_tau(t, normalization="two_pi_12")
         total += math.log(abs(dl.value) * t.im**6)
     value = (record.log_norm_minimal_discriminant - total) / (12.0 * record.degree)
     return HeightValue(value, "faltings_original")
@@ -157,21 +158,21 @@ def subvariety_height_report(h_ambient: float, g: int, h0: float, h_sub: Optiona
     )
 
 
-def product_additivity_report(h1: float, h2: float, h_product: float, tol: float = 1e-9) -> BoundReport:
-    """Equality h(A1 x A2) = h(A1) + h(A2), reported as a tolerance check."""
+def product_additivity_report(h1: float, h2: float, h_product: float) -> BoundReport:
+    """Equality h(A1 x A2) = h(A1) + h(A2), to within 1e-9."""
     return BoundReport(
         "product_additivity",
         abs(h_product - h1 - h2),
-        tol,
+        1e-9,
         inputs={"h1": h1, "h2": h2, "h_product": h_product},
     )
 
 
-def hetj_report(record: CurveRecord, cfg: QSeriesConfig = QSeriesConfig()) -> BoundReport:
+def hetj_report(record: CurveRecord) -> BoundReport:
     """End-to-end check h(E) <= (1/12) h(j) + 2.95 for a record with rational j."""
     if record.j_rational is None:
         raise ValueError(f"record {record.label!r} has no rational j")
-    hF = faltings_height_silverman(record, cfg)
+    hF = faltings_height_silverman(record)
     h = convert_height(hF, "paper_h", g=1)
     hj = weil_height_rational_j(record.j_rational)
     return BoundReport(

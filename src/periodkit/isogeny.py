@@ -164,14 +164,15 @@ def chain_checkpoints() -> list[ChainCheckpoint]:
     return cps
 
 
-def surface_bound_constants(x_max: float = 1e-5) -> list[BoundReport]:
+def surface_bound_constants() -> list[BoundReport]:
     """Constants entering the surface-case mean-square bound with constant 1778.
 
     theta = log(2)/pi and eps = (3 sqrt2 - 4)/2 parametrize the estimate; x is
-    the inverse square root of the polarization degree, at most 1e-5 in the
-    regime where the bound is applied. All three factors are increasing in x,
-    so the worst case sits at x_max.
+    the inverse square root of the polarization degree, at most x_max = 1e-5
+    in the regime where the bound is applied. All three factors are
+    increasing in x, so the worst case sits at x_max.
     """
+    x_max = 1e-5
     theta = math.log(2.0) / math.pi
     eps = (3.0 * math.sqrt(2.0) - 4.0) / 2.0
     te = theta * eps

@@ -122,14 +122,16 @@ class PolarizedTorus:
     - ``periods`` -- g x 2g complex matrix; columns span the lattice
     - ``riemann_form`` -- g x g Hermitian positive matrix H; the squared
       norm of z is the real number H(z, z) = conj(z)^T H z
-    - ``tol`` -- tolerance for the integrality of Im H on lattice pairs
+
+    H must be Hermitian and Im H integral on lattice pairs, both up to
+    ``DEFAULT_TOL``.
 
     Instances are immutable; all arrays are copied and frozen.
     """
 
-    __slots__ = ("g", "periods", "riemann_form", "tol")
+    __slots__ = ("g", "periods", "riemann_form")
 
-    def __init__(self, g: int, periods, riemann_form, tol: float = DEFAULT_TOL) -> None:
+    def __init__(self, g: int, periods, riemann_form) -> None:
         if g not in (1, 2):
             raise ValueError("g must be 1 or 2")
         P = _as_c_array(periods, "periods")
@@ -138,7 +140,7 @@ class PolarizedTorus:
             raise ValueError(f"periods must be {g}x{2 * g}")
         if H.shape != (g, g):
             raise ValueError(f"riemann_form must be {g}x{g}")
-        if not np.allclose(H, H.conj().T, rtol=0, atol=tol):
+        if not np.allclose(H, H.conj().T, rtol=0, atol=DEFAULT_TOL):
             raise ValueError("riemann_form is not Hermitian")
         eigs = np.linalg.eigvalsh(H)
         if eigs.min() <= 0:
@@ -148,14 +150,13 @@ class PolarizedTorus:
         if np.linalg.matrix_rank(real_cols, tol=1e-12 * max(1.0, abs(P).max())) < 2 * g:
             raise ValueError("periods do not have full real rank")
         pairings = P.conj().T @ H @ P
-        if np.abs(pairings.imag - np.round(pairings.imag)).max() > tol:
+        if np.abs(pairings.imag - np.round(pairings.imag)).max() > DEFAULT_TOL:
             raise ValueError("Im H is not integral on the lattice")
         P.setflags(write=False)
         H.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "periods", P)
         object.__setattr__(self, "riemann_form", H)
-        object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolarizedTorus is immutable")
@@ -207,7 +208,7 @@ class Subspace:
 # Siegel reduction
 # ---------------------------------------------------------------------------
 
-def siegel_reduce(lat: EllipticLattice, max_steps: int = 10_000) -> tuple[SiegelTau, UnimodularMap]:
+def siegel_reduce(lat: EllipticLattice) -> tuple[SiegelTau, UnimodularMap]:
     """Reduce omega2/omega1 into the standard fundamental domain.
 
     Returns (tau, m) with m mapping omega2/omega1 to tau. Boundary ties are
@@ -216,7 +217,7 @@ def siegel_reduce(lat: EllipticLattice, max_steps: int = 10_000) -> tuple[Siegel
     """
     z = lat.tau
     word = UnimodularMap(1, 0, 0, 1)
-    for _ in range(max_steps):
+    for _ in range(10_000):
         n = round(z.real)
         if n != 0:
             z = complex(z.real - n, z.imag)
@@ -317,9 +318,7 @@ def _line_distances(torus: PolarizedTorus, v: np.ndarray, N: np.ndarray):
     return np.sqrt(np.maximum(norms_sq, 0.0)), np.sqrt(np.maximum(dist_sq, 0.0))
 
 
-def _sublattice_in_line(
-    torus: PolarizedTorus, v: np.ndarray, mem_tol: float
-) -> tuple[list[np.ndarray], float]:
+def _sublattice_in_line(torus: PolarizedTorus, v: np.ndarray) -> tuple[list[np.ndarray], float]:
     """Two independent lattice points on the line C v, plus an off-line distance.
 
     Expands the coefficient search box until the intersection sublattice shows
@@ -332,7 +331,7 @@ def _sublattice_in_line(
         for N in _grid_chunks([bound] * (2 * torus.g)):
             N = N[np.any(N != 0, axis=1)]
             norms, dists = _line_distances(torus, v, N)
-            member = dists < mem_tol * np.maximum(1.0, norms)
+            member = dists < DEFAULT_TOL * np.maximum(1.0, norms)
             if np.any(~member):
                 off_line_best = min(off_line_best, float(dists[~member].min()))
             for k in np.flatnonzero(member):
@@ -352,7 +351,7 @@ def _sublattice_in_line(
     raise ValueError("subspace does not intersect the lattice in a rank-2 subgroup")
 
 
-def avoidance_minimum(torus: PolarizedTorus, sub: Subspace, mem_tol: float = DEFAULT_TOL) -> float:
+def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
     """Minimal H-distance to the subspace among lattice points off the subspace.
 
     For the zero subspace this is the shortest-vector norm. For a line inside
@@ -368,7 +367,7 @@ def avoidance_minimum(torus: PolarizedTorus, sub: Subspace, mem_tol: float = DEF
     if sub.dim >= torus.g:
         raise ValueError("subspace must be proper")
     v = sub.basis[0]
-    basis, delta_ub = _sublattice_in_line(torus, v, mem_tol)
+    basis, delta_ub = _sublattice_in_line(torus, v)
     if not math.isfinite(delta_ub):
         raise ValueError("no lattice point off the subspace in the search range")
     mu = 0.5 * (math.sqrt(torus.norm_sq(basis[0])) + math.sqrt(torus.norm_sq(basis[1])))
@@ -377,7 +376,7 @@ def avoidance_minimum(torus: PolarizedTorus, sub: Subspace, mem_tol: float = DEF
     for N in _grid_chunks(_box_bounds(torus.gram(), radius_sq * (1.0 + 1e-9))):
         N = N[np.any(N != 0, axis=1)]
         norms, dists = _line_distances(torus, v, N)
-        off = dists >= mem_tol * np.maximum(1.0, norms)
+        off = dists >= DEFAULT_TOL * np.maximum(1.0, norms)
         if np.any(off):
             best = min(best, float(dists[off].min()))
     return best
@@ -385,9 +384,7 @@ def avoidance_minimum(torus: PolarizedTorus, sub: Subspace, mem_tol: float = DEF
 
 def conjugate_torus(torus: PolarizedTorus) -> PolarizedTorus:
     """Entrywise complex conjugate of periods and form; an isometric twin."""
-    return PolarizedTorus(
-        torus.g, torus.periods.conj(), torus.riemann_form.conj(), tol=torus.tol
-    )
+    return PolarizedTorus(torus.g, torus.periods.conj(), torus.riemann_form.conj())
 
 
 def smith_index(m: Sequence[Sequence[int]]) -> tuple[int, bool]:

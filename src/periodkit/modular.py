@@ -5,18 +5,19 @@ classical lower bounds for |j| and |Delta| on the fundamental domain are
 exposed as verdict reports.
 
 The Delta product stops at the first order whose relative tail bound is at
-most 2^-70, far below the 2^-53 rounding of a double, unless the absolute
-tail then misses the configured tolerance; ``truncation_order`` is the cap.
-On the fundamental domain |q| <= e^{-pi sqrt 3} ~ 0.0043, so at most nine
-of the default 64 factors are multiplied. The E4 series always runs to the
-full order, from a divisor-sum table built once per order.
+most 2^-70, far below the 2^-53 rounding of a double. If the absolute tail
+then misses ``TAIL_TOLERANCE`` it runs on to ``ORDER`` factors, and raises
+``InsufficientTruncationError`` if the tail still misses it there. On the
+fundamental domain |q| <= e^{-pi sqrt 3} ~ 0.0043 and |Delta| (2 pi)^12 <=
+1.8e7, so at most nine factors are multiplied and the first pass always
+meets the tolerance. The E4 series always runs to ``ORDER``, from a
+divisor-sum table built once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,36 +29,14 @@ _Y_MIN = math.sqrt(3.0) / 2.0
 # Relative Delta tail at which the product stops. At 2^-60 some values
 # already move by one ulp against the full-order product.
 _STOP_TAIL = 2.0**-70
+# Cap on the Delta product and length of the E4 series.
+ORDER = 64
+# Largest absolute Delta tail accepted, in the normalization asked for.
+TAIL_TOLERANCE = 1e-12
 
 
 class InsufficientTruncationError(ValueError):
-    """Raised when the certified tail exceeds the configured tolerance."""
-
-    def __init__(self, message: str, required_order: int) -> None:
-        super().__init__(message)
-        self.required_order = required_order
-
-
-@dataclass(frozen=True)
-class QSeriesConfig:
-    """Truncation order and tail tolerance for q-series evaluation.
-
-    ``truncation_order`` caps the Delta product, which stops earlier once
-    its relative tail bound is at most 2^-70 and the absolute tail meets
-    ``tail_tolerance``; E4 always uses the full order. The order should make
-    the geometric tail bound fall below ``tail_tolerance`` for the intended
-    Im tau >= sqrt(3)/2; the evaluators enforce this for the actual argument
-    and report the order that would suffice when it does not hold.
-    """
-
-    truncation_order: int = 64
-    tail_tolerance: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.truncation_order < 1:
-            raise ValueError("truncation_order must be >= 1")
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be positive")
+    """Raised when the certified tail at ``ORDER`` exceeds ``TAIL_TOLERANCE``."""
 
 
 class SeriesValue(NamedTuple):
@@ -73,43 +52,32 @@ def _delta_product_tail(abs_q: float, order: int) -> float:
     return math.expm1(s) if s < 700 else math.inf
 
 
-def _required_order(abs_q: float, scale: float, tolerance: float) -> int:
-    """Smallest order whose product-tail bound, scaled by |value|, meets tolerance."""
-    n = 1
-    while n < 100_000:
-        if scale * _delta_product_tail(abs_q, n) <= tolerance:
-            return n
-        n *= 2
-    return n
-
-
-def _stop_order(abs_q: float, cap: int) -> int:
-    """First order n <= cap with relative product tail <= 2^-70, else cap."""
+def _stop_order(abs_q: float) -> int:
+    """First order n <= ORDER with relative product tail <= 2^-70, else ORDER."""
     if abs_q == 0.0:
         return 1
     if not abs_q < 1.0:
-        return cap
+        return ORDER
     # solve 24 |q|^(n+1) / (1-|q|)^2 = 2^-70, then correct the rounding
     n = math.ceil(math.log(_STOP_TAIL * (1.0 - abs_q) ** 2 / 24.0) / math.log(abs_q)) - 1
-    n = min(max(n, 1), cap)
+    n = min(max(n, 1), ORDER)
     while n > 1 and _delta_product_tail(abs_q, n - 1) <= _STOP_TAIL:
         n -= 1
-    while n < cap and _delta_product_tail(abs_q, n) > _STOP_TAIL:
+    while n < ORDER and _delta_product_tail(abs_q, n) > _STOP_TAIL:
         n += 1
     return n
 
 
-def delta_on_upper_half_plane(
-    z: complex, cfg: QSeriesConfig = QSeriesConfig(), normalization: str = "ramanujan"
-) -> SeriesValue:
+def delta_on_upper_half_plane(z: complex, normalization: str = "ramanujan") -> SeriesValue:
     """Discriminant q-series at any point of the upper half-plane.
 
     normalization "ramanujan" gives q prod (1-q^n)^24; "two_pi_12" multiplies
     by (2 pi)^12. The tail field certifies |returned - true| <= tail for the
     factors actually multiplied. The product stops at the first order whose
     relative tail bound is <= 2^-70 if the scaled absolute tail then meets
-    ``cfg.tail_tolerance``; otherwise it runs to ``cfg.truncation_order``,
-    so an early stop never raises where the full order would not.
+    ``TAIL_TOLERANCE``; otherwise it runs to ``ORDER``, so an early stop never
+    raises where the full order would not. The run-on and the raise happen
+    only off the fundamental domain.
     """
     if normalization not in ("ramanujan", "two_pi_12"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -120,7 +88,7 @@ def delta_on_upper_half_plane(
     prod = complex(1.0)
     qn = complex(1.0)
     done = 0
-    for order in (_stop_order(abs_q, cfg.truncation_order), cfg.truncation_order):
+    for order in (_stop_order(abs_q), ORDER):
         for _ in range(order - done):
             qn *= q
             prod *= (1.0 - qn) ** 24
@@ -131,23 +99,19 @@ def delta_on_upper_half_plane(
             scale = (2.0 * math.pi) ** 12
             value *= scale
             tail *= scale
-        if tail <= cfg.tail_tolerance:
+        if tail <= TAIL_TOLERANCE:
             break
-    if tail > cfg.tail_tolerance:
-        required = _required_order(abs_q, abs(value), cfg.tail_tolerance)
+    if tail > TAIL_TOLERANCE:
         raise InsufficientTruncationError(
-            f"tail {tail:.3g} exceeds tolerance {cfg.tail_tolerance:.3g}; "
-            f"truncation_order >= {required} needed",
-            required_order=required,
+            f"Delta tail {tail:.3g} exceeds tolerance {TAIL_TOLERANCE:.3g} "
+            f"after {ORDER} factors at Im z = {z.imag:.6g}"
         )
     return SeriesValue(value, tail)
 
 
-def delta_tau(
-    tau: SiegelTau, cfg: QSeriesConfig = QSeriesConfig(), normalization: str = "ramanujan"
-) -> SeriesValue:
+def delta_tau(tau: SiegelTau, normalization: str = "ramanujan") -> SeriesValue:
     """Discriminant form at a reduced point, with certified tail."""
-    return delta_on_upper_half_plane(tau.value, cfg, normalization)
+    return delta_on_upper_half_plane(tau.value, normalization)
 
 
 @lru_cache(maxsize=8)
@@ -161,11 +125,11 @@ def _sigma3_prefix(n: int) -> tuple[int, ...]:
     return tuple(s[1:])
 
 
-def _e4(q: complex, order: int) -> SeriesValue:
-    sig = _sigma3_prefix(order)
+def _e4(q: complex) -> SeriesValue:
+    sig = _sigma3_prefix(ORDER)
     acc = complex(1.0)
     qn = complex(1.0)
-    for n in range(1, order + 1):
+    for n in range(1, ORDER + 1):
         qn *= q
         acc += 240.0 * sig[n - 1] * qn
     # sigma_3(n) <= zeta(3) n^3; ratio of consecutive terms <= 8 zeta(3) |q|
@@ -173,23 +137,19 @@ def _e4(q: complex, order: int) -> SeriesValue:
     r = 8.0 * ZETA3 * abs_q
     if r >= 1.0:
         return SeriesValue(acc, math.inf)
-    head = 240.0 * ZETA3 * (order + 1) ** 3 * abs_q ** (order + 1)
+    head = 240.0 * ZETA3 * (ORDER + 1) ** 3 * abs_q ** (ORDER + 1)
     return SeriesValue(acc, head / (1.0 - r))
 
 
-def j_invariant(tau: SiegelTau, cfg: QSeriesConfig = QSeriesConfig()) -> SeriesValue:
+def j_invariant(tau: SiegelTau) -> SeriesValue:
     """j = E4^3 / Delta from q-expansions, with a propagated tail bound."""
     z = tau.value
-    q = cmath.exp(2j * math.pi * z)
-    e4 = _e4(q, cfg.truncation_order)
-    dl = delta_on_upper_half_plane(z, cfg, "ramanujan")
+    e4 = _e4(cmath.exp(2j * math.pi * z))
+    dl = delta_on_upper_half_plane(z)
     aE, eE = abs(e4.value), e4.tail
     aD, eD = abs(dl.value), dl.tail
     if eD >= aD:
-        raise InsufficientTruncationError(
-            "denominator tail swallows the value",
-            required_order=_required_order(abs(q), aD, 0.5 * aD),
-        )
+        raise InsufficientTruncationError(f"Delta tail {eD:.3g} swallows |Delta| = {aD:.3g}")
     value = e4.value**3 / dl.value
     tail = ((aE + eE) ** 3 - aE**3) / (aD - eD) + aE**3 * eD / (aD * (aD - eD))
     return SeriesValue(value, tail)
@@ -235,15 +195,15 @@ def j_series_coefficients(count: int) -> list[int]:
     return out[:count]
 
 
-def check_classical_bounds(tau: SiegelTau, cfg: QSeriesConfig = QSeriesConfig()) -> tuple[BoundReport, BoundReport]:
+def check_classical_bounds(tau: SiegelTau) -> tuple[BoundReport, BoundReport]:
     """Lower bounds for |j| and |Delta| on the fundamental domain.
 
     Returns (j report, Delta report): e^{2 pi y} - 1193 <= |j(tau)| and
     e^{-1/9 - 2 pi y} <= |Delta(tau)| in the plain product normalization.
     """
     y = tau.im
-    j = j_invariant(tau, cfg)
-    dl = delta_tau(tau, cfg, "ramanujan")
+    j = j_invariant(tau)
+    dl = delta_tau(tau)
     j_report = BoundReport(
         "j_lower_bound",
         math.exp(2.0 * math.pi * y) - 1193.0,

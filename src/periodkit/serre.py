@@ -46,16 +46,13 @@ def f_of_p(p: float) -> float:
     return 2.0 * math.sqrt(2.0 / 3.0) * 1778.0 * (H + 4.0 * math.log(p) + 2.4 + 0.5 * math.log(H)) / p
 
 
-def find_threshold(lo: int = 2, hi: int = 10**8) -> SerreThreshold:
-    """Largest integer p with f(p) >= 1, by integer bisection.
+def find_threshold() -> SerreThreshold:
+    """Largest integer p with f(p) >= 1, by integer bisection on [2, 10^8].
 
-    Maintains f(lo) >= 1 > f(hi); f decreases on the bracket, which the loop
-    verifies implicitly by keeping the bracket valid.
+    f(2) >= 1 > f(10^8) and f decreases on the bracket, so the loop keeps
+    f(lo) >= 1 > f(hi); ``SerreThreshold`` checks the two values it returns.
     """
-    if f_of_p(lo) < 1.0:
-        raise RuntimeError("f < 1 at the lower end; bracket invalid")
-    if f_of_p(hi) >= 1.0:
-        raise RuntimeError("f >= 1 at the upper end; enlarge the bracket")
+    lo, hi = 2, 10**8
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if f_of_p(mid) >= 1.0:

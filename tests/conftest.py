@@ -1,10 +1,6 @@
-import math
-
-import numpy as np
 import pytest
 
 from periodkit.cli import default_fixture_path, ingest_curves
-from periodkit.lattice import PolarizedTorus, SiegelTau
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 _acceptance_docs: dict = {}
@@ -43,17 +39,3 @@ def bundled_records():
 def record_by_label(bundled_records):
     return {r.label: r for r in bundled_records}
 
-
-def product_torus(tau: complex) -> PolarizedTorus:
-    """E_tau x E_tau with the product principal polarization."""
-    y = tau.imag
-    periods = [[1.0, tau, 0.0, 0.0], [0.0, 0.0, 1.0, tau]]
-    return PolarizedTorus(2, periods, np.diag([1.0 / y, 1.0 / y]))
-
-
-def random_reduced_tau(rng, im_max: float = 2.5) -> SiegelTau:
-    while True:
-        re = rng.uniform(-0.5, 0.5)
-        im = rng.uniform(math.sqrt(3.0) / 2.0, im_max)
-        if re * re + im * im >= 1.0 + 1e-6:
-            return SiegelTau(re, im)

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import product_torus, random_reduced_tau
 from periodkit.bounds import (
     autissier_report,
     matrix_lemma_report,
     prop_ell_solver,
     structural_constants,
 )
+from periodkit.cli import _product_torus as product_torus
+from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.heights import convert_height, faltings_height_silverman
 from periodkit.interpolation import (
     AnalyticTestFunction,

@@ -16,6 +16,7 @@ from periodkit.bounds import (
     matrix_lemma_report,
     orthogonal_split_degree_report,
     period_theorem_rhs,
+    prop_ell_caps,
     prop_ell_delta_max,
     prop_ell_solver,
     quadratic_root_bound,
@@ -129,6 +130,10 @@ class TestPropEll:
         general, large, _ = prop_ell_solver(2000.0)
         assert general == pytest.approx(6.45 * 2000.0)
         assert large == pytest.approx(1.92 * 2000.0)
+
+    def test_caps_are_the_solver_caps(self):
+        for h in (-0.5, 0.0, 1.0, 3.7, 1000.0, 2000.0):
+            assert prop_ell_caps(h) == prop_ell_solver(h)[:2], h
 
 
 def _bisect_200(pred, lo, hi):

@@ -189,6 +189,16 @@ class TestRunSuite:
         assert manifest.suites == ["heights"]
         assert all(r["suite"] == "heights" for r in manifest.reports)
 
+    def test_seed_reaches_the_quadratic_root_trials(self, bundled_records):
+        def worst_trial(seed):
+            manifest = run_suite("bounds", bundled_records, seed=seed)
+            (report,) = [r for r in manifest.reports if r["name"] == "quadratic_root_fact"]
+            return report
+
+        default, seeded = worst_trial(0), worst_trial(5)
+        assert seeded["inputs"] != default["inputs"]
+        assert seeded["satisfied"] and default["satisfied"]
+
 
 class TestEmitReport:
     def make_manifest(self):

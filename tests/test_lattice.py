@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import product_torus, random_reduced_tau
+from periodkit.cli import _product_torus as product_torus
+from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.lattice import (
     MAX_GRID_POINTS,
     EllipticLattice,

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from periodkit.lattice import EllipticLattice, SiegelTau, UnimodularMap, siegel_reduce
 from periodkit.modular import (
+    ORDER,
+    TAIL_TOLERANCE,
     InsufficientTruncationError,
-    QSeriesConfig,
     _delta_product_tail,
     _stop_order,
     check_classical_bounds,
@@ -53,21 +54,19 @@ class TestDelta:
     @given(upper_half)
     @settings(max_examples=40, deadline=None)
     def test_tail_soundness_under_doubling(self, z):
-        cfg = QSeriesConfig(truncation_order=48, tail_tolerance=1e-10)
-        fine = QSeriesConfig(truncation_order=96, tail_tolerance=1e-10)
-        a = delta_on_upper_half_plane(z, cfg)
-        b = delta_on_upper_half_plane(z, fine)
-        assert abs(a.value - b.value) <= max(a.tail, 1e-18)
-        assert abs(a.value - b.value) < cfg.tail_tolerance
+        a = delta_on_upper_half_plane(z)
+        b = _delta_product(z, 2 * ORDER)
+        assert abs(a.value - b) <= max(a.tail, 1e-18)
+        assert abs(a.value - b) < TAIL_TOLERANCE
 
-    def test_insufficient_truncation_reports_required_order(self):
-        cfg = QSeriesConfig(truncation_order=3, tail_tolerance=1e-15)
-        with pytest.raises(InsufficientTruncationError) as exc:
-            delta_on_upper_half_plane(complex(0.0, 0.35), cfg)
-        assert exc.value.required_order > 3
-        # the suggested order is actually enough
-        ok = QSeriesConfig(exc.value.required_order, 1e-15)
-        assert delta_on_upper_half_plane(complex(0.0, 0.35), ok).tail <= 1e-15
+    def test_insufficient_truncation_raises(self):
+        # w/(4w+1) with w = 3i/pi: Im z ~ 0.061, and the tail at ORDER
+        # factors is 1.1e-4 (ramanujan) or 4.1e5 (two_pi_12)
+        w = 3j / math.pi
+        z = w / (4.0 * w + 1.0)
+        for normalization in ("ramanujan", "two_pi_12"):
+            with pytest.raises(InsufficientTruncationError, match="Im z = 0.0612517"):
+                delta_on_upper_half_plane(z, normalization=normalization)
 
     @given(upper_half)
     @settings(max_examples=40, deadline=None)
@@ -192,18 +191,23 @@ class TestSilvermanExtrema:
         assert f(np.array([y0]))[0] == pytest.approx(report.inputs["f_local_min"], rel=1e-14)
 
 
-def _delta_full_order(z, normalization="ramanujan"):
-    """Reference: the fixed 64-factor product that ran before the early stop."""
+def _delta_product(z, factors, normalization="ramanujan"):
+    """Reference: q times the first ``factors`` factors (1 - q^n)^24."""
     q = cmath.exp(2j * math.pi * z)
     prod = complex(1.0)
     qn = complex(1.0)
-    for _ in range(64):
+    for _ in range(factors):
         qn *= q
         prod *= (1.0 - qn) ** 24
     value = q * prod
     if normalization == "two_pi_12":
         value *= (2.0 * math.pi) ** 12
     return value
+
+
+def _delta_full_order(z, normalization="ramanujan"):
+    """Reference: the fixed 64-factor product that ran before the early stop."""
+    return _delta_product(z, 64, normalization)
 
 
 def _j_rebuilding_sigma3(z):
@@ -258,16 +262,25 @@ class TestEarlyStop:
             want = complex(oracles.mp_delta(z))
         assert abs(got.value - want) <= got.tail + 4.0 * math.ulp(abs(got.value))
 
-    def test_tight_tolerance_runs_to_the_cap(self):
-        cfg = QSeriesConfig(64, 1e-30)
-        got = delta_on_upper_half_plane(1j, cfg)
-        assert got.tail <= 1e-30
-        assert got.value == _delta_full_order(1j)
+    def test_missed_tolerance_runs_to_the_cap(self):
+        # w/(2w+1) with w = 3i/pi: Im z ~ 0.205, off the fundamental domain.
+        # The early stop leaves a tail of 4.2e-11 in the (2 pi)^12
+        # normalization, so the product runs on to ORDER factors.
+        w = 3j / math.pi
+        z = w / (2.0 * w + 1.0)
+        abs_q = math.exp(-2.0 * math.pi * z.imag)
+        n = _stop_order(abs_q)
+        assert n < ORDER
+        scale = (2.0 * math.pi) ** 12
+        assert scale * abs(_delta_product(z, n)) * _delta_product_tail(abs_q, n) > TAIL_TOLERANCE
+        got = delta_on_upper_half_plane(z, normalization="two_pi_12")
+        assert got.tail <= TAIL_TOLERANCE
+        assert got.value == _delta_full_order(z, "two_pi_12")
 
     def test_tail_is_for_the_factors_multiplied(self):
         z = complex(0.5, math.sqrt(3.0) / 2.0)
         abs_q = math.exp(-2.0 * math.pi * z.imag)
-        n = _stop_order(abs_q, 64)
+        n = _stop_order(abs_q)
         assert n < 64
         got = delta_on_upper_half_plane(z)
         assert got.tail == pytest.approx(abs(got.value) * _delta_product_tail(abs_q, n), rel=1e-12)
@@ -278,4 +291,4 @@ class TestEarlyStop:
     )
     def test_stop_order_is_the_first_order_below_two_pow_minus_70(self, abs_q):
         want = next((n for n in range(1, 64) if _delta_product_tail(abs_q, n) <= 2.0**-70), 64)
-        assert _stop_order(abs_q, 64) == want
+        assert _stop_order(abs_q) == want
