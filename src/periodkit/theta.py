@@ -180,13 +180,24 @@ def theta_from_F(tau: RiemannTau, pt: TorusPoint) -> complex:
 
 
 def theta_at_z(tau: RiemannTau, z) -> complex:
-    """Theta at an arbitrary complex vector, via z = tau p + q with real p, q."""
+    """Theta at an arbitrary complex vector, via z = tau p + q with real p, q.
+
+    The series is summed at the fractional parts p - k and q - l, where its
+    tail bound holds, and F(p, q) = exp(-2 pi i k^T (q - l)) F(p - k, q - l)
+    for integer k, l. So z and z + tau m + n share one series value.
+    """
     zv = np.asarray(z, dtype=complex).reshape(tau.g)
     yinv = np.linalg.inv(tau.y)
     p = yinv @ zv.imag
     q = zv.real - tau.matrix.real @ p
-    expo = (math.pi / 2.0) * (zv @ yinv @ zv) - 1j * math.pi * (p @ tau.matrix @ p)
-    return complex(eval_F_raw(tau, p, q).value * np.exp(expo))
+    k = np.floor(p)
+    q0 = q - np.floor(q)
+    expo = (
+        (math.pi / 2.0) * (zv @ yinv @ zv)
+        - 1j * math.pi * (p @ tau.matrix @ p)
+        - 2j * math.pi * (k @ q0)
+    )
+    return complex(eval_F_raw(tau, p - k, q0).value * np.exp(expo))
 
 
 # ---------------------------------------------------------------------------
