@@ -4,17 +4,17 @@ Exit codes: 0 all checks satisfied, 1 at least one inequality violated,
 2 input or usage error.
 
 The canonical JSON report is the manifest written by the standard ``json``
-encoder with sorted keys, a 2-space indent and floats in their shortest
-round-trip form (``repr``); ``wall_time`` is written as null, so repeated
-runs give identical bytes. A non-finite float raises ``ValueError`` before
-anything is written.
+encoder with sorted keys and floats in their shortest round-trip form
+(``repr``): the top level with a 2-space indent, and each report on one line
+of its own, indented by 4 spaces. ``wall_time`` is written as null, so
+repeated runs give identical bytes. A non-finite float raises ``ValueError``
+before anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -89,12 +89,17 @@ class RunManifest:
 def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str] = None) -> None:
     """Write the manifest as a human table or canonical JSON."""
     if format == "json":
-        # json.dump streams into one buffer: json.dumps would keep every chunk
-        # alive until the join, and a ValueError leaves no partial file
-        buf = io.StringIO()
-        json.dump(manifest.to_dict(), buf, indent=2, sort_keys=True, allow_nan=False)
-        buf.write("\n")
-        text = buf.getvalue()
+        # The C encoder runs only without an indent: each report is one line
+        # of it, spliced into the indented top level. Reports are encoded
+        # before to_dict copies them, so the copies and the lines are never
+        # held at once, and before the file is opened, so a ValueError leaves
+        # no partial file. The pieces are written without joining them.
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+        reports = ",\n".join("    " + encode(r) for r in manifest.reports)
+        doc = dict(manifest.to_dict(), reports=[])
+        top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        head, tail = top.split('\n  "reports": []', 1)
+        parts = [head, '\n  "reports": [\n', reports, "\n  ]", tail] if reports else [top]
     elif format == "text":
         lines = [f"suites: {', '.join(manifest.suites)}  (tool {manifest.tool_version})"]
         name_w = max((len(r["name"]) for r in manifest.reports), default=4)
@@ -107,14 +112,14 @@ def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str]
         n_bad = sum(not r["satisfied"] for r in manifest.reports)
         wt = f"{manifest.wall_time:.2f}s" if manifest.wall_time is not None else "n/a"
         lines.append(f"{len(manifest.reports)} checks, {n_bad} failed, wall time {wt}")
-        text = "\n".join(lines) + "\n"
+        parts = ["\n".join(lines) + "\n"]
     else:
         raise ValueError(f"unknown format {format!r}")
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,12 @@ def _e4(q: complex) -> SeriesValue:
 
 def j_invariant(tau: SiegelTau) -> SeriesValue:
     """j = E4^3 / Delta from q-expansions, with a propagated tail bound."""
-    z = tau.value
-    e4 = _e4(cmath.exp(2j * math.pi * z))
-    dl = delta_on_upper_half_plane(z)
+    return _j_from_delta(tau, delta_tau(tau))
+
+
+def _j_from_delta(tau: SiegelTau, dl: SeriesValue) -> SeriesValue:
+    """j = E4^3 / Delta at tau, given the Ramanujan Delta there."""
+    e4 = _e4(cmath.exp(2j * math.pi * tau.value))
     aE, eE = abs(e4.value), e4.tail
     aD, eD = abs(dl.value), dl.tail
     if eD >= aD:
@@ -202,8 +205,8 @@ def check_classical_bounds(tau: SiegelTau) -> tuple[BoundReport, BoundReport]:
     e^{-1/9 - 2 pi y} <= |Delta(tau)| in the plain product normalization.
     """
     y = tau.im
-    j = j_invariant(tau)
     dl = delta_tau(tau)
+    j = _j_from_delta(tau, dl)
     j_report = BoundReport(
         "j_lower_bound",
         math.exp(2.0 * math.pi * y) - 1193.0,

@@ -8,11 +8,14 @@ with the half-step offset keeping theta zeros at cell corners.
 F is a finite Fourier series in q, so the L2 norm skips the q-grid: by
 discrete Parseval the mean of |F|^2 over the m^g midpoint q-points is the
 sum of its squared coefficients, folded per axis by n mod m when
-2 box + 1 > m, which equals the midpoint grid sum exactly. For g = 1 the
-log integral skips the grid too: the Jacobi triple product turns the mean
-of log|F| over the midpoint q-points into a short sum of closed forms per
-p-point. For g = 2, which has no such product, it is summed over the full
-m^2 x m^2 grid.
+2 box + 1 > m, which equals the midpoint grid sum exactly. That sum is
+reduced by numpy's pairwise summation rather than by BLAS, so it does not
+depend on the BLAS thread count. For g = 1 the log integral skips the grid
+too: the Jacobi triple product turns the mean of log|F| over the midpoint
+q-points into sums of log|1 + e^z| over three families of terms, one shared
+by both resolutions of the Richardson step and one per resolution, all
+evaluated in one pass. For g = 2, which has no such product, it is summed
+over the full m^2 x m^2 grid.
 """
 
 from __future__ import annotations
@@ -245,49 +248,95 @@ def _grid_log_mean(tau: RiemannTau, m: int) -> float:
     return sum_log / pts.shape[0] ** 2
 
 
-_BLOCK = 1 << 16  # entries per block in _sum_log_abs_1p_exp
+_BLOCK = 1 << 16  # entries per call of _log_abs_1p_exp in _sum_log_abs_1p_exp
 
 
-def _sum_log_abs_1p_exp(z_of, n_max: int, width: int) -> float:
-    """Sum of log|1 + e^z| over z = z_of(n) for n = 1..n_max.
+def _log_abs_1p_exp(z: np.ndarray) -> np.ndarray:
+    """log|1 + e^z| elementwise.
 
-    z_of maps an array of n to an array of width entries per n. The n run in
-    blocks of at most _BLOCK entries, because n_max grows like 1/Im tau. For
-    Re z > 0, log|1 + e^z| = Re z + log|1 + e^-z|, and with a = -|Re z| <= 0,
+    For Re z > 0, log|1 + e^z| = Re z + log|1 + e^-z|, and with a = -|Re z| <= 0,
     |1 + e^(a + i Im z)|^2 = expm1(a)^2 + 4 e^a cos^2(Im z / 2), which neither
-    overflows nor cancels near the zeros of 1 + e^z.
+    overflows nor cancels near the zeros of 1 + e^z. For a <= -50 that square
+    rounds to exactly 1 (expm1(a) to -1, and 4 e^a < 2^-70), so log|1 + e^z|
+    is max(Re z, 0) there, with the same bits, and only the other entries go
+    through exp, cos and log; most terms of a family lie that deep.
     """
-    step = max(1, _BLOCK // width)
-    total = 0.0
-    for n0 in range(1, n_max + 1, step):
-        z = z_of(np.arange(n0, min(n0 + step, n_max + 1)))
-        a = -np.abs(z.real)
-        mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag) ** 2
-        total += float((0.5 * np.log(mod_sq) + np.maximum(z.real, 0.0)).sum())
-    return total
+    a = -np.abs(z.real)
+    live = a > -50.0
+    out = np.maximum(z.real, 0.0)
+    a = a[live]
+    mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag[live]) ** 2
+    out[live] += 0.5 * np.log(mod_sq)
+    return out
 
 
-def _product_log_mean(tau: RiemannTau, m: int) -> float:
-    """Mean of log|F| over the m x m midpoint grid for g = 1, with no grid.
+def _sum_log_abs_1p_exp(families) -> list[float]:
+    """Sum of log|1 + e^z| per family (z_of, n_max, width), over z = z_of(n), n = 1..n_max.
 
-    See torus_log_integral for the identity. Each factor family stops where
-    its first omitted term is below e^-TAIL_EXPONENT: the product family
-    log|1 - Q^2n| at 2 pi y n >= TAIL_EXPONENT, and the q-mean family, where
-    |e^z| <= e^(-pi m y (2n - 3)) for n >= 2, at pi m y (2n - 3) >= TAIL_EXPONENT.
+    z_of maps an array of n to an array of width entries per n. Each family
+    is cut into pieces of at most _BLOCK entries, because n_max grows like
+    1/Im tau, and consecutive pieces of all families are packed into blocks
+    of at most _BLOCK entries. Each block takes one _log_abs_1p_exp call, and
+    each piece's slice of it is summed into its own family's total.
+    """
+    totals = [0.0] * len(families)
+    block: list = []
+    size = 0
+    for k, (z_of, n_max, width) in enumerate(families):
+        step = max(1, _BLOCK // width)
+        for n0 in range(1, n_max + 1, step):
+            z = z_of(np.arange(n0, min(n0 + step, n_max + 1))).ravel()
+            if block and size + z.size > _BLOCK:
+                _sum_block(block, totals)
+                block, size = [], 0
+            block.append((k, z))
+            size += z.size
+    _sum_block(block, totals)
+    return totals
+
+
+def _sum_block(block: list, totals: list) -> None:
+    values = _log_abs_1p_exp(np.concatenate([z for _, z in block]))
+    i = 0
+    for k, z in block:
+        totals[k] += float(values[i : i + z.size].sum())
+        i += z.size
+
+
+def _product_log_means(tau: RiemannTau, *ms: int) -> list[float]:
+    """Means of log|F| over the m x m midpoint grids for g = 1, one per m, with no grid.
+
+    See torus_log_integral for the identity. With T = TAIL_EXPONENT, the
+    product family log|1 - Q^2n| has terms of size about |Q^2n| = e^(-2 pi y n),
+    and the q-mean family at resolution m has |e^z| <= e^(-pi m y (2n - 3)) for
+    n >= 2. Each family is summed through n = N + 1, where N is the first n
+    whose term is at most e^-T: N = ceil(T / (2 pi y)) for the product family
+    and N = ceil(1.5 + T / (2 pi m y)) for the q-mean family. Its first omitted
+    term is therefore at most e^-(T + 4 pi y), respectively e^-(T + 4 pi m y).
+    The product family does not depend on m and is summed once; all families
+    share the blocks of one _sum_log_abs_1p_exp pass.
     """
     t = complex(tau.matrix[0, 0])
     y = t.imag
     n_prod = math.ceil(TAIL_EXPONENT / (2.0 * math.pi * y)) + 1
-    n_mean = math.ceil(1.5 + TAIL_EXPONENT / (2.0 * math.pi * m * y)) + 1
-    two_p = np.array([2.0, -2.0])[:, None, None] * _axis_grid(m)
     # 1 - Q^2n = 1 + e^(i pi (2 n tau + 1))
-    product = _sum_log_abs_1p_exp(lambda n: 1j * math.pi * (2.0 * n * t + 1.0), n_prod, 1)
-    # (1/m) sum over (n, +-) at each p-point, averaged over the m p-points
-    q_mean = _sum_log_abs_1p_exp(
-        lambda n: 1j * math.pi * m * t * ((2.0 * n - 1.0)[:, None] + two_p), n_mean, 2 * m
-    ) / (m * m)
-    mean_p_sq = 1.0 / 3.0 - 1.0 / (12.0 * m * m)  # exact mean of p^2 over the midpoints
-    return 0.25 * math.log(2.0 * y) - math.pi * y * mean_p_sq + product + q_mean
+    families = [(lambda n: 1j * math.pi * (2.0 * n * t + 1.0), n_prod, 1)]
+    for m in ms:
+        n_mean = math.ceil(1.5 + TAIL_EXPONENT / (2.0 * math.pi * m * y)) + 1
+        two_p = np.array([2.0, -2.0])[:, None, None] * _axis_grid(m)
+        # 1 + exp(i pi m tau (2n - 1 +- 2p)) for (n, +-) at each of the m p-points
+        families.append((
+            lambda n, m=m, two_p=two_p: 1j * math.pi * m * t * ((2.0 * n - 1.0)[:, None] + two_p),
+            n_mean,
+            2 * m,
+        ))
+    product, *q_sums = _sum_log_abs_1p_exp(families)
+    means = []
+    for m, q_sum in zip(ms, q_sums):
+        mean_p_sq = 1.0 / 3.0 - 1.0 / (12.0 * m * m)  # exact mean of p^2 over the midpoints
+        # (1/m) sum over (n, +-) at each p-point, averaged over the m p-points
+        means.append(0.25 * math.log(2.0 * y) - math.pi * y * mean_p_sq + product + q_sum / (m * m))
+    return means
 
 
 def _fold(C: np.ndarray, axis: int, m: int) -> np.ndarray:
@@ -327,7 +376,8 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
     C = C.reshape((2 * int(ns.max()) + 1,) * tau.g + (A.shape[1],))
     for axis in range(tau.g):
         C = _fold(C, axis, m)
-    return scale * scale * float(np.vdot(C, C).real) / A.shape[1]
+    # numpy's pairwise sums, not a BLAS reduction, whose result depends on its thread count
+    return scale * scale * float((C.real**2).sum() + (C.imag**2).sum()) / A.shape[1]
 
 
 def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
@@ -347,12 +397,17 @@ def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) ->
     (1/4) log 2y - pi y p^2 + sum_n log|1 - Q^2n|
     + (1/m) sum_(n, +-) log|1 + exp(i pi m tau (2n - 1 +- 2p))|,
     and a grid mean costs O(m N) for N product terms instead of
-    O(m^2 (2 box + 1)). For g = 2 the grid is summed term by term.
+    O(m^2 (2 box + 1)). The product family sum_n log|1 - Q^2n| does not depend
+    on m, so both resolutions take it from one sum, and log|1 + e^z| is
+    evaluated once over the terms of the product family and of the two q-mean
+    families together (see _product_log_means for the term counts). For g = 2
+    the grid is summed term by term.
     """
     m = _resolution(quadrature_points_per_axis)
-    mean = _product_log_mean if tau.g == 1 else _grid_log_mean
-    coarse = mean(tau, m)
-    fine = mean(tau, 2 * m)
+    if tau.g == 1:
+        coarse, fine = _product_log_means(tau, m, 2 * m)
+    else:
+        coarse, fine = _grid_log_mean(tau, m), _grid_log_mean(tau, 2 * m)
     return (4.0 * fine - coarse) / 3.0
 
 

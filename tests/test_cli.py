@@ -2,14 +2,16 @@ import importlib.util
 import json
 import math
 import os
-import re
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import periodkit
 from periodkit.cli import (
     RunManifest,
     default_fixture_path,
@@ -235,6 +237,11 @@ class TestEmitReport:
         assert type(back) is float
         assert struct.pack("<d", back) == struct.pack("<d", x)
 
+    def test_empty_report_list_stays_empty_brackets(self, tmp_path):
+        text = self.emit_tolerances({"seed": 0}, tmp_path / "e.json")
+        assert '\n  "reports": [],\n' in text
+        assert json.loads(text)["reports"] == []
+
     def test_sorted_keys(self, tmp_path):
         rendered = self.emit_tolerances({"b": 1, "a": 2}, tmp_path / "k.json")
         assert rendered.index('"a"') < rendered.index('"b"')
@@ -251,40 +258,10 @@ class TestEmitReport:
             emit_report(self.make_manifest(), "json", "/nonexistent-dir/x.json")
 
 
-def _render_json_17g(obj, indent: int = 0) -> str:
-    """The former canonical emitter: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite float in report")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + _render_json_17g(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_render_json_17g(v, indent + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-# indent, optional key, scalar token, optional trailing comma
-_SCALAR_LINE = re.compile(r'^( *(?:"(?:[^"\\]|\\.)*": )?)([-+.0-9eE]+)(,?)$')
+def _reports_span(lines: list) -> tuple:
+    """Indices of the opening and the closing line of the top-level reports list."""
+    start = lines.index('  "reports": [')
+    return start, next(k for k in range(start, len(lines)) if lines[k].startswith("  ]"))
 
 
 def _assert_bit_identical(loaded, expected, where="$"):
@@ -304,7 +281,7 @@ def _assert_bit_identical(loaded, expected, where="$"):
 
 
 class TestCanonicalJson:
-    """The stdlib emitter against the former 17-digit one, on the fixture run."""
+    """The emitted layout and the parsed values, on the fixture run."""
 
     @pytest.fixture(scope="class")
     def fixture_manifest(self, bundled_records):
@@ -316,23 +293,39 @@ class TestCanonicalJson:
         emit_report(fixture_manifest, "json", str(path))
         return path.read_text(encoding="utf-8")
 
-    def test_only_float_spelling_changes(self, fixture_manifest, emitted):
-        old = (_render_json_17g(fixture_manifest.to_dict()) + "\n").splitlines()
-        new = emitted.splitlines()
-        assert len(new) == len(old)
-        changed = 0
-        for a, b in zip(old, new):
-            if a == b:
-                continue
-            head_a, token_a, comma_a = _SCALAR_LINE.match(a).groups()
-            head_b, token_b, comma_b = _SCALAR_LINE.match(b).groups()
-            assert (head_a, comma_a) == (head_b, comma_b)
-            assert token_b == repr(float(token_a))
-            changed += 1
-        assert changed > 0
+    def test_one_report_per_line_in_an_indented_top_level(self, fixture_manifest, emitted):
+        doc = fixture_manifest.to_dict()
+        reports = doc["reports"]
+        lines = emitted.splitlines()
+        start, end = _reports_span(lines)
+        assert lines[start + 1 : end] == [
+            "    " + json.dumps(r, sort_keys=True, allow_nan=False) + ("," if k < len(reports) - 1 else "")
+            for k, r in enumerate(reports)
+        ]
+        indented = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False).splitlines()
+        old_start, old_end = _reports_span(indented)
+        assert lines[: start + 1] + lines[end:] == indented[: old_start + 1] + indented[old_end:]
+        assert emitted.endswith("\n}\n")
+        extracted = _perfbench_check().reports_bytes(emitted).decode()
+        assert json.loads(extracted.split(":", 1)[1].rstrip().rstrip(",")) == reports
 
     def test_parses_back_bit_identical(self, fixture_manifest, emitted):
         _assert_bit_identical(json.loads(emitted), fixture_manifest.to_dict())
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        src = str(Path(periodkit.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env.pop("PTK_FIXTURES", None)
+            out = tmp_path / f"theta-{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "periodkit.cli", "verify", "--suite", "theta", "--json", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestExitCodes:

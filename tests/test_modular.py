@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from periodkit import modular
 from periodkit.lattice import EllipticLattice, SiegelTau, UnimodularMap, siegel_reduce
 from periodkit.modular import (
     ORDER,
@@ -132,6 +133,22 @@ class TestJInvariant:
 
 
 class TestClassicalBounds:
+    @pytest.mark.parametrize("re,im", [(0.0, 1.0), (0.31, 1.7), (-0.5, 6.0)])
+    def test_one_delta_and_the_values_of_the_separate_series(self, re, im, monkeypatch):
+        tau = SiegelTau(re, im)
+        j, dl = j_invariant(tau), delta_tau(tau)
+        calls = []
+
+        def counted(z, normalization="ramanujan"):
+            calls.append(z)
+            return delta_on_upper_half_plane(z, normalization)
+
+        monkeypatch.setattr(modular, "delta_on_upper_half_plane", counted)
+        r_j, r_delta = check_classical_bounds(tau)
+        assert len(calls) == 1
+        assert (r_j.rhs, r_j.inputs["tail"]) == (abs(j.value), j.tail)
+        assert (r_delta.rhs, r_delta.inputs["tail"]) == (abs(dl.value), dl.tail)
+
     @pytest.mark.parametrize("re,im", [(0.0, 1.0), (0.5, math.sqrt(3.0) / 2.0)])
     def test_special_points(self, re, im):
         r_j, r_delta = check_classical_bounds(SiegelTau(re, im))

@@ -244,11 +244,12 @@ class TestLogProduct:
     @pytest.mark.parametrize("t", LOG_TAUS, ids=str)
     def test_matches_full_grid(self, t, m):
         tau = RiemannTau(1, [[t]])
-        assert abs(theta._product_log_mean(tau, m) - _grid_log_mean_g1(tau, m)) <= 1e-12
+        (got,) = theta._product_log_means(tau, m)
+        assert abs(got - _grid_log_mean_g1(tau, m)) <= 1e-12
 
     def test_thin_tau_grid_mean_matches_mpmath(self):
         # oracles.mp_log_grid_mean_g1(0.02j, 16) at 50 digits; the float grid sum is off by 2.4e-3
-        got = theta._product_log_mean(RiemannTau(1, [[0.02j]]), 16)
+        (got,) = theta._product_log_means(RiemannTau(1, [[0.02j]]), 16)
         assert abs(got - (-11.887544150530927)) <= 1e-10
 
     # at 1e-5j the product family has 636,621 terms, summed in blocks
@@ -256,6 +257,39 @@ class TestLogProduct:
     def test_thin_tau_log_integral_matches_eta(self, t):
         want = float(oracles.mp_log_integral_g1(t))
         assert abs(torus_log_integral(RiemannTau(1, [[t]]), 64) - want) <= 1e-6
+
+    # at 0.001i the families hold 6,368 + 13,056 + 13,568 terms: 20,000 puts the
+    # first two in one block, 4,099 and 1,000 cut inside each family
+    @pytest.mark.parametrize("block", [20000, 4099, 1000])
+    def test_block_boundaries_do_not_move_the_result(self, block, monkeypatch):
+        tau = RiemannTau(1, [[0.001j]])
+        whole = torus_log_integral(tau, 64)
+        monkeypatch.setattr(theta, "_BLOCK", block)
+        got = torus_log_integral(tau, 64)
+        assert abs(got - float(oracles.mp_log_integral_g1(0.001j))) <= 1e-6
+        assert abs(got - whole) <= 1e-12
+
+    def test_families_share_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = theta._log_abs_1p_exp
+
+        def counted(z):
+            calls.append(z.size)
+            return kernel(z)
+
+        monkeypatch.setattr(theta, "_log_abs_1p_exp", counted)
+        for t in LOG_TAUS:
+            calls.clear()
+            torus_log_integral(RiemannTau(1, [[t]]), 64)
+            assert len(calls) == 1 and calls[0] <= theta._BLOCK, t
+
+    def test_kernel_skips_only_terms_that_round_to_zero(self):
+        # the full formula at every entry, for a spread of Re z across -50
+        z = np.linspace(-80.0, 80.0, 4001) + 1j * np.linspace(-300.0, 300.0, 4001)
+        a = -np.abs(z.real)
+        mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag) ** 2
+        full = 0.5 * np.log(mod_sq) + np.maximum(z.real, 0.0)
+        assert np.array_equal(theta._log_abs_1p_exp(z), full)
 
     def test_g1_never_builds_the_grid(self, monkeypatch):
         def refuse(tau, m):
