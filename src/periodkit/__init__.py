@@ -16,7 +16,7 @@ from .lattice import (
 )
 from .modular import delta_tau, j_invariant
 from .serre import find_threshold
-from .theta import RiemannTau, TorusPoint, theta_from_F, torus_l2_norm, torus_log_integral
+from .theta import RiemannTau, torus_l2_norm, torus_log_integral
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "RiemannTau",
     "SiegelTau",
     "Subspace",
-    "TorusPoint",
     "UnimodularMap",
     "avoidance_minimum",
     "convert_height",
@@ -42,7 +41,6 @@ __all__ = [
     "rho_inverse_squared",
     "shortest_vector",
     "siegel_reduce",
-    "theta_from_F",
     "torus_l2_norm",
     "torus_log_integral",
     "__version__",

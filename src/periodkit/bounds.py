@@ -358,55 +358,8 @@ def structural_constants(g_max: int, eps_grid: int = 200, seed: int = 0) -> list
 
 
 # ---------------------------------------------------------------------------
-# Slopes and headline right-hand sides
+# Orthogonal splittings
 # ---------------------------------------------------------------------------
-
-def slope_formulas(h: float, h0: float, g: int) -> tuple[float, tuple[float, float]]:
-    """Tangent-bundle slope and the two maximal-slope upper bounds.
-
-    mu_hat = (-h - (1/2) log h0 + (g/2) log pi) / g. The principal bound
-    (g+1) h + 2 g^5 log 2 assumes h0 = 1; the general bound replaces h by
-    h + (1/2) log h0.
-    """
-    if h0 < 1:
-        raise ValueError("h0 must be >= 1")
-    mu_hat = (-h - 0.5 * math.log(h0) + (g / 2.0) * math.log(math.pi)) / g
-    principal = (g + 1.0) * h + 2.0 * g**5 * math.log(2.0)
-    general = (g + 1.0) * (h + 0.5 * math.log(h0)) + 2.0 * g**5 * math.log(2.0)
-    return mu_hat, (principal, general)
-
-
-def period_theorem_rhs(g: int, deg: float, height: float, D: float, which: str) -> float:
-    """Right-hand sides of the three headline period bounds.
-
-    which = "perint": 50 g^{2g+6} max(1, height, log deg) with height the
-    Faltings-normalized one. which = "thmintro": 195 g^{2g+9} D w max(1,
-    height, log(D w)) where the deg slot carries w = squared period norm.
-    which = "clef_upper": 23 g^{2g+6} x max(1, height, log deg) with
-    x = deg^{-1/g} and height in the working normalization.
-    """
-    if deg < 1 or D < 1:
-        raise ValueError("deg and D must be >= 1")
-    if which == "perint":
-        return 50.0 * g ** (2 * g + 6) * max(1.0, height, math.log(deg))
-    if which == "thmintro":
-        w = deg
-        return 195.0 * g ** (2 * g + 9) * D * w * max(1.0, height, math.log(D * w))
-    if which == "clef_upper":
-        x = deg ** (-1.0 / g)
-        return 23.0 * g ** (2 * g + 6) * x * max(1.0, height, math.log(deg))
-    raise ValueError(f"unknown selector {which!r}")
-
-
-def clef_g1_reduction_report(mean_rho_inv_sq: float, h: float, deg: float) -> BoundReport:
-    """Elliptic reduction of the key bound: mean_sigma rho^-2 <= 23 max(1, h, log deg)."""
-    return BoundReport(
-        "clef_g1_reduction",
-        mean_rho_inv_sq,
-        23.0 * max(1.0, h, math.log(deg)),
-        inputs={"h": h, "deg": deg},
-    )
-
 
 def orthogonal_split_degree_report(h0_B: float, h0_Bperp: float, h0_A: float) -> BoundReport:
     """Degree of the addition isogeny B x B_perp -> A: h0(B) h0(Bperp)/h0(A) <= h0(B)^2."""

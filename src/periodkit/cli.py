@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -142,6 +143,19 @@ def _embedding_pair(emb) -> tuple[float, float]:
     raise ValueError(f"embedding {emb!r} is neither {{tau_re, tau_im}} nor [re, im]")
 
 
+_DIGITS = re.compile(r"-?[0-9]+")
+
+
+def _integer(key: str, value, digits: bool = False) -> int:
+    """A JSON integer (not a bool), or with ``digits`` also a string of decimal digits."""
+    if type(value) is int:
+        return value
+    if digits and isinstance(value, str) and _DIGITS.fullmatch(value):
+        return int(value)
+    kind = "an integer or a string of decimal digits" if digits else "an integer"
+    raise ValueError(f"{key} = {value!r} is not {kind}")
+
+
 def _record_from_obj(obj: dict) -> CurveRecord:
     embeddings = []
     for emb in obj["embeddings"]:
@@ -160,10 +174,10 @@ def _record_from_obj(obj: dict) -> CurveRecord:
             embeddings.append(reduced)
     j = None
     if "j_num" in obj or "j_den" in obj:
-        j = (int(obj["j_num"]), int(obj.get("j_den", "1")))
+        j = (_integer("j_num", obj["j_num"], True), _integer("j_den", obj.get("j_den", 1), True))
     return CurveRecord(
         label=str(obj["label"]),
-        degree=int(obj["degree"]),
+        degree=_integer("degree", obj["degree"]),
         embeddings=tuple(embeddings),
         log_norm_minimal_discriminant=float(obj["log_norm_minimal_discriminant"]),
         j_rational=j,

@@ -199,15 +199,6 @@ def surface_bound_constants() -> list[BoundReport]:
     ]
 
 
-def pentedeux_bound(h_E1: float, delta: float, n: int) -> float:
-    """Slope ceiling h(E_1) + log(delta) + log(n/pi)/2."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return h_E1 + math.log(delta) + 0.5 * math.log(n / math.pi)
-
-
 def period_norm_identity(n: int, tau: SiegelTau) -> BoundReport:
     """Norm of the constructed period against the floor-indexed ceiling.
 

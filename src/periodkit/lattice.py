@@ -7,6 +7,7 @@ subspace, and exact index computations for integer matrices.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -77,10 +78,6 @@ class UnimodularMap:
             self.c * other.b + self.d * other.d,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
 
 @dataclass(frozen=True)
 class EllipticLattice:
@@ -93,6 +90,8 @@ class EllipticLattice:
     omega2: complex
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.omega1) and cmath.isfinite(self.omega2)):
+            raise ValueError("periods must be finite")
         if self.omega1 == 0:
             raise ValueError("omega1 must be nonzero")
         ratio = self.omega2 / self.omega1
@@ -380,11 +379,6 @@ def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
         if np.any(off):
             best = min(best, float(dists[off].min()))
     return best
-
-
-def conjugate_torus(torus: PolarizedTorus) -> PolarizedTorus:
-    """Entrywise complex conjugate of periods and form; an isometric twin."""
-    return PolarizedTorus(torus.g, torus.periods.conj(), torus.riemann_form.conj())
 
 
 def smith_index(m: Sequence[Sequence[int]]) -> tuple[int, bool]:

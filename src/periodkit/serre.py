@@ -22,15 +22,6 @@ class SerreThreshold:
             raise ValueError("threshold values do not bracket 1")
 
 
-def j_log_upper(p: float) -> float:
-    """2 pi sqrt(p) + 6 log p + 21 (log p)^2 / sqrt(p)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    sp = math.sqrt(p)
-    lp = math.log(p)
-    return 2.0 * math.pi * sp + 6.0 * lp + 21.0 * lp * lp / sp
-
-
 def H_of_p(p: float) -> float:
     """max(1000, pi sqrt(p)/6 + log p + 7 (log p)^2/(4 sqrt p) + 2.95)."""
     if p < 2:

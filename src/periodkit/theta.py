@@ -1,34 +1,30 @@
 """Gaussian-normalized theta sums on tori of dimension one and two.
 
 The central object is the weighted series F whose squared modulus integrates
-to 1 over the doubled torus; the classical theta function is recovered from F
-by an explicit exponential factor. Torus integrals use tensor midpoint grids
-with the half-step offset keeping theta zeros at cell corners.
+to 1 over the doubled torus. Torus integrals use tensor midpoint grids with
+the half-step offset keeping theta zeros at cell corners.
 
 F is a finite Fourier series in q, so the L2 norm skips the q-grid: by
 discrete Parseval the mean of |F|^2 over the m^g midpoint q-points is the
 sum of its squared coefficients, folded per axis by n mod m when
 2 box + 1 > m, which equals the midpoint grid sum exactly. That sum is
 reduced by numpy's pairwise summation rather than by BLAS, so it does not
-depend on the BLAS thread count. For g = 1 the log integral skips the grid
-too: the Jacobi triple product turns the mean of log|F| over the midpoint
-q-points into sums of log|1 + e^z| over three families of terms, one shared
-by both resolutions of the Richardson step and one per resolution, all
-evaluated in one pass. For g = 2, which has no such product, it is summed
-over the full m^2 x m^2 grid.
+depend on the BLAS thread count. The log integral, evaluated for g = 1
+only, skips the grid too: the Jacobi triple product turns the mean of log|F|
+over the midpoint q-points into sums of log|1 + e^z| over three families of
+terms, one shared by both resolutions of the Richardson step and one per
+resolution, all evaluated in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .bounds import BoundReport
 from .heights import CurveRecord, convert_height, faltings_height_silverman
-from .modular import SeriesValue
 
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 
@@ -70,137 +66,8 @@ def _min_eigenvalue(y: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(y).min())
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Coordinates (p, q) in [0,1)^g x [0,1)^g; the point is z = tau p + q."""
-
-    p: tuple
-    q: tuple
-
-    def __init__(self, p, q) -> None:
-        pv = tuple(float(x) for x in np.atleast_1d(p))
-        qv = tuple(float(x) for x in np.atleast_1d(q))
-        if len(pv) != len(qv):
-            raise ValueError("p and q must have equal length")
-        for x in pv + qv:
-            if not (0.0 <= x < 1.0):
-                raise ValueError("coordinates must lie in [0, 1)")
-        object.__setattr__(self, "p", pv)
-        object.__setattr__(self, "q", qv)
-
-
-@dataclass(frozen=True)
-class AppellHumbert:
-    """Hermitian form y^-1 with the standard semicharacter.
-
-    chi on the lattice point tau m + n is (-1)^(m . n); chi_signs records the
-    values on the mixed basis pairs.
-    """
-
-    H: np.ndarray
-    chi_signs: np.ndarray
-
-    def __init__(self, tau: RiemannTau) -> None:
-        H = np.linalg.inv(tau.y).astype(complex)
-        H.setflags(write=False)
-        signs = np.where(np.eye(tau.g, dtype=bool), -1, 1)
-        signs.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "chi_signs", signs)
-
-    def pair(self, w, z) -> complex:
-        """H(w, z), antilinear in w."""
-        return complex(np.conj(np.asarray(w)) @ self.H @ np.asarray(z))
-
-    def chi(self, m, n) -> float:
-        return -1.0 if int(np.dot(m, n)) % 2 else 1.0
-
-    def automorphy_factor(self, tau: RiemannTau, m, n, z) -> complex:
-        """chi(omega) exp(pi H(omega, z) + (pi/2) H(omega, omega)) for omega = tau m + n."""
-        omega = tau.matrix @ np.asarray(m, dtype=float) + np.asarray(n, dtype=float)
-        return complex(
-            self.chi(m, n)
-            * np.exp(math.pi * self.pair(omega, z) + (math.pi / 2.0) * self.pair(omega, omega))
-        )
-
-
 def default_truncation(tau: RiemannTau) -> int:
     return int(math.ceil(math.sqrt(TAIL_EXPONENT / (math.pi * tau.lambda_min)))) + 2
-
-
-def _gaussian_tail(tau: RiemannTau, box: int) -> float:
-    """Sum of |terms| with some |n_i| > box, for any p in [0,1)^g."""
-    lam = tau.lambda_min
-    r = math.exp(-math.pi * lam)
-    if r >= 1.0:
-        return math.inf
-    col = math.exp(-math.pi * lam * box * box) / (1.0 - r)
-    line = 3.0 + 2.0 * r / (1.0 - r)
-    scale = float(np.linalg.det(2.0 * tau.y)) ** 0.25
-    return scale * 2.0 * tau.g * line ** (tau.g - 1) * col
-
-
-def eval_F_raw(tau: RiemannTau, p, q, truncation: Optional[int] = None) -> SeriesValue:
-    """The weighted series at arbitrary real (p, q), with certified tail.
-
-    F = det(2y)^{1/4} sum over integer n of
-    exp(i pi (n+p)^T tau (n+p) + 2 i pi n^T q).
-    """
-    box = default_truncation(tau) if truncation is None else int(truncation)
-    if box < 1:
-        raise ValueError("truncation must be >= 1")
-    g = tau.g
-    pv = np.asarray(p, dtype=float).reshape(g)
-    qv = np.asarray(q, dtype=float).reshape(g)
-    axes = [np.arange(-box, box + 1)] * g
-    ns = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    w = ns + pv
-    quad = np.einsum("kj,ji,ki->k", w, tau.matrix, w)
-    phase = 1j * math.pi * quad + 2j * math.pi * (ns @ qv)
-    scale = float(np.linalg.det(2.0 * tau.y)) ** 0.25
-    value = scale * complex(np.exp(phase).sum())
-    return SeriesValue(value, _gaussian_tail(tau, box))
-
-
-def eval_F(tau: RiemannTau, pt: TorusPoint, truncation: Optional[int] = None) -> SeriesValue:
-    if len(pt.p) != tau.g:
-        raise ValueError("point dimension does not match tau")
-    return eval_F_raw(tau, pt.p, pt.q, truncation)
-
-
-def theta_from_F(tau: RiemannTau, pt: TorusPoint) -> complex:
-    """Classical theta value F(z) exp((pi/2) z^T y^-1 z - i pi p^T tau p).
-
-    The quadratic form in z is complex bilinear, not Hermitian; the modulus
-    identity |theta(z)| = |F(z)| exp((pi/2) H(z,z)) follows.
-    """
-    p = np.asarray(pt.p, dtype=float)
-    q = np.asarray(pt.q, dtype=float)
-    z = tau.matrix @ p + q
-    yinv = np.linalg.inv(tau.y)
-    expo = (math.pi / 2.0) * (z @ yinv @ z) - 1j * math.pi * (p @ tau.matrix @ p)
-    return complex(eval_F_raw(tau, p, q).value * np.exp(expo))
-
-
-def theta_at_z(tau: RiemannTau, z) -> complex:
-    """Theta at an arbitrary complex vector, via z = tau p + q with real p, q.
-
-    The series is summed at the fractional parts p - k and q - l, where its
-    tail bound holds, and F(p, q) = exp(-2 pi i k^T (q - l)) F(p - k, q - l)
-    for integer k, l. So z and z + tau m + n share one series value.
-    """
-    zv = np.asarray(z, dtype=complex).reshape(tau.g)
-    yinv = np.linalg.inv(tau.y)
-    p = yinv @ zv.imag
-    q = zv.real - tau.matrix.real @ p
-    k = np.floor(p)
-    q0 = q - np.floor(q)
-    expo = (
-        (math.pi / 2.0) * (zv @ yinv @ zv)
-        - 1j * math.pi * (p @ tau.matrix @ p)
-        - 2j * math.pi * (k @ q0)
-    )
-    return complex(eval_F_raw(tau, p - k, q0).value * np.exp(expo))
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +101,6 @@ def _coefficients(tau: RiemannTau, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
         A_blocks.append(np.exp(1j * math.pi * quad))
         del w, quad
     return ns, np.concatenate(A_blocks, axis=1), scale
-
-
-def _grid_log_mean(tau: RiemannTau, m: int) -> float:
-    """Mean of log|F| over the m^g x m^g midpoint grid (g = 2)."""
-    pts = _tensor_grid(tau.g, m)  # p and q share the grid
-    ns, A, scale = _coefficients(tau, pts)
-    sum_log = 0.0
-    for j0 in range(0, pts.shape[0], 512):
-        B = np.exp(2j * math.pi * (ns @ pts[j0 : j0 + 512].T))
-        mod = np.abs(scale * (A.T @ B))
-        sum_log += float(np.log(np.maximum(mod, 1e-300)).sum())
-    return sum_log / pts.shape[0] ** 2
 
 
 _BLOCK = 1 << 16  # entries per call of _log_abs_1p_exp in _sum_log_abs_1p_exp
@@ -381,14 +236,14 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
 
 
 def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
-    """Quadrature of log|F| over the doubled torus.
+    """Quadrature of log|F| over the doubled torus, for g = 1.
 
     The integrand has integrable log singularities along the theta divisor;
     the leading quadrature error from cells meeting it scales as the square
-    of the step, so the midpoint mean over the m^g x m^g grid is
+    of the step, so the midpoint mean over the m x m grid is
     Richardson-extrapolated from one internal resolution doubling.
 
-    For g = 1 the mean is evaluated without the grid. There
+    The mean is evaluated without the grid. There
     F(p, q) = (2y)^(1/4) e^(i pi p^2 tau) theta_3(p tau + q | tau), and with
     Q = e^(i pi tau) the Jacobi triple product gives
     theta_3(z | tau) = prod_n (1 - Q^2n)(1 + Q^(2n-1) e^(2 i pi z))(1 + Q^(2n-1) e^(-2 i pi z)).
@@ -400,14 +255,12 @@ def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) ->
     O(m^2 (2 box + 1)). The product family sum_n log|1 - Q^2n| does not depend
     on m, so both resolutions take it from one sum, and log|1 + e^z| is
     evaluated once over the terms of the product family and of the two q-mean
-    families together (see _product_log_means for the term counts). For g = 2
-    the grid is summed term by term.
+    families together (see _product_log_means for the term counts).
     """
+    if tau.g != 1:
+        raise ValueError("the log integral is evaluated for g = 1 only")
     m = _resolution(quadrature_points_per_axis)
-    if tau.g == 1:
-        coarse, fine = _product_log_means(tau, m, 2 * m)
-    else:
-        coarse, fine = _grid_log_mean(tau, m), _grid_log_mean(tau, 2 * m)
+    coarse, fine = _product_log_means(tau, m, 2 * m)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -183,11 +183,6 @@ def mp_log_integral_g1(tau, dps=30):
         return mp.log(2 * mp.im(t)) / 4 + log_eta_s - mp.log(abs(t)) / 2
 
 
-def mp_F2_diag(tau1, tau2, p, q, box=15, dps=30):
-    """g=2 diagonal tau: the sum factors into two g=1 sums."""
-    return mp_F1(tau1, p[0], q[0], box, dps) * mp_F1(tau2, p[1], q[1], box, dps)
-
-
 def scipy_l2_g1(tau, tol=1e-9):
     """Adaptive-quadrature value of the (p,q)-torus integral of |F|^2, g=1."""
     from scipy.integrate import dblquad
@@ -434,6 +429,15 @@ def scan_implicit_delta(D, H, factor=1 + 1e-6):
     return s * s
 
 
+def j_log_upper(p):
+    """2 pi sqrt(p) + 6 log p + 21 (log p)^2 / sqrt(p), the log|j| growth bound behind H(p)."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    sp = math.sqrt(p)
+    lp = math.log(p)
+    return 2.0 * math.pi * sp + 6.0 * lp + 21.0 * lp * lp / sp
+
+
 def mp_serre_f(p, dps=50):
     """f(p) for the split-Cartan threshold, recomputed at high precision."""
     with mp.workdps(dps):
@@ -540,12 +544,6 @@ def main():
 
     # j series sanity
     out["j_coeffs"] = j_series_coefficients(6)
-
-    # theta values
-    out["F_i_00"] = mp_F1(1j, 0, 0)
-    out["F_i_00_closed_form"] = 2 ** mp.mpf("0.25") * mp.pi ** mp.mpf("0.25") / mp.gamma(mp.mpf(3) / 4)
-    out["F_i_p03_q07"] = mp_F1(1j, mp.mpf("0.3"), mp.mpf("0.7"))
-    out["F_halfsqrt3_p02_q04"] = mp_F1(mp.mpc("0.5", str(mp.sqrt(3))), mp.mpf("0.2"), mp.mpf("0.4"))
 
     # torus integrals, independent adaptive quadrature
     out["scipy_l2_tau_i"] = scipy_l2_g1(1j, tol=1e-10)

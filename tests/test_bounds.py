@@ -12,15 +12,12 @@ from periodkit.bounds import (
     bisect_last,
     c1_of_g,
     c2_of_g,
-    clef_g1_reduction_report,
     matrix_lemma_report,
     orthogonal_split_degree_report,
-    period_theorem_rhs,
     prop_ell_caps,
     prop_ell_delta_max,
     prop_ell_solver,
     quadratic_root_bound,
-    slope_formulas,
     structural_constants,
 )
 
@@ -254,45 +251,6 @@ class TestStructuralConstants:
         assert c2_of_g(6) == pytest.approx(1.5)
         assert c1_of_g(1) > 0
         assert c1_of_g(500) > c1_of_g(6)
-
-
-class TestSlopeFormulas:
-    def test_trivial_h0_collapses_bounds(self):
-        _, (principal, general) = slope_formulas(1.0, 1.0, 2)
-        assert principal == general
-
-    def test_g2_values_match_direct_arithmetic(self):
-        mu_hat, (principal, general) = slope_formulas(1.0, 4.0, 2)
-        assert mu_hat == pytest.approx(
-            (-1.0 - 0.5 * math.log(4.0) + math.log(math.pi)) / 2.0
-        )
-        assert principal == pytest.approx(3.0 + 64.0 * math.log(2.0))
-        assert general == pytest.approx(3.0 * (1.0 + 0.5 * math.log(4.0)) + 64.0 * math.log(2.0))
-
-    def test_h0_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            slope_formulas(1.0, 0.5, 2)
-
-
-class TestHeadlineRhs:
-    def test_g2_unit_inputs(self):
-        assert period_theorem_rhs(2, 1.0, 1.0, 1.0, "perint") == pytest.approx(51200.0)
-
-    def test_intro_variant_scales_with_w(self):
-        got = period_theorem_rhs(2, 3.0, 1.0, 2.0, "thmintro")
-        assert got == pytest.approx(195.0 * 2**13 * 2.0 * 3.0 * math.log(6.0))
-
-    def test_clef_variant_uses_inverse_degree_root(self):
-        got = period_theorem_rhs(1, 4.0, 1.0, 1.0, "clef_upper")
-        assert got == pytest.approx(23.0 * 1.0 * 0.25 * math.log(4.0))
-
-    def test_g1_reduction_on_fixtures(self, bundled_records):
-        from periodkit.heights import convert_height, faltings_height_silverman
-
-        for rec in bundled_records:
-            h = convert_height(faltings_height_silverman(rec), "paper_h", 1).value
-            mean_inv_sq = sum(t.im for t in rec.embeddings) / rec.degree
-            assert clef_g1_reduction_report(mean_inv_sq, h, 1.0).satisfied
 
 
 class TestOrthogonalSplit:

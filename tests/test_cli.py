@@ -98,6 +98,34 @@ class TestStrictInput:
         assert [str(w.message).split(": skipped")[0] for w in caught] == [f"{path}:{n}" for n in (1, 2, 3)]
         assert not any("reduced" in str(w.message) for w in caught)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("degree", 1.9),
+            ("degree", True),
+            ("degree", "1"),
+            ("j_num", 2.7),
+            ("j_num", True),
+            ("j_num", "2.7"),
+            ("j_num", "1_000"),
+            ("j_den", 3.0),
+            ("j_den", " 3"),
+        ],
+    )
+    def test_non_integral_fields_are_skipped(self, tmp_path, key, value):
+        path = tmp_path / "nonint.jsonl"
+        path.write_text(json.dumps(dict(json.loads(VALID_LINE), **{key: value})) + "\n" + VALID_LINE + "\n")
+        with pytest.warns(UserWarning, match=f":1: skipped invalid record: {key} = "):
+            records = ingest_curves(str(path))
+        assert [r.label for r in records] == ["probe"]
+
+    def test_j_as_json_integers_or_signed_digit_strings(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(
+            VALID_LINE.replace('"50"', "50").replace('"3"', "3") + "\n" + VALID_LINE.replace('"50"', '"-50"') + "\n"
+        )
+        assert [r.j_rational for r in ingest_curves(str(path))] == [(50, 3), (-50, 3)]
+
     @pytest.mark.parametrize("content", ["", "\n\n", NON_FINITE_LINES])
     @pytest.mark.parametrize(
         "argv",
@@ -386,6 +414,14 @@ class TestExitCodes:
         assert captured.err == (
             "error: coefficient box holds 2000004066225 points, more than 250000000\n"
         )
+
+    @pytest.mark.parametrize("command", ["reduce", "rho", "delta"])
+    @pytest.mark.parametrize("re, im", [("nan", "1"), ("0", "nan"), ("inf", "1"), ("0", "inf")])
+    def test_non_finite_period_ratio_is_an_input_error(self, command, re, im, capsys):
+        assert main([command, re, im]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: periods must be finite\n"
 
     def test_theta_check_subcommand(self, capsys):
         assert main(["theta", "check", "--tau-im", "1.0"]) == 0

@@ -10,7 +10,6 @@ from periodkit.isogeny import (
     chain_checkpoints,
     explicit_bound,
     implicit_delta_solver,
-    pentedeux_bound,
     period_norm_identity,
     surface_bound_constants,
 )
@@ -156,32 +155,6 @@ class TestSurfaceConstants:
         assert by_name["surface_bracket_1_95"].lhs == pytest.approx(
             1.9480814215346486, rel=1e-10
         )
-
-
-class TestPentedeuxBound:
-    def test_unit_inputs(self):
-        got = pentedeux_bound(1.0, 2.0, 1)
-        assert got == pytest.approx(1.0 + math.log(2.0) - 0.5 * math.log(math.pi))
-
-    @given(
-        st.floats(-5, 5),
-        st.floats(1, 100),
-        st.integers(1, 100),
-        st.floats(0.01, 1.0),
-        st.floats(1.01, 2.0),
-    )
-    @settings(max_examples=60)
-    def test_monotone_in_each_argument(self, h, delta, n, dh, dmul):
-        base = pentedeux_bound(h, delta, n)
-        assert pentedeux_bound(h + dh, delta, n) > base
-        assert pentedeux_bound(h, delta * dmul, n) > base
-        assert pentedeux_bound(h, delta, n + 1) > base
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            pentedeux_bound(1.0, 0.5, 1)
-        with pytest.raises(ValueError):
-            pentedeux_bound(1.0, 1.0, 0)
 
 
 class TestPeriodNormCeiling:

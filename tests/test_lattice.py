@@ -17,7 +17,6 @@ from periodkit.lattice import (
     UnimodularMap,
     _grid_chunks,
     avoidance_minimum,
-    conjugate_torus,
     rho_inverse_squared,
     shortest_vector,
     siegel_reduce,
@@ -33,6 +32,11 @@ reduced_taus = st.builds(
 
 def g1_torus(tau: complex) -> PolarizedTorus:
     return PolarizedTorus(1, [[1.0, tau]], [[1.0 / tau.imag]])
+
+
+def conjugate_torus(torus: PolarizedTorus) -> PolarizedTorus:
+    """Entrywise complex conjugate of periods and form; an isometric twin."""
+    return PolarizedTorus(torus.g, torus.periods.conj(), torus.riemann_form.conj())
 
 
 class TestSiegelReduce:
@@ -54,7 +58,7 @@ class TestSiegelReduce:
     @settings(max_examples=60, deadline=None)
     def test_idempotent_on_reduced_input(self, tau):
         t, m = siegel_reduce(EllipticLattice(1.0, tau.value))
-        assert m.is_identity
+        assert (m.a, m.b, m.c, m.d) == (1, 0, 0, 1)
         assert abs(t.value - tau.value) < 1e-12
 
     @given(reduced_taus, st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))

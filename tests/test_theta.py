@@ -1,10 +1,7 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import oracles
 from periodkit import theta
@@ -12,15 +9,9 @@ from periodkit.cli import default_fixture_path, ingest_curves
 from periodkit.heights import CurveRecord
 from periodkit.lattice import SiegelTau
 from periodkit.theta import (
-    AppellHumbert,
     RiemannTau,
-    TorusPoint,
     bost_inequality_check,
     default_truncation,
-    eval_F,
-    eval_F_raw,
-    theta_at_z,
-    theta_from_F,
     torus_l2_norm,
     torus_log_integral,
 )
@@ -28,8 +19,6 @@ from periodkit.theta import (
 TAU_I = RiemannTau(1, [[1j]])
 TAU_CORNER = RiemannTau(1, [[0.5 + 1j * math.sqrt(3.0)]])
 TAU_G2 = RiemannTau(2, [[1j, 0.0], [0.0, 2j]])
-
-unit_coords = st.floats(0.0, 0.999)
 
 
 class TestRiemannTau:
@@ -50,91 +39,6 @@ class TestRiemannTau:
     def test_g1_lambda_min_equals_eigvalsh(self, y):
         tau = RiemannTau(1, [[0.3 + 1j * y]])
         assert tau.lambda_min == float(np.linalg.eigvalsh(np.array([[y]])).min()) == y
-
-
-class TestSeriesEvaluation:
-    def test_central_value_at_i(self):
-        got = eval_F(TAU_I, TorusPoint([0.0], [0.0]))
-        want = oracles.mp_F1(1j, 0.0, 0.0)
-        assert got.value.real == pytest.approx(1.2919960074815039, rel=1e-14)
-        assert abs(got.value - complex(want)) < 1e-14
-        assert abs(got.value.imag) < 1e-15
-
-    def test_generic_point_at_i(self):
-        got = eval_F(TAU_I, TorusPoint([0.3], [0.7]))
-        assert got.value.real == pytest.approx(0.81556328197122999, rel=1e-13)
-        assert got.value.imag == pytest.approx(0.23694303677706712, rel=1e-13)
-
-    def test_generic_point_off_axis_tau(self):
-        got = eval_F(RiemannTau(1, [[0.5 + 1j * math.sqrt(3.0)]]), TorusPoint([0.2], [0.4]))
-        assert got.value.real == pytest.approx(1.0979158660815058, rel=1e-13)
-        assert got.value.imag == pytest.approx(0.026526979244167541, rel=1e-12)
-
-    def test_g2_diagonal_factors(self):
-        got = eval_F(TAU_G2, TorusPoint([0.3, 0.1], [0.7, 0.25]))
-        want = oracles.mp_F2_diag(1j, 2j, (0.3, 0.1), (0.7, 0.25))
-        assert got.value.real == pytest.approx(1.0850388571605529, rel=1e-13)
-        assert got.value.imag == pytest.approx(0.30815038740406078, rel=1e-13)
-        assert abs(got.value - complex(want)) < 1e-13
-
-    @given(unit_coords, unit_coords)
-    @settings(max_examples=30, deadline=None)
-    def test_reported_tail_dominates_truncation_change(self, p, q):
-        base = default_truncation(TAU_I)
-        coarse = eval_F_raw(TAU_I, [p], [q], truncation=base)
-        fine = eval_F_raw(TAU_I, [p], [q], truncation=2 * base)
-        assert abs(coarse.value - fine.value) <= coarse.tail + 1e-16
-        assert coarse.tail < 1e-12
-
-
-class TestThetaFunction:
-    def test_theta_equals_F_at_origin(self):
-        pt = TorusPoint([0.0], [0.0])
-        assert theta_from_F(TAU_I, pt) == pytest.approx(
-            complex(eval_F(TAU_I, pt).value), abs=1e-15
-        )
-
-    @given(unit_coords, unit_coords)
-    @settings(max_examples=40, deadline=None)
-    def test_modulus_identity(self, p, q):
-        # |theta(z)| = |F(p, q)| exp((pi/2) H(z, z)) for z = tau p + q
-        pt = TorusPoint([p], [q])
-        tau = complex(TAU_CORNER.matrix[0, 0])
-        z = tau * p + q
-        ah = AppellHumbert(TAU_CORNER)
-        lhs = abs(theta_from_F(TAU_CORNER, pt))
-        rhs = abs(eval_F(TAU_CORNER, pt).value) * math.exp(
-            (math.pi / 2.0) * ah.pair([z], [z]).real
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    @given(unit_coords, unit_coords, st.integers(-2, 2), st.integers(-2, 2))
-    @example(0.5, 0.5, 2, 0)  # the zero of theta, carried two periods out
-    @settings(max_examples=40, deadline=None)
-    def test_functional_equation(self, p, q, m, n):
-        tau = complex(TAU_CORNER.matrix[0, 0])
-        z = tau * p + q
-        omega = tau * m + n
-        ah = AppellHumbert(TAU_CORNER)
-        lhs = theta_at_z(TAU_CORNER, [z + omega])
-        rhs = ah.automorphy_factor(TAU_CORNER, [m], [n], [z]) * theta_at_z(
-            TAU_CORNER, [z]
-        )
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-
-    def test_cauchy_riemann_residual(self):
-        rng = np.random.default_rng(17)
-        h = 1e-5
-        tau = complex(TAU_CORNER.matrix[0, 0])
-        for _ in range(8):
-            z = tau * rng.uniform(0.1, 0.9) + rng.uniform(0.1, 0.9)
-            fx = (theta_at_z(TAU_CORNER, [z + h]) - theta_at_z(TAU_CORNER, [z - h])) / (
-                2 * h
-            )
-            fy = (
-                theta_at_z(TAU_CORNER, [z + 1j * h]) - theta_at_z(TAU_CORNER, [z - 1j * h])
-            ) / (2 * h)
-            assert abs(fx + 1j * fy) < 1e-6 * max(1.0, abs(fx))
 
 
 class TestTorusIntegrals:
@@ -165,9 +69,10 @@ class TestTorusIntegrals:
             assert abs(torus_l2_norm(rt, 64) - torus_l2_norm(rt, 128)) < cap
             assert abs(torus_log_integral(rt, 64) - torus_log_integral(rt, 128)) < cap
         assert abs(torus_l2_norm(TAU_G2, 16) - torus_l2_norm(TAU_G2, 32)) < 1e-4
-        assert (
-            abs(torus_log_integral(TAU_G2, 16) - torus_log_integral(TAU_G2, 32)) < 1e-4
-        )
+
+    def test_log_integral_rejects_g2(self):
+        with pytest.raises(ValueError, match="g = 1 only"):
+            torus_log_integral(TAU_G2, 16)
 
 
 def _grid_l2_mean(tau: RiemannTau, m: int) -> float:
@@ -290,13 +195,6 @@ class TestLogProduct:
         mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag) ** 2
         full = 0.5 * np.log(mod_sq) + np.maximum(z.real, 0.0)
         assert np.array_equal(theta._log_abs_1p_exp(z), full)
-
-    def test_g1_never_builds_the_grid(self, monkeypatch):
-        def refuse(tau, m):
-            raise AssertionError("grid built for g=1")
-
-        monkeypatch.setattr(theta, "_grid_log_mean", refuse)
-        assert torus_log_integral(TAU_I, 64) == pytest.approx(-0.090385275108931573, abs=1e-8)
 
 
 class TestBostInequality:
