@@ -134,13 +134,20 @@ def default_fixture_path() -> str:
     return str(resources.files("periodkit").joinpath("fixtures/curves.jsonl"))
 
 
+def _number(key: str, value) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"{key} = {value!r} is not a number")
+
+
 def _embedding_pair(emb) -> tuple[float, float]:
     """(re, im) from either documented form: {"tau_re": re, "tau_im": im} or [re, im]."""
     if isinstance(emb, dict):
-        return float(emb["tau_re"]), float(emb["tau_im"])
-    if isinstance(emb, list) and len(emb) == 2:
-        return float(emb[0]), float(emb[1])
-    raise ValueError(f"embedding {emb!r} is neither {{tau_re, tau_im}} nor [re, im]")
+        emb = [emb["tau_re"], emb["tau_im"]]
+    elif not (isinstance(emb, list) and len(emb) == 2):
+        raise ValueError(f"embedding {emb!r} is neither {{tau_re, tau_im}} nor [re, im]")
+    return _number("tau_re", emb[0]), _number("tau_im", emb[1])
 
 
 _DIGITS = re.compile(r"-?[0-9]+")
@@ -179,7 +186,9 @@ def _record_from_obj(obj: dict) -> CurveRecord:
         label=str(obj["label"]),
         degree=_integer("degree", obj["degree"]),
         embeddings=tuple(embeddings),
-        log_norm_minimal_discriminant=float(obj["log_norm_minimal_discriminant"]),
+        log_norm_minimal_discriminant=_number(
+            "log_norm_minimal_discriminant", obj["log_norm_minimal_discriminant"]
+        ),
         j_rational=j,
     )
 
@@ -194,7 +203,7 @@ def ingest_curves(path: str) -> list[CurveRecord]:
                 continue
             try:
                 records.append(_record_from_obj(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipped invalid record: {exc}", stacklevel=2)
     return records
 
@@ -505,7 +514,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"rho/sqrt(2) = {rho / math.sqrt(2.0):.17g}")
             return 0
         if args.command == "theta":
-            rt = theta.RiemannTau(1, [[complex(args.tau_re, args.tau_im)]])
+            # both integrals depend only on the torus, so tau is reduced first
+            t, _ = siegel_reduce(EllipticLattice(1.0, complex(args.tau_re, args.tau_im)))
+            rt = theta.RiemannTau(1, [[t.value]])
             l2 = theta.torus_l2_norm(rt, args.quad_points)
             li = theta.torus_log_integral(rt, args.quad_points)
             print(f"l2 integral  = {l2:.12g} (expect 1)")

@@ -2,7 +2,10 @@
 
 Reduction of elliptic period lattices to the standard fundamental domain,
 shortest vectors under a positive Hermitian form, minima avoiding a complex
-subspace, and exact index computations for integer matrices.
+subspace, and exact index computations for integer matrices. The minimum
+avoiding a line is the shortest vector of the lattice projected onto the
+line's orthogonal complement, a rank-2 lattice in the plane that
+Lagrange-Gauss reduction solves exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ DEFAULT_TOL = 1e-9
 _BOUNDARY_EPS = 1e-12
 # Largest coefficient box enumerated: about a minute at ~5e6 points per second.
 MAX_GRID_POINTS = 250_000_000
+CHUNK_ROWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -160,18 +164,10 @@ class PolarizedTorus:
     def __setattr__(self, name, value):
         raise AttributeError("PolarizedTorus is immutable")
 
-    def norm_sq(self, z) -> float:
-        """H(z, z) for a complex g-vector z."""
-        v = np.asarray(z, dtype=complex).reshape(self.g)
-        return float((v.conj() @ self.riemann_form @ v).real)
-
     def gram(self) -> np.ndarray:
         """Real 2g x 2g Gram matrix of the period columns under the form."""
         G = self.periods.conj().T @ self.riemann_form @ self.periods
         return np.ascontiguousarray(G.real)
-
-    def lattice_point(self, coeffs: Sequence[int]) -> np.ndarray:
-        return self.periods @ np.asarray(coeffs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -257,15 +253,12 @@ def _box_bounds(gram: np.ndarray, radius_sq: float) -> list[int]:
     return [int(math.floor(math.sqrt(max(radius_sq, 0.0) * d) + 1e-9)) for d in inv_diag]
 
 
-def _grid_chunks(bounds: Sequence[int], chunk_rows: int = 200_000):
-    """Integer coefficient grid [-b_i, b_i]^k, yielded as (rows, k) arrays."""
+def _grid_chunks(bounds: Sequence[int]):
+    """Integer coefficient grid [-b_i, b_i]^k for k >= 2, yielded as (rows, k) arrays."""
     points = math.prod(2 * b + 1 for b in bounds)
     if points > MAX_GRID_POINTS:
         raise ValueError(f"coefficient box holds {points} points, more than {MAX_GRID_POINTS}")
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    if len(axes) == 1:
-        yield axes[0].reshape(-1, 1)
-        return
     tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, len(axes) - 1)
     buf: list[np.ndarray] = []
     rows = 0
@@ -273,7 +266,7 @@ def _grid_chunks(bounds: Sequence[int], chunk_rows: int = 200_000):
         block = np.hstack([np.full((tail.shape[0], 1), n0, dtype=np.int64), tail])
         buf.append(block)
         rows += block.shape[0]
-        if rows >= chunk_rows:
+        if rows >= CHUNK_ROWS:
             yield np.vstack(buf)
             buf, rows = [], 0
     if buf:
@@ -301,63 +294,37 @@ def shortest_vector(torus: PolarizedTorus) -> tuple[tuple[int, ...], float]:
     return best, math.sqrt(best_sq)
 
 
-def _line_distances(torus: PolarizedTorus, v: np.ndarray, N: np.ndarray):
-    """Norms and line-distances for a block of coefficient rows.
-
-    Returns (norms, dists) where dists are H-distances to the line C v.
-    """
-    H = torus.riemann_form
-    W = torus.periods @ N.T.astype(float)  # g x K points
-    norms_sq = np.einsum("ik,ij,jk->k", W.conj(), H, W).real
-    hv = float((v.conj() @ H @ v).real)
-    proj = v.conj() @ H @ W
-    # residual form: stable near zero, unlike the Pythagorean subtraction
-    R = W - np.outer(v, proj / hv)
-    dist_sq = np.einsum("ik,ij,jk->k", R.conj(), H, R).real
-    return np.sqrt(np.maximum(norms_sq, 0.0)), np.sqrt(np.maximum(dist_sq, 0.0))
+def _cross(a: complex, b: complex) -> float:
+    """Signed area of the parallelogram on a and b, viewed in R^2."""
+    return (a.conjugate() * b).imag
 
 
-def _sublattice_in_line(torus: PolarizedTorus, v: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """Two independent lattice points on the line C v, plus an off-line distance.
-
-    Expands the coefficient search box until the intersection sublattice shows
-    rank 2; also returns the smallest observed distance among off-line points,
-    which upper-bounds the avoidance minimum.
-    """
-    for bound in (2, 4, 8, 16, 32):
-        off_line_best = math.inf
-        in_line: list[tuple[float, np.ndarray]] = []
-        for N in _grid_chunks([bound] * (2 * torus.g)):
-            N = N[np.any(N != 0, axis=1)]
-            norms, dists = _line_distances(torus, v, N)
-            member = dists < DEFAULT_TOL * np.maximum(1.0, norms)
-            if np.any(~member):
-                off_line_best = min(off_line_best, float(dists[~member].min()))
-            for k in np.flatnonzero(member):
-                in_line.append((float(norms[k]), torus.lattice_point(N[k])))
-        in_line.sort(key=lambda t: t[0])
-        basis: list[np.ndarray] = []
-        for _, w in in_line:
-            if not basis:
-                basis.append(w)
-            else:
-                # reject w real-collinear with the first generator
-                coeff = (basis[0].conj() @ w) / (basis[0].conj() @ basis[0])
-                if abs(coeff.imag) > 1e-12 or not np.allclose(coeff.real * basis[0], w, atol=1e-9):
-                    basis.append(w)
-            if len(basis) == 2:
-                return basis, off_line_best
-    raise ValueError("subspace does not intersect the lattice in a rank-2 subgroup")
+def _gauss_reduce(a: complex, b: complex) -> tuple[complex, complex]:
+    """Lagrange-Gauss reduction of an R-independent pair: a is a shortest vector of Z a + Z b."""
+    if abs(a) > abs(b):
+        a, b = b, a
+    while True:
+        b -= round((b / a).real) * a
+        if abs(b) >= abs(a):
+            return a, b
+        a, b = b, a
 
 
 def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
     """Minimal H-distance to the subspace among lattice points off the subspace.
 
-    For the zero subspace this is the shortest-vector norm. For a line inside
-    a two-dimensional torus the search radius is certified: a minimizer can be
-    translated by the intersection sublattice so that its norm is at most
-    sqrt(mu^2 + d^2), where mu bounds the covering radius of the intersection
-    sublattice inside the line and d is any witnessed off-line distance.
+    For the zero subspace this is the shortest-vector norm. For a line C v in
+    a two-dimensional torus it is the shortest nonzero vector of the lattice
+    projected onto the H-orthogonal complement of v: with u*Hv = 0 and
+    u*Hu = 1, the period P e_k has coordinate c_k = u*H P e_k there, and |c_k|
+    is its distance to the line. The c_k are folded into a Gauss-reduced pair
+    (a, b): a residue of at most DEFAULT_TOL times the longest period lies on
+    the line; any other residue has coordinates in [-1/2, 1/2] in (a, b),
+    replaces a basis vector and so at least halves the covolume. When the
+    line meets the lattice in rank 2 the projection is a lattice and the fold
+    ends with |a| as the minimum. Otherwise the projection is dense, and the
+    fold raises once the covolume falls below DEFAULT_TOL times its start,
+    after at most 30 replacements.
     """
     if sub.ambient_g != torus.g:
         raise ValueError("subspace ambient dimension does not match torus")
@@ -365,20 +332,33 @@ def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
         return shortest_vector(torus)[1]
     if sub.dim >= torus.g:
         raise ValueError("subspace must be proper")
-    v = sub.basis[0]
-    basis, delta_ub = _sublattice_in_line(torus, v)
-    if not math.isfinite(delta_ub):
-        raise ValueError("no lattice point off the subspace in the search range")
-    mu = 0.5 * (math.sqrt(torus.norm_sq(basis[0])) + math.sqrt(torus.norm_sq(basis[1])))
-    radius_sq = mu * mu + delta_ub * delta_ub
-    best = delta_ub
-    for N in _grid_chunks(_box_bounds(torus.gram(), radius_sq * (1.0 + 1e-9))):
-        N = N[np.any(N != 0, axis=1)]
-        norms, dists = _line_distances(torus, v, N)
-        off = dists >= DEFAULT_TOL * np.maximum(1.0, norms)
-        if np.any(off):
-            best = min(best, float(dists[off].min()))
-    return best
+    H = torus.riemann_form
+    h = H @ sub.basis[0]
+    w = np.array([h[1], -h[0]])  # conj(u), unnormalised
+    coords = [complex(c) for c in (w @ H @ torus.periods) / math.sqrt((w @ H @ w.conj()).real)]
+    zero = DEFAULT_TOL * math.sqrt(torus.gram().diagonal().max())
+    a = max(coords, key=abs)
+    a, b = _gauss_reduce(a, max(coords, key=lambda c: abs(_cross(a, c))))
+    covol = abs(_cross(a, b))
+    # shortest first, so the basis carries the rounding of short vectors
+    pending = sorted(coords, key=abs, reverse=True)
+    while pending:
+        g = pending.pop()
+        det = _cross(a, b)
+        x, y = _cross(g, b) / det, _cross(a, g) / det
+        r = g - round(x) * a - round(y) * b
+        if abs(r) <= zero:
+            continue
+        if abs(x - round(x)) >= abs(y - round(y)):
+            pending.append(a)
+            a = r
+        else:
+            pending.append(b)
+            b = r
+        a, b = _gauss_reduce(a, b)
+        if abs(_cross(a, b)) < DEFAULT_TOL * covol:
+            raise ValueError("subspace does not intersect the lattice in a rank-2 subgroup")
+    return abs(a)
 
 
 def smith_index(m: Sequence[Sequence[int]]) -> tuple[int, bool]:

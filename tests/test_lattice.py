@@ -1,14 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.lattice import (
+    CHUNK_ROWS,
     MAX_GRID_POINTS,
     EllipticLattice,
     PolarizedTorus,
@@ -32,6 +34,15 @@ reduced_taus = st.builds(
 
 def g1_torus(tau: complex) -> PolarizedTorus:
     return PolarizedTorus(1, [[1.0, tau]], [[1.0 / tau.imag]])
+
+
+def random_unimodular(rng: np.random.Generator) -> np.ndarray:
+    """4x4 integer matrix of determinant +-1: eight elementary column moves, then a permutation."""
+    U = np.eye(4, dtype=np.int64)
+    for _ in range(8):
+        i, j = rng.choice(4, 2, replace=False)
+        U[:, i] += int(rng.integers(-2, 3)) * U[:, j]
+    return U[:, rng.permutation(4)]
 
 
 def conjugate_torus(torus: PolarizedTorus) -> PolarizedTorus:
@@ -219,18 +230,48 @@ class TestAvoidanceMinimum:
         )
 
     def test_oversized_box_is_refused_before_enumeration(self):
-        # Im tau = 1e6 asks for a 1414215 x 1 x 1414215 x 1 box
+        # 1414215 x 1 x 1414215 x 1 coefficients
         with pytest.raises(ValueError, match="holds 2000004066225 points"):
             next(_grid_chunks([707107, 0, 707107, 0]))
-        torus = product_torus(1e6j)
-        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS}"):
-            avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+        d = avoidance_minimum(product_torus(1e6j), Subspace(2, [[1.0, 1.0]]))
+        assert d == pytest.approx(1.0 / math.sqrt(2e6), rel=1e-15)
 
     def test_box_at_the_limit_is_enumerated(self):
         side = 2 * 7905 + 1  # side**2 = 249,948,961 points
         assert side * side <= MAX_GRID_POINTS < (side + 2) ** 2
-        first = next(_grid_chunks([7905, 7905], chunk_rows=1))
-        assert first.shape == (side, 2)
+        first = next(_grid_chunks([7905, 7905]))
+        rows = -(-CHUNK_ROWS // side) * side  # whole rows of the first axis
+        assert first.shape == (rows, 2)
+        assert first[0].tolist() == [-7905, -7905] and first[-1, 1] == 7905
+
+    def test_invariant_under_a_change_of_lattice_basis(self):
+        # skewed bases: the search boxes of draws 5 (k = 2) and 14 (k = 1) exceed MAX_GRID_POINTS
+        rng = np.random.default_rng(1)
+        for _ in range(16):
+            tau = random_reduced_tau(rng).value
+            base = product_torus(tau)
+            torus = PolarizedTorus(2, base.periods @ random_unimodular(rng), base.riemann_form)
+            for k in (1, 2):
+                d = avoidance_minimum(torus, Subspace(2, [[1.0, float(k)]]))
+                assert d == pytest.approx(1.0 / math.sqrt((1 + k * k) * tau.imag), rel=1e-12)
+
+    @given(st.floats(-0.5, 0.5), st.floats(math.log(math.sqrt(3.0) / 2.0), math.log(1e6)))
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_identity_up_to_im_1e6(self, re, log_im):
+        im = math.exp(log_im)
+        assume(re * re + im * im >= 1.0)
+        tau = SiegelTau(re, im)
+        d = avoidance_minimum(product_torus(tau.value), Subspace(2, [[1.0, 1.0]]))
+        rho = 1.0 / math.sqrt(rho_inverse_squared(tau))
+        assert d == pytest.approx(rho / math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [1j, complex(0.3, 1.2), 2.5j])
+    def test_irrational_line_is_refused(self, tau):
+        # the line (1, sqrt 2) meets the lattice only in 0, so its projection is dense
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="does not intersect the lattice in a rank-2 subgroup"):
+            avoidance_minimum(product_torus(tau), Subspace(2, [[1.0, math.sqrt(2.0)]]))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPolarizedTorusValidation:
