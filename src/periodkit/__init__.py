@@ -14,7 +14,7 @@ from .lattice import (
     shortest_vector,
     siegel_reduce,
 )
-from .modular import delta_tau, j_invariant
+from .modular import j_invariant
 from .serre import find_threshold
 from .theta import RiemannTau, torus_l2_norm, torus_log_integral
 
@@ -34,7 +34,6 @@ __all__ = [
     "UnimodularMap",
     "avoidance_minimum",
     "convert_height",
-    "delta_tau",
     "faltings_height_silverman",
     "find_threshold",
     "j_invariant",

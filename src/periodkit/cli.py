@@ -519,7 +519,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rt = theta.RiemannTau(1, [[t.value]])
             l2 = theta.torus_l2_norm(rt, args.quad_points)
             li = theta.torus_log_integral(rt, args.quad_points)
-            print(f"l2 integral  = {l2:.12g} (expect 1)")
+            # the even midpoint grid gives 1 + 2 sum_k (-1)^k e^{-pi k^2 m^2 / (2 Im tau)}
+            m = theta._resolution(args.quad_points)
+            alias = 2.0 * math.exp(-math.pi * m * m / (2.0 * t.im))
+            print(f"l2 integral  = {l2:.12g} (expect 1; aliasing "
+                  f"2 e^(-pi m^2 / 2 Im tau) = {alias:.3g} at m = {m})")
             print(f"log integral = {li:.12g} (expect <= 0)")
             return 0 if abs(l2 - 1.0) < 1e-5 and li <= 1e-9 else 1
         if args.command == "height":

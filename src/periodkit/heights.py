@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .bounds import BoundReport
 from .lattice import SiegelTau
-from .modular import delta_tau
+from .modular import delta_on_upper_half_plane
 
 CONVENTIONS = ("faltings_original", "paper_h", "colmez")
 
@@ -108,12 +108,13 @@ def faltings_height_silverman(record: CurveRecord) -> HeightValue:
 
     h = (1/(12 D)) [ log|N(min disc)| - sum over embeddings of
     log(|Delta(tau)| Im(tau)^6) ], with Delta carrying the (2 pi)^12 factor
-    so the result lands in the original normalization.
+    so the result lands in the original normalization: 12 D log 2 pi is added
+    once to the sum of log|Delta| + 6 log Im(tau), which never underflows.
     """
     total = 0.0
     for t in record.embeddings:
-        dl = delta_tau(t, normalization="two_pi_12")
-        total += math.log(abs(dl.value) * t.im**6)
+        total += delta_on_upper_half_plane(t.value).value.real + 6.0 * math.log(t.im)
+    total += 12.0 * record.degree * math.log(2.0 * math.pi)
     value = (record.log_norm_minimal_discriminant - total) / (12.0 * record.degree)
     return HeightValue(value, "faltings_original")
 

@@ -1,17 +1,11 @@
-"""q-expansions of the discriminant form and the j-function.
+"""q-expansions of the discriminant form and the j-function, with certified tails.
 
-Evaluation is by truncated q-series with certified geometric tail bounds; the
-classical lower bounds for |j| and |Delta| on the fundamental domain are
-exposed as verdict reports.
-
-The Delta product stops at the first order whose relative tail bound is at
-most 2^-70, far below the 2^-53 rounding of a double. If the absolute tail
-then misses ``TAIL_TOLERANCE`` it runs on to ``ORDER`` factors, and raises
-``InsufficientTruncationError`` if the tail still misses it there. On the
-fundamental domain |q| <= e^{-pi sqrt 3} ~ 0.0043 and |Delta| (2 pi)^12 <=
-1.8e7, so at most nine factors are multiplied and the first pass always
-meets the tolerance. The E4 series always runs to ``ORDER``, from a
-divisor-sum table built once.
+Delta is only formed through log Delta = 2 pi i z + 24 sum_{n<=N} log(1 - q^n),
+so |Delta| ~ e^{-2 pi y} never underflows. N is the first order whose log tail
+24 |q|^{N+1} / (1 - |q|)^2 is at most 2^-70, far below double rounding: N <= 9
+on the fundamental domain, where |q| <= e^{-pi sqrt 3}. ``ORDER`` only caps N off
+it, and ``InsufficientTruncationError`` is raised where 64 terms miss 2^-70.
+The E4 series always runs to ``ORDER``, from a divisor-sum table built once.
 """
 
 from __future__ import annotations
@@ -26,17 +20,14 @@ from .lattice import SiegelTau
 
 ZETA3 = 1.2020569031595942854
 _Y_MIN = math.sqrt(3.0) / 2.0
-# Relative Delta tail at which the product stops. At 2^-60 some values
-# already move by one ulp against the full-order product.
+# Log tail at which the Delta sum stops, 2^-17 below the rounding of a double.
 _STOP_TAIL = 2.0**-70
-# Cap on the Delta product and length of the E4 series.
+# Cap on the Delta sum and length of the E4 series.
 ORDER = 64
-# Largest absolute Delta tail accepted, in the normalization asked for.
-TAIL_TOLERANCE = 1e-12
 
 
 class InsufficientTruncationError(ValueError):
-    """Raised when the certified tail at ``ORDER`` exceeds ``TAIL_TOLERANCE``."""
+    """Raised when ``ORDER`` factors leave a log Delta tail above 2^-70."""
 
 
 class SeriesValue(NamedTuple):
@@ -44,16 +35,15 @@ class SeriesValue(NamedTuple):
     tail: float
 
 
-def _delta_product_tail(abs_q: float, order: int) -> float:
-    # |prod_{n>N} (1-q^n)^24 - 1| <= expm1(24 |q|^{N+1} / (1-|q|)^2)
+def _log_tail(abs_q: float, order: int) -> float:
+    # |sum_{n>N} log(1-q^n)| <= sum_{n>N} |q|^n / (1-|q|^n) <= |q|^{N+1} / (1-|q|)^2
     if abs_q >= 1.0:
         return math.inf
-    s = 24.0 * abs_q ** (order + 1) / (1.0 - abs_q) ** 2
-    return math.expm1(s) if s < 700 else math.inf
+    return 24.0 * abs_q ** (order + 1) / (1.0 - abs_q) ** 2
 
 
 def _stop_order(abs_q: float) -> int:
-    """First order n <= ORDER with relative product tail <= 2^-70, else ORDER."""
+    """First order n <= ORDER with log tail <= 2^-70, else ORDER."""
     if abs_q == 0.0:
         return 1
     if not abs_q < 1.0:
@@ -61,57 +51,41 @@ def _stop_order(abs_q: float) -> int:
     # solve 24 |q|^(n+1) / (1-|q|)^2 = 2^-70, then correct the rounding
     n = math.ceil(math.log(_STOP_TAIL * (1.0 - abs_q) ** 2 / 24.0) / math.log(abs_q)) - 1
     n = min(max(n, 1), ORDER)
-    while n > 1 and _delta_product_tail(abs_q, n - 1) <= _STOP_TAIL:
+    while n > 1 and _log_tail(abs_q, n - 1) <= _STOP_TAIL:
         n -= 1
-    while n < ORDER and _delta_product_tail(abs_q, n) > _STOP_TAIL:
+    while n < ORDER and _log_tail(abs_q, n) > _STOP_TAIL:
         n += 1
     return n
 
 
-def delta_on_upper_half_plane(z: complex, normalization: str = "ramanujan") -> SeriesValue:
-    """Discriminant q-series at any point of the upper half-plane.
+def _log_delta_over_q(q: complex) -> SeriesValue:
+    """log(Delta/q) = 24 sum_{n<=N} log(1 - q^n), N = _stop_order(|q|), and its tail.
 
-    normalization "ramanujan" gives q prod (1-q^n)^24; "two_pi_12" multiplies
-    by (2 pi)^12. The tail field certifies |returned - true| <= tail for the
-    factors actually multiplied. The product stops at the first order whose
-    relative tail bound is <= 2^-70 if the scaled absolute tail then meets
-    ``TAIL_TOLERANCE``; otherwise it runs to ``ORDER``, so an early stop never
-    raises where the full order would not. The run-on and the raise happen
-    only off the fundamental domain.
+    cmath.log rounds well near |1 - q^n| = 1.
     """
-    if normalization not in ("ramanujan", "two_pi_12"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+    abs_q = abs(q)
+    order = _stop_order(abs_q)
+    tail = _log_tail(abs_q, order)
+    if tail > _STOP_TAIL:
+        raise InsufficientTruncationError(f"log Delta tail {tail:.3g} after {ORDER} factors at |q| = {abs_q:.6g}")
+    acc = 0j
+    qn = complex(1.0)
+    for _ in range(order):
+        qn *= q
+        acc += cmath.log(1.0 - qn)
+    return SeriesValue(24.0 * acc, tail)
+
+
+def delta_on_upper_half_plane(z: complex) -> SeriesValue:
+    """log Delta(z) = 2 pi i z + log(Delta/q), with Delta = q prod (1-q^n)^24.
+
+    The tail certifies |returned - log Delta(z)| <= tail <= 2^-70, for the
+    logarithm that sums the principal log(1 - q^n).
+    """
     if z.imag <= 0:
         raise ValueError("Im z must be positive")
-    q = cmath.exp(2j * math.pi * z)
-    abs_q = abs(q)
-    prod = complex(1.0)
-    qn = complex(1.0)
-    done = 0
-    for order in (_stop_order(abs_q), ORDER):
-        for _ in range(order - done):
-            qn *= q
-            prod *= (1.0 - qn) ** 24
-        done = order
-        value = q * prod
-        tail = abs(value) * _delta_product_tail(abs_q, order)
-        if normalization == "two_pi_12":
-            scale = (2.0 * math.pi) ** 12
-            value *= scale
-            tail *= scale
-        if tail <= TAIL_TOLERANCE:
-            break
-    if tail > TAIL_TOLERANCE:
-        raise InsufficientTruncationError(
-            f"Delta tail {tail:.3g} exceeds tolerance {TAIL_TOLERANCE:.3g} "
-            f"after {ORDER} factors at Im z = {z.imag:.6g}"
-        )
-    return SeriesValue(value, tail)
-
-
-def delta_tau(tau: SiegelTau, normalization: str = "ramanujan") -> SeriesValue:
-    """Discriminant form at a reduced point, with certified tail."""
-    return delta_on_upper_half_plane(tau.value, normalization)
+    log_dq = _log_delta_over_q(cmath.exp(2j * math.pi * z))
+    return SeriesValue(2j * math.pi * z + log_dq.value, log_dq.tail)
 
 
 @lru_cache(maxsize=8)
@@ -141,21 +115,23 @@ def _e4(q: complex) -> SeriesValue:
     return SeriesValue(acc, head / (1.0 - r))
 
 
-def j_invariant(tau: SiegelTau) -> SeriesValue:
-    """j = E4^3 / Delta from q-expansions, with a propagated tail bound."""
-    return _j_from_delta(tau, delta_tau(tau))
+def _e4_cubed_over(e4: SeriesValue, log_d: complex, t: float) -> tuple[complex, float]:
+    """E4^3 exp(-log_d) and its error bound, for log_d off by at most t and E4 by e.
 
-
-def _j_from_delta(tau: SiegelTau, dl: SeriesValue) -> SeriesValue:
-    """j = E4^3 / Delta at tau, given the Ramanujan Delta there."""
-    e4 = _e4(cmath.exp(2j * math.pi * tau.value))
+    The bound is (((|E4| + e)^3 - |E4|^3) e^t + |E4|^3 expm1(t)) |exp(-log_d)|.
+    """
     aE, eE = abs(e4.value), e4.tail
-    aD, eD = abs(dl.value), dl.tail
-    if eD >= aD:
-        raise InsufficientTruncationError(f"Delta tail {eD:.3g} swallows |Delta| = {aD:.3g}")
-    value = e4.value**3 / dl.value
-    tail = ((aE + eE) ** 3 - aE**3) / (aD - eD) + aE**3 * eD / (aD * (aD - eD))
-    return SeriesValue(value, tail)
+    inverse = cmath.exp(-log_d)
+    tail = (((aE + eE) ** 3 - aE**3) * math.exp(t) + aE**3 * math.expm1(t)) * abs(inverse)
+    return e4.value**3 * inverse, tail
+
+
+def j_invariant(tau: SiegelTau) -> SeriesValue:
+    """j = E4^3 exp(-log Delta) with a propagated tail; OverflowError from Im tau ~ 113."""
+    log_q = 2j * math.pi * tau.value
+    q = cmath.exp(log_q)
+    log_dq = _log_delta_over_q(q)
+    return SeriesValue(*_e4_cubed_over(_e4(q), log_q + log_dq.value, log_dq.tail))
 
 
 def j_series_coefficients(count: int) -> list[int]:
@@ -199,26 +175,28 @@ def j_series_coefficients(count: int) -> list[int]:
 
 
 def check_classical_bounds(tau: SiegelTau) -> tuple[BoundReport, BoundReport]:
-    """Lower bounds for |j| and |Delta| on the fundamental domain.
+    """Lower bounds for |j| and |Delta| on the fundamental domain, times |q| = e^{-2 pi y}.
 
-    Returns (j report, Delta report): e^{2 pi y} - 1193 <= |j(tau)| and
-    e^{-1/9 - 2 pi y} <= |Delta(tau)| in the plain product normalization.
+    Returns (j report, Delta report): 1 - 1193 |q| <= |j q| = |E4|^3 / |Delta/q| and
+    e^{-1/9} <= |Delta/q|, so both sides stay O(1); each tail bounds the rhs error.
     """
     y = tau.im
-    dl = delta_tau(tau)
-    j = _j_from_delta(tau, dl)
+    q = cmath.exp(2j * math.pi * tau.value)
+    log_dq = _log_delta_over_q(q)
+    jq, jq_tail = _e4_cubed_over(_e4(q), log_dq.value, log_dq.tail)
+    dq = math.exp(log_dq.value.real)
     j_report = BoundReport(
         "j_lower_bound",
-        math.exp(2.0 * math.pi * y) - 1193.0,
-        abs(j.value),
-        inputs={"tau_re": tau.re, "tau_im": y, "tail": j.tail},
+        1.0 - 1193.0 * math.exp(-2.0 * math.pi * y),
+        abs(jq),
+        inputs={"tau_re": tau.re, "tau_im": y, "tail": jq_tail},
         tol=1e-9,
     )
     d_report = BoundReport(
         "delta_lower_bound",
-        math.exp(-1.0 / 9.0 - 2.0 * math.pi * y),
-        abs(dl.value),
-        inputs={"tau_re": tau.re, "tau_im": y, "tail": dl.tail},
+        math.exp(-1.0 / 9.0),
+        dq,
+        inputs={"tau_re": tau.re, "tau_im": y, "tail": dq * math.expm1(log_dq.tail)},
         tol=1e-9,
     )
     return j_report, d_report

@@ -24,18 +24,34 @@ import numpy as np
 # q-series oracles (mpmath, term-by-term loops, no vectorization)
 # ---------------------------------------------------------------------------
 
-def mp_delta(tau, n_terms=2000, normalization="ramanujan"):
+def mp_delta(tau, n_terms=2000):
     """q * prod_{n<=N} (1-q^n)^24 at mpmath working precision."""
     q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
     prod = mp.mpc(1)
     for n in range(1, n_terms + 1):
         prod *= (1 - q ** n) ** 24
-    value = q * prod
-    if normalization == "two_pi_12":
-        value *= (2 * mp.pi) ** 12
-    elif normalization != "ramanujan":
-        raise ValueError(normalization)
-    return value
+    return q * prod
+
+
+def mp_log_delta(tau, dps=40):
+    """log Delta = 2 pi i tau + 24 sum_n log(1 - q^n), summed at ``dps`` digits.
+
+    The sum runs until |q^n| < 10^-(dps + 5), so it needs no fixed order and
+    no value of size |Delta| ~ e^{-2 pi Im tau}: it works up to Im tau = 2000
+    and beyond, and below Im tau = 0.1 it only takes more terms. The branch
+    is the sum of principal logarithms, as in the float evaluator.
+    """
+    with mp.workdps(dps):
+        t = mp.mpmathify(tau)
+        q = mp.exp(2j * mp.pi * t)
+        eps = mp.mpf(10) ** (-dps - 5)
+        acc = mp.mpc(0)
+        qn = mp.mpc(1)
+        while True:
+            qn *= q
+            if abs(qn) < eps:
+                return 2j * mp.pi * t + 24 * acc
+            acc += mp.log(1 - qn)
 
 
 def _sigma3_table(n_max):
@@ -59,7 +75,7 @@ def mp_e4(tau, n_terms=2000):
 
 
 def mp_j(tau, n_terms=2000):
-    return mp_e4(tau, n_terms) ** 3 / mp_delta(tau, n_terms, "ramanujan")
+    return mp_e4(tau, n_terms) ** 3 / mp_delta(tau, n_terms)
 
 
 def j_series_coefficients(n_coeffs=12):
@@ -133,7 +149,7 @@ def mp_faltings(degree, taus, log_norm_disc, dps=50, n_terms=2000):
     with mp.workdps(dps):
         acc = mp.mpf(log_norm_disc)
         for re, im in taus:
-            d = mp_delta(mp.mpc(re, im), n_terms, "two_pi_12")
+            d = (2 * mp.pi) ** 12 * mp_delta(mp.mpc(re, im), n_terms)
             acc -= mp.log(abs(d) * mp.mpf(im) ** 6)
         return acc / (12 * degree)
 

@@ -462,6 +462,17 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert "expect 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("im, code", [("300", 0), ("1000", 1)])
+    def test_theta_check_states_its_aliasing_term(self, im, code, capsys):
+        # on the even m = 64 grid the L2 mean is 1 + 2 sum_k (-1)^k e^{-pi k^2 m^2 / (2 Im tau)}
+        assert main(["theta", "check", "--tau-im", im]) == code
+        line = capsys.readouterr().out.splitlines()[0]
+        l2 = float(line.split(" = ")[1].split()[0])
+        alias = float(line.split(" = ")[2].split()[0])
+        terms = [2.0 * math.exp(-math.pi * k * k * 64**2 / (2.0 * float(im))) for k in (1, 2, 3)]
+        assert alias == pytest.approx(terms[0], rel=1e-2)
+        assert l2 == pytest.approx(1.0 - terms[0] + terms[1] - terms[2], abs=1e-12)
+
     @pytest.mark.parametrize("flag, value", [("--tau-im", "inf"), ("--tau-re", "nan")])
     def test_theta_check_rejects_non_finite_tau(self, flag, value, capsys):
         assert main(["theta", "check", flag, value]) == 2
@@ -510,15 +521,41 @@ class TestExitCodes:
             assert captured.out == expected
 
     @pytest.mark.parametrize("argv", [["height"], ["verify"]])
-    def test_record_near_the_cusp_is_an_input_error(self, argv, tmp_path, capsys):
+    def test_record_near_the_cusp(self, argv, tmp_path, capsys):
+        # 0.1 + 1e-300 i reduces to Im tau ~ 1e298: the height is finite there,
+        # but the isogeny suite's period_norm_identity overflows on Im tau^2
         path = tmp_path / "cusp.jsonl"
         path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
         with pytest.warns(UserWarning, match="reduced"):
             code = main(argv + ["--curves", str(path)])
-        assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        if argv == ["height"]:
+            assert code == 0
+            h_f = float(captured.out.split("h_F = ")[1].split(",")[0])
+            assert math.isfinite(h_f) and h_f == pytest.approx(5.2e297, rel=0.01)
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("im", ["60", "120", "1900", "1e6"])
+    def test_valid_record_at_large_im(self, im, tmp_path, capsys):
+        path = tmp_path / "high.jsonl"
+        path.write_text(
+            f'{{"label": "high", "degree": 1, "embeddings": [[0.5, {im}]], '
+            '"log_norm_minimal_discriminant": 5.0}\n'
+        )
+        assert main(["height", "--curves", str(path)]) == 0
+        out = capsys.readouterr().out
+        h_f, h = (float(out.split(f"{key} = ")[1].split(",")[0]) for key in ("h_F", "h"))
+        assert math.isfinite(h_f) and math.isfinite(h)
+        assert "h(j) = nan" in out  # the record carries no j
+        report = tmp_path / "high.json"
+        assert main(["verify", "--suite", "all", "--curves", str(path), "--json", str(report)]) == 0
+        reports = json.loads(report.read_text())["reports"]
+        assert any(r["name"] == "delta_lower[high:0]" for r in reports)
+        for r in reports:
+            assert all(math.isfinite(r[key]) for key in ("lhs", "rhs", "margin")), r["name"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_bound_isogeny_rejects_non_finite_h_f(self, value, capsys):

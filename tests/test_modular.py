@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +8,15 @@ from hypothesis import strategies as st
 
 import oracles
 from periodkit import modular
+from periodkit.heights import CurveRecord, faltings_height_silverman
 from periodkit.lattice import EllipticLattice, SiegelTau, UnimodularMap, siegel_reduce
 from periodkit.modular import (
     ORDER,
-    TAIL_TOLERANCE,
     InsufficientTruncationError,
-    _delta_product_tail,
+    _log_tail,
     _stop_order,
     check_classical_bounds,
     delta_on_upper_half_plane,
-    delta_tau,
     j_invariant,
     j_series_coefficients,
     silverman_f_extrema,
@@ -30,58 +28,82 @@ upper_half = st.builds(
     st.floats(0.9, 4.0),
 )
 
+# Reduced points with Im tau log-uniform on [sqrt(3)/2, 2000].
+reduced_to_2000 = st.builds(
+    lambda re, log_im: SiegelTau(re, max(math.exp(log_im), math.sqrt(1.0 - re * re))),
+    st.floats(-0.5, 0.5),
+    st.floats(math.log(math.sqrt(3.0) / 2.0), math.log(2000.0)),
+)
+
+
+def _within_tail_and_rounding(got, z, want):
+    """|got.value - want| against the tail plus a float rounding bound.
+
+    Rounding each of the N factors 1 - q^n moves its log by at most about
+    2^-53, and one more 2^-53 covers the rounding of the logs and their sum,
+    24 times over; forming 2 pi i z and adding it cost a few ulp of the result.
+    """
+    n = _stop_order(math.exp(-2.0 * math.pi * z.imag))
+    rounding = 24.0 * (n + 1) * 2.0**-53 + 4.0 * math.ulp(abs(want))
+    return abs(got.value - want) <= got.tail + rounding
+
 
 class TestDelta:
     def test_corner_value_against_high_precision_sum(self):
-        corner = SiegelTau(0.5, math.sqrt(3.0) / 2.0)
-        got = delta_tau(corner)
-        want = oracles.mp_delta(complex(corner.re, corner.im))
-        assert got.value.real == pytest.approx(float(want.real), abs=1e-15)
-        assert got.value.imag == pytest.approx(float(want.imag), abs=1e-15)
-        assert abs(got.value) == pytest.approx(0.0048051383770529483, rel=1e-12)
+        z = complex(0.5, math.sqrt(3.0) / 2.0)
+        got = delta_on_upper_half_plane(z)
+        assert _within_tail_and_rounding(got, z, complex(oracles.mp_log_delta(z)))
+        assert math.exp(got.value.real) == pytest.approx(0.0048051383770529483, rel=1e-14)
 
     def test_generic_point_frozen_value(self):
         got = delta_on_upper_half_plane(complex(0.3, 0.9))
-        assert got.value.real == pytest.approx(-0.0008351110596892742, rel=1e-12)
-        assert got.value.imag == pytest.approx(0.0034954046608244818, rel=1e-12)
-        assert got.tail < 1e-12
+        # log of the frozen Delta = -0.0008351110596892742 + 0.0034954046608244818 i
+        assert got.value.real == pytest.approx(-5.62855033643119, rel=1e-14)
+        assert got.value.imag == pytest.approx(1.80531689453222, rel=1e-14)
+        assert 0.0 < got.tail <= 2.0**-70
 
-    def test_two_pi_normalization_scale(self):
-        z = complex(0.1, 1.2)
-        plain = delta_on_upper_half_plane(z).value
-        scaled = delta_on_upper_half_plane(z, normalization="two_pi_12").value
-        assert scaled == pytest.approx(plain * (2 * math.pi) ** 12, rel=1e-14)
-
-    @given(upper_half)
+    @given(st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.13, 4.0)))
     @settings(max_examples=40, deadline=None)
     def test_tail_soundness_under_doubling(self, z):
         a = delta_on_upper_half_plane(z)
-        b = _delta_product(z, 2 * ORDER)
-        assert abs(a.value - b) <= max(a.tail, 1e-18)
-        assert abs(a.value - b) < TAIL_TOLERANCE
+        b = _log_delta_sum(z, 2 * ORDER)
+        assert abs(a.value - b) <= a.tail + 2.0 * math.ulp(abs(b))
+        assert a.tail <= 2.0**-70
+
+    @given(reduced_to_2000)
+    @settings(max_examples=60, deadline=None)
+    def test_within_tail_of_the_oracle_up_to_im_2000(self, tau):
+        got = delta_on_upper_half_plane(tau.value)
+        assert _within_tail_and_rounding(got, tau.value, complex(oracles.mp_log_delta(tau.value)))
 
     def test_insufficient_truncation_raises(self):
-        # w/(4w+1) with w = 3i/pi: Im z ~ 0.061, and the tail at ORDER
-        # factors is 1.1e-4 (ramanujan) or 4.1e5 (two_pi_12)
+        # w/(4w+1) with w = 3i/pi: Im z ~ 0.061, |q| ~ 0.68, and the log tail
+        # after ORDER factors is 2.5e-9
         w = 3j / math.pi
         z = w / (4.0 * w + 1.0)
-        for normalization in ("ramanujan", "two_pi_12"):
-            with pytest.raises(InsufficientTruncationError, match="Im z = 0.0612517"):
-                delta_on_upper_half_plane(z, normalization=normalization)
+        with pytest.raises(InsufficientTruncationError, match="after 64 factors at [|]q[|] = 0.680"):
+            delta_on_upper_half_plane(z)
 
     @given(upper_half)
     @settings(max_examples=40, deadline=None)
     def test_quasi_modular_magnitude(self, z):
-        lhs = abs(delta_on_upper_half_plane(-1.0 / z).value)
-        rhs = abs(z) ** 12 * abs(delta_on_upper_half_plane(z).value)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        # log|Delta(-1/z)| = 12 log|z| + log|Delta(z)|; Im(-1/z) >= 0.24 here
+        lhs = delta_on_upper_half_plane(-1.0 / z).value.real
+        rhs = 12.0 * math.log(abs(z)) + delta_on_upper_half_plane(z).value.real
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_quasi_modular_frozen_point(self):
         z = complex(0.3, 0.9)
-        lhs = abs(delta_on_upper_half_plane(-1.0 / z).value)
-        rhs = abs(z) ** 12 * abs(delta_on_upper_half_plane(z).value)
-        assert lhs == pytest.approx(0.0019098827421012782, rel=1e-12)
-        assert rhs == pytest.approx(0.0019098827421012782, rel=1e-12)
+        lhs = delta_on_upper_half_plane(-1.0 / z).value.real
+        rhs = 12.0 * math.log(abs(z)) + delta_on_upper_half_plane(z).value.real
+        assert lhs == pytest.approx(math.log(0.0019098827421012782), rel=1e-14)
+        assert rhs == pytest.approx(math.log(0.0019098827421012782), rel=1e-14)
+
+    @pytest.mark.parametrize("im", [60.0, 120.0, 1900.0, 1e6, 1e153, 1e298])
+    def test_no_underflow_at_large_im(self, im):
+        got = delta_on_upper_half_plane(complex(0.1, im))
+        assert got.value.real == -2.0 * math.pi * im
+        assert got.tail == 0.0
 
 
 class TestJInvariant:
@@ -136,18 +158,25 @@ class TestClassicalBounds:
     @pytest.mark.parametrize("re,im", [(0.0, 1.0), (0.31, 1.7), (-0.5, 6.0)])
     def test_one_delta_and_the_values_of_the_separate_series(self, re, im, monkeypatch):
         tau = SiegelTau(re, im)
-        j, dl = j_invariant(tau), delta_tau(tau)
+        j, dl = j_invariant(tau), delta_on_upper_half_plane(tau.value)
+        abs_q = math.exp(-2.0 * math.pi * im)
         calls = []
 
-        def counted(z, normalization="ramanujan"):
-            calls.append(z)
-            return delta_on_upper_half_plane(z, normalization)
+        def counted(q):
+            calls.append(q)
+            return log_delta_over_q(q)
 
-        monkeypatch.setattr(modular, "delta_on_upper_half_plane", counted)
+        log_delta_over_q = modular._log_delta_over_q
+        monkeypatch.setattr(modular, "_log_delta_over_q", counted)
         r_j, r_delta = check_classical_bounds(tau)
         assert len(calls) == 1
-        assert (r_j.rhs, r_j.inputs["tail"]) == (abs(j.value), j.tail)
-        assert (r_delta.rhs, r_delta.inputs["tail"]) == (abs(dl.value), dl.tail)
+        # both sides are the classical bounds times |q|
+        assert r_j.lhs == pytest.approx((math.exp(2.0 * math.pi * im) - 1193.0) * abs_q, rel=1e-14)
+        assert r_j.rhs == pytest.approx(abs(j.value) * abs_q, rel=1e-14)
+        assert r_j.inputs["tail"] == pytest.approx(j.tail * abs_q, rel=1e-12)
+        assert r_delta.lhs == math.exp(-1.0 / 9.0)
+        assert r_delta.rhs == pytest.approx(math.exp(dl.value.real) / abs_q, rel=1e-14)
+        assert 0.0 < r_delta.inputs["tail"] <= 2.0**-69 * r_delta.rhs
 
     @pytest.mark.parametrize("re,im", [(0.0, 1.0), (0.5, math.sqrt(3.0) / 2.0)])
     def test_special_points(self, re, im):
@@ -167,6 +196,19 @@ class TestClassicalBounds:
             assert r_j.satisfied, str(r_j)
             assert r_delta.satisfied, str(r_delta)
             count += 1
+
+    @given(reduced_to_2000)
+    @settings(max_examples=60, deadline=None)
+    def test_finite_height_and_delta_lower_up_to_im_2000(self, tau):
+        r_j, r_delta = check_classical_bounds(tau)
+        assert r_delta.satisfied and r_delta.margin > 0.06, str(r_delta)
+        assert all(math.isfinite(v) for v in (r_j.lhs, r_j.rhs, r_delta.lhs, r_delta.rhs))
+        record = CurveRecord("t", 2, (tau, SiegelTau(-tau.re, tau.im)), 6.0)
+        h = faltings_height_silverman(record).value
+        want = (3.0 - float(oracles.mp_log_delta(tau.value).real) - 6.0 * math.log(tau.im)) / 12.0
+        want -= math.log(2.0 * math.pi)
+        assert math.isfinite(h)
+        assert h == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestSilvermanExtrema:
@@ -208,23 +250,19 @@ class TestSilvermanExtrema:
         assert f(np.array([y0]))[0] == pytest.approx(report.inputs["f_local_min"], rel=1e-14)
 
 
-def _delta_product(z, factors, normalization="ramanujan"):
-    """Reference: q times the first ``factors`` factors (1 - q^n)^24."""
-    q = cmath.exp(2j * math.pi * z)
-    prod = complex(1.0)
+def _log_factor_sum(q, factors):
+    """Reference: 24 times the sum of the first ``factors`` logs log(1 - q^n)."""
+    acc = 0j
     qn = complex(1.0)
     for _ in range(factors):
         qn *= q
-        prod *= (1.0 - qn) ** 24
-    value = q * prod
-    if normalization == "two_pi_12":
-        value *= (2.0 * math.pi) ** 12
-    return value
+        acc += cmath.log(1.0 - qn)
+    return 24.0 * acc
 
 
-def _delta_full_order(z, normalization="ramanujan"):
-    """Reference: the fixed 64-factor product that ran before the early stop."""
-    return _delta_product(z, 64, normalization)
+def _log_delta_sum(z, factors):
+    """Reference: 2 pi i z plus _log_factor_sum."""
+    return 2j * math.pi * z + _log_factor_sum(cmath.exp(2j * math.pi * z), factors)
 
 
 def _j_rebuilding_sigma3(z):
@@ -240,7 +278,7 @@ def _j_rebuilding_sigma3(z):
     for n in range(1, order + 1):
         qn *= q
         acc += 240.0 * sig[n] * qn
-    return acc**3 / _delta_full_order(z)
+    return acc**3 * cmath.exp(-_log_delta_sum(z, 64))
 
 
 def _early_stop_grid():
@@ -257,11 +295,10 @@ def _early_stop_grid():
 
 class TestEarlyStop:
     def test_values_equal_full_order_product_on_grid(self, bundled_records):
+        # the log of the 64-factor product, summed term by term
         points = _early_stop_grid() + [t.value for r in bundled_records for t in r.embeddings]
         for z in points:
-            for normalization in ("ramanujan", "two_pi_12"):
-                got = delta_on_upper_half_plane(z, normalization=normalization).value
-                assert got == _delta_full_order(z, normalization), (z, normalization)
+            assert delta_on_upper_half_plane(z).value == _log_delta_sum(z, 64), z
 
     def test_j_equals_sigma3_rebuilding_path(self, bundled_records):
         taus = [t for r in bundled_records for t in r.embeddings]
@@ -271,28 +308,23 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("z", [1j, complex(0.5, math.sqrt(3.0) / 2.0)])
     def test_within_tail_of_long_product(self, z):
-        # The oracle runs in 53-bit arithmetic like the float product: both
-        # round 1 - q^n before the 24th power, which alone puts either about
-        # 19 ulp from the exact value at i.
         got = delta_on_upper_half_plane(z)
-        with mpmath.workprec(53):
-            want = complex(oracles.mp_delta(z))
-        assert abs(got.value - want) <= got.tail + 4.0 * math.ulp(abs(got.value))
+        want = complex(oracles.mp_log_delta(z))
+        assert _within_tail_and_rounding(got, z, want)
+        # the old product rounded 1 - q^n before the 24th power and was about
+        # 19 ulp from the exact value at i; the log sum is within 4
+        assert abs(got.value - want) <= 4.0 * math.ulp(abs(want))
 
-    def test_missed_tolerance_runs_to_the_cap(self):
-        # w/(2w+1) with w = 3i/pi: Im z ~ 0.205, off the fundamental domain.
-        # The early stop leaves a tail of 4.2e-11 in the (2 pi)^12
-        # normalization, so the product runs on to ORDER factors.
-        w = 3j / math.pi
-        z = w / (2.0 * w + 1.0)
+    def test_sum_runs_to_the_cap_off_the_fundamental_domain(self):
+        # Im z = 0.13, |q| ~ 0.44: the first order with log tail <= 2^-70 is ORDER
+        z = complex(0.2, 0.13)
         abs_q = math.exp(-2.0 * math.pi * z.imag)
-        n = _stop_order(abs_q)
-        assert n < ORDER
-        scale = (2.0 * math.pi) ** 12
-        assert scale * abs(_delta_product(z, n)) * _delta_product_tail(abs_q, n) > TAIL_TOLERANCE
-        got = delta_on_upper_half_plane(z, normalization="two_pi_12")
-        assert got.tail <= TAIL_TOLERANCE
-        assert got.value == _delta_full_order(z, "two_pi_12")
+        assert _stop_order(abs_q) == ORDER
+        assert _log_tail(abs_q, ORDER - 1) > 2.0**-70
+        got = delta_on_upper_half_plane(z)
+        assert got.tail <= 2.0**-70
+        assert got.value == _log_delta_sum(z, ORDER)
+        assert _within_tail_and_rounding(got, z, complex(oracles.mp_log_delta(z)))
 
     def test_tail_is_for_the_factors_multiplied(self):
         z = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -300,12 +332,15 @@ class TestEarlyStop:
         n = _stop_order(abs_q)
         assert n < 64
         got = delta_on_upper_half_plane(z)
-        assert got.tail == pytest.approx(abs(got.value) * _delta_product_tail(abs_q, n), rel=1e-12)
-        assert 0.0 < got.tail <= 2.0**-70 * abs(got.value)
+        assert got.tail == pytest.approx(24.0 * abs_q ** (n + 1) / (1.0 - abs_q) ** 2, rel=1e-12)
+        assert 0.0 < got.tail <= 2.0**-70
 
     @pytest.mark.parametrize(
         "abs_q", [0.0, 5e-324, 1e-200, 1e-5, 0.0043, 0.01, 0.1, 0.5, 0.6, 0.9, 1.0 - 2.0**-53]
     )
     def test_stop_order_is_the_first_order_below_two_pow_minus_70(self, abs_q):
-        want = next((n for n in range(1, 64) if _delta_product_tail(abs_q, n) <= 2.0**-70), 64)
+        def log_tail(n):
+            return 24.0 * abs_q ** (n + 1) / (1.0 - abs_q) ** 2
+
+        want = next((n for n in range(1, 64) if log_tail(n) <= 2.0**-70), 64)
         assert _stop_order(abs_q) == want
