@@ -91,13 +91,13 @@ def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str]
     """Write the manifest as a human table or canonical JSON."""
     if format == "json":
         # The C encoder runs only without an indent: each report is one line
-        # of it, spliced into the indented top level. Reports are encoded
-        # before to_dict copies them, so the copies and the lines are never
-        # held at once, and before the file is opened, so a ValueError leaves
-        # no partial file. The pieces are written without joining them.
+        # of it, spliced into the indented top level, which is rendered from
+        # the manifest with its reports left out, so no report is copied.
+        # Reports are encoded before the file is opened, so a ValueError
+        # leaves no partial file. The pieces are written without joining them.
         encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
         reports = ",\n".join("    " + encode(r) for r in manifest.reports)
-        doc = dict(manifest.to_dict(), reports=[])
+        doc = replace(manifest, reports=[]).to_dict()
         top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         head, tail = top.split('\n  "reports": []', 1)
         parts = [head, '\n  "reports": [\n', reports, "\n  ]", tail] if reports else [top]
@@ -379,7 +379,7 @@ def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
             )
     for rec in records:
         for t in rec.embeddings:
-            n = max(1, math.floor(t.re**2 + t.im**2))
+            n = max(1, iso.floor_norm_sq(t))
             reports.append(iso.period_norm_identity(n, t))
     return reports
 

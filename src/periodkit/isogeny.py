@@ -199,22 +199,38 @@ def surface_bound_constants() -> list[BoundReport]:
     ]
 
 
+def _scaled_norm_sq(tau: SiegelTau) -> tuple[int, float]:
+    """(e, |tau|^2 / 4^e), e = 0 unless Im tau >= 2^500, where |tau|^2 would overflow."""
+    e = max(0, math.frexp(tau.im)[1] - 500)  # |Re tau| <= 1/2 < Im tau; 2^-e scaling is exact
+    return e, math.ldexp(tau.re, -e) ** 2 + math.ldexp(tau.im, -e) ** 2
+
+
+def floor_norm_sq(tau: SiegelTau) -> int:
+    """floor(|tau|^2) as an exact integer, for every finite tau."""
+    e, t2 = _scaled_norm_sq(tau)
+    num, den = t2.as_integer_ratio()
+    return (num << 2 * e) // den
+
+
 def period_norm_identity(n: int, tau: SiegelTau) -> BoundReport:
     """Norm of the constructed period against the floor-indexed ceiling.
 
     The squared norm (n + |tau|^2)/Im(tau) is bounded by
     (n + |tau|^2)/sqrt(|tau|^2 - 1/4) and then by 2n/sqrt(n - 1/4); requires
-    n = floor(|tau|^2).
+    n = floor(|tau|^2). All three are evaluated on n and tau scaled by 4^-e
+    and 2^-e and scaled back by 2^e, so none overflows while its value fits.
     """
-    t2 = tau.re**2 + tau.im**2
+    e, t2 = _scaled_norm_sq(tau)
     if n < 1:
         raise ValueError("n must be >= 1")
+    n_s = n / 4**e
     # accept the boundary case |tau| = 1 where t2 rounds just below n
-    if n != math.floor(t2) and not abs(t2 - n) <= 1e-9:
-        raise ValueError(f"n must be floor(|tau|^2) = {math.floor(t2)}")
-    norm_sq = (n + t2) / tau.im
-    mid = (n + t2) / math.sqrt(t2 - 0.25)
-    rhs = 2.0 * n / math.sqrt(n - 0.25)
+    if n != floor_norm_sq(tau) and not abs(t2 - n_s) <= math.ldexp(1e-9, -2 * e):
+        raise ValueError(f"n must be floor(|tau|^2) = {floor_norm_sq(tau)}")
+    quarter = math.ldexp(0.25, -2 * e)
+    norm_sq = math.ldexp((n_s + t2) / math.ldexp(tau.im, -e), e)
+    mid = math.ldexp((n_s + t2) / math.sqrt(t2 - quarter), e)
+    rhs = math.ldexp(2.0 * n_s / math.sqrt(n_s - quarter), e)
     return BoundReport(
         "period_norm_ceiling",
         norm_sq,

@@ -1,19 +1,16 @@
 """Gaussian-normalized theta sums on tori of dimension one and two.
 
 The central object is the weighted series F whose squared modulus integrates
-to 1 over the doubled torus. Torus integrals use tensor midpoint grids with
-the half-step offset keeping theta zeros at cell corners.
-
-F is a finite Fourier series in q, so the L2 norm skips the q-grid: by
-discrete Parseval the mean of |F|^2 over the m^g midpoint q-points is the
-sum of its squared coefficients, folded per axis by n mod m when
-2 box + 1 > m, which equals the midpoint grid sum exactly. That sum is
-reduced by numpy's pairwise summation rather than by BLAS, so it does not
-depend on the BLAS thread count. The log integral, evaluated for g = 1
-only, skips the grid too: the Jacobi triple product turns the mean of log|F|
-over the midpoint q-points into sums of log|1 + e^z| over three families of
-terms, one shared by both resolutions of the Richardson step and one per
-resolution, all evaluated in one pass.
+to 1 over the doubled torus. Torus integrals are midpoint means over tensor
+grids, with the half-step offset keeping theta zeros at cell corners, and
+neither integral builds its grid. The L2 norm uses discrete Parseval in q
+and streams the p-grid in blocks, so its peak memory is a few
+(2 box + 1)^g x block x 16 B arrays whatever m is, and it reduces with
+numpy's pairwise sums rather than BLAS, so it does not depend on the BLAS
+thread count. The log integral, for g = 1 only, uses the Jacobi triple
+product: every grid mean is a closed form in two 1-D families of
+log|1 + e^z| terms, P over 1 - Q^2n and S over 1 + Q^(2n-1), and the
+Richardson limit is (1/4) log 2y + log|eta(tau)| for every even m.
 """
 
 from __future__ import annotations
@@ -74,36 +71,7 @@ def default_truncation(tau: RiemannTau) -> int:
 # Torus quadrature
 # ---------------------------------------------------------------------------
 
-def _axis_grid(m: int) -> np.ndarray:
-    return (np.arange(m) + 0.5) / m
-
-
-def _tensor_grid(g: int, m: int) -> np.ndarray:
-    axes = [_axis_grid(m)] * g
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-
-
-def _coefficients(tau: RiemannTau, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Term indices ns, coefficients A and scale det(2y)^{1/4} of F at the points ps.
-
-    A[k, i] = exp(i pi (n_k + p_i)^T tau (n_k + p_i)), so that
-    F(p_i, q) = scale * sum_k A[k, i] exp(2 i pi n_k . q).
-    """
-    g = tau.g
-    box = default_truncation(tau)
-    axes = [np.arange(-box, box + 1)] * g
-    ns = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    scale = float(np.linalg.det(2.0 * tau.y)) ** 0.25
-    A_blocks = []  # built in p-blocks to bound the (terms x points x g) temporary
-    for j0 in range(0, ps.shape[0], 4096):
-        w = ns[:, None, :] + ps[None, j0 : j0 + 4096, :]
-        quad = np.einsum("kij,jl,kil->ki", w, tau.matrix, w)
-        A_blocks.append(np.exp(1j * math.pi * quad))
-        del w, quad
-    return ns, np.concatenate(A_blocks, axis=1), scale
-
-
-_BLOCK = 1 << 16  # entries per call of _log_abs_1p_exp in _sum_log_abs_1p_exp
+_BLOCK = 1 << 16  # entries per block of the L2 stream and per _log_abs_1p_exp call
 
 
 def _log_abs_1p_exp(z: np.ndarray) -> np.ndarray:
@@ -126,21 +94,20 @@ def _log_abs_1p_exp(z: np.ndarray) -> np.ndarray:
 
 
 def _sum_log_abs_1p_exp(families) -> list[float]:
-    """Sum of log|1 + e^z| per family (z_of, n_max, width), over z = z_of(n), n = 1..n_max.
+    """Sum of log|1 + e^z| per family (z_of, n_max), over z = z_of(n), n = 1..n_max.
 
-    z_of maps an array of n to an array of width entries per n. Each family
-    is cut into pieces of at most _BLOCK entries, because n_max grows like
-    1/Im tau, and consecutive pieces of all families are packed into blocks
-    of at most _BLOCK entries. Each block takes one _log_abs_1p_exp call, and
-    each piece's slice of it is summed into its own family's total.
+    z_of maps an array of n to an array of z. Each family is cut into pieces
+    of at most _BLOCK entries, because n_max grows like 1/Im tau, and
+    consecutive pieces of all families are packed into blocks of at most
+    _BLOCK entries. Each block takes one _log_abs_1p_exp call, and each
+    piece's slice of it is summed into its own family's total.
     """
     totals = [0.0] * len(families)
     block: list = []
     size = 0
-    for k, (z_of, n_max, width) in enumerate(families):
-        step = max(1, _BLOCK // width)
-        for n0 in range(1, n_max + 1, step):
-            z = z_of(np.arange(n0, min(n0 + step, n_max + 1))).ravel()
+    for k, (z_of, n_max) in enumerate(families):
+        for n0 in range(1, n_max + 1, _BLOCK):
+            z = z_of(np.arange(n0, min(n0 + _BLOCK, n_max + 1)))
             if block and size + z.size > _BLOCK:
                 _sum_block(block, totals)
                 block, size = [], 0
@@ -159,39 +126,29 @@ def _sum_block(block: list, totals: list) -> None:
 
 
 def _product_log_means(tau: RiemannTau, *ms: int) -> list[float]:
-    """Means of log|F| over the m x m midpoint grids for g = 1, one per m, with no grid.
+    """Means of log|F| over the m x m midpoint grids for g = 1, one per even m, with no grid.
 
-    See torus_log_integral for the identity. With T = TAIL_EXPONENT, the
-    product family log|1 - Q^2n| has terms of size about |Q^2n| = e^(-2 pi y n),
-    and the q-mean family at resolution m has |e^z| <= e^(-pi m y (2n - 3)) for
-    n >= 2. Each family is summed through n = N + 1, where N is the first n
-    whose term is at most e^-T: N = ceil(T / (2 pi y)) for the product family
-    and N = ceil(1.5 + T / (2 pi m y)) for the q-mean family. Its first omitted
-    term is therefore at most e^-(T + 4 pi y), respectively e^-(T + 4 pi m y).
-    The product family does not depend on m and is summed once; all families
+    See torus_log_integral for the identity: with Q = e^(i pi tau), every
+    mean is (1/4) log 2y - pi y / 12 + P + (pi y / 12 + 2 S) / m^2 for the
+    two families P = sum_n log|1 - Q^2n| and S = sum_n log|1 + Q^(2n-1)|,
+    which do not depend on m. With T = TAIL_EXPONENT, their terms have size
+    about e^(-2 pi y n) and e^(-pi y (2n - 1)). Each family is summed through
+    n = N + 1, where N is the first n whose term is at most e^-T:
+    N = ceil(T / (2 pi y)) for P and N = ceil(1/2 + T / (2 pi y)) for S. Its
+    first omitted term is therefore at most e^-(T + 4 pi y). Both families
     share the blocks of one _sum_log_abs_1p_exp pass.
     """
     t = complex(tau.matrix[0, 0])
     y = t.imag
-    n_prod = math.ceil(TAIL_EXPONENT / (2.0 * math.pi * y)) + 1
-    # 1 - Q^2n = 1 + e^(i pi (2 n tau + 1))
-    families = [(lambda n: 1j * math.pi * (2.0 * n * t + 1.0), n_prod, 1)]
-    for m in ms:
-        n_mean = math.ceil(1.5 + TAIL_EXPONENT / (2.0 * math.pi * m * y)) + 1
-        two_p = np.array([2.0, -2.0])[:, None, None] * _axis_grid(m)
-        # 1 + exp(i pi m tau (2n - 1 +- 2p)) for (n, +-) at each of the m p-points
-        families.append((
-            lambda n, m=m, two_p=two_p: 1j * math.pi * m * t * ((2.0 * n - 1.0)[:, None] + two_p),
-            n_mean,
-            2 * m,
-        ))
-    product, *q_sums = _sum_log_abs_1p_exp(families)
-    means = []
-    for m, q_sum in zip(ms, q_sums):
-        mean_p_sq = 1.0 / 3.0 - 1.0 / (12.0 * m * m)  # exact mean of p^2 over the midpoints
-        # (1/m) sum over (n, +-) at each p-point, averaged over the m p-points
-        means.append(0.25 * math.log(2.0 * y) - math.pi * y * mean_p_sq + product + q_sum / (m * m))
-    return means
+    reach = TAIL_EXPONENT / (2.0 * math.pi * y)
+    product, odd = _sum_log_abs_1p_exp([
+        # 1 - Q^2n = 1 + e^(i pi (2 n tau + 1))
+        (lambda n: 1j * math.pi * (2.0 * n * t + 1.0), math.ceil(reach) + 1),
+        # 1 + Q^(2n-1) = 1 + e^(i pi (2n - 1) tau)
+        (lambda n: 1j * math.pi * (2.0 * n - 1.0) * t, math.ceil(0.5 + reach) + 1),
+    ])
+    base = 0.25 * math.log(2.0 * y) - math.pi * y / 12.0 + product
+    return [base + (math.pi * y / 12.0 + 2.0 * odd) / (m * m) for m in ms]
 
 
 def _fold(C: np.ndarray, axis: int, m: int) -> np.ndarray:
@@ -218,21 +175,43 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
     Evaluated by discrete Parseval in q, without the q-grid. On the midpoint
     q-grid, exp(2 i pi n . q) = exp(i pi sum(n) / m) exp(2 i pi n . j / m), so
     F(p, .) is an m^g-point DFT of the coefficients
-    C_r(p) = sum over n = r (mod m) of A_n(p) exp(i pi sum(n) / m),
+    C_r(p) = sum over n = r (mod m) of exp(i pi (n + p)^T tau (n + p) + i pi sum(n) / m),
     folded per axis by n mod m (nothing to fold while 2 box + 1 <= m). The
-    mean of |F|^2 over the q-grid is therefore scale^2 sum_r |C_r(p)|^2, and
-    the value returned, its mean over the p-grid, equals the full midpoint
-    grid sum in exact arithmetic, aliasing included, at O((2 box + 1)^g m^g)
-    work instead of O((2 box + 1)^g m^2g).
+    mean of |F|^2 over the q-grid is therefore det(2y)^(1/2) sum_r |C_r(p)|^2,
+    and its mean over the p-grid equals the full midpoint grid sum in exact
+    arithmetic, aliasing included, at O((2 box + 1)^g m^g) work.
+
+    The p-grid is streamed in blocks of max(1, _BLOCK // (2 box + 1)^g)
+    points. A block's (2 box + 1)^g x block exponents are built in place from
+    i pi (n^T tau n + sum(n) / m), i pi p^T tau p and one product
+    2 i pi (tau n)_j p_j per axis, then exponentiated and folded, so peak
+    memory is a few such 16 B arrays, about 1 MB each, whatever m is. Each
+    block is reduced by numpy's pairwise sum, not by BLAS, whose result
+    depends on its thread count, and the block sums by math.fsum.
     """
     m = _resolution(quadrature_points_per_axis)
-    ns, A, scale = _coefficients(tau, _tensor_grid(tau.g, m))
-    C = A * np.exp(1j * math.pi * ns.sum(axis=1) / m)[:, None]
-    C = C.reshape((2 * int(ns.max()) + 1,) * tau.g + (A.shape[1],))
-    for axis in range(tau.g):
-        C = _fold(C, axis, m)
-    # numpy's pairwise sums, not a BLAS reduction, whose result depends on its thread count
-    return scale * scale * float((C.real**2).sum() + (C.imag**2).sum()) / A.shape[1]
+    g, t = tau.g, tau.matrix
+    box = default_truncation(tau)
+    axes = [np.arange(-box, box + 1)] * g
+    ns = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+    tn = [sum(t[j, l] * ns[:, l] for l in range(g)) for j in range(g)]  # (tau n)_j per term
+    term = 1j * math.pi * (sum(ns[:, j] * tn[j] for j in range(g)) + ns.sum(axis=1) / m)
+    cross = [2j * math.pi * u for u in tn]
+    step = max(1, _BLOCK // ns.shape[0])
+    sums = []
+    for i0 in range(0, m**g, step):
+        i = np.arange(i0, min(i0 + step, m**g))
+        p = [(i // m ** (g - 1 - j) % m + 0.5) / m for j in range(g)]  # row-major p-grid
+        point = 1j * math.pi * sum(p[j] * sum(t[j, l] * p[l] for l in range(g)) for j in range(g))
+        E = np.add.outer(term, point)
+        prod = np.empty_like(E)
+        for j in range(g):
+            E += np.multiply.outer(cross[j], p[j], out=prod)
+        C = np.exp(E, out=E).reshape((2 * box + 1,) * g + (-1,))
+        for axis in range(g):
+            C = _fold(C, axis, m)
+        sums.append(float((C.real**2).sum() + (C.imag**2).sum()))
+    return float(np.linalg.det(2.0 * tau.y)) ** 0.5 * math.fsum(sums) / m**g
 
 
 def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
@@ -248,14 +227,16 @@ def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) ->
     Q = e^(i pi tau) the Jacobi triple product gives
     theta_3(z | tau) = prod_n (1 - Q^2n)(1 + Q^(2n-1) e^(2 i pi z))(1 + Q^(2n-1) e^(-2 i pi z)).
     On the even midpoint grid q_j = (j + 1/2)/m, prod_j (1 + a e^(+-2 i pi q_j)) = 1 + a^m
-    exactly for every complex a, so the mean of log|F(p, .)| over the q-points is
-    (1/4) log 2y - pi y p^2 + sum_n log|1 - Q^2n|
-    + (1/m) sum_(n, +-) log|1 + exp(i pi m tau (2n - 1 +- 2p))|,
-    and a grid mean costs O(m N) for N product terms instead of
-    O(m^2 (2 box + 1)). The product family sum_n log|1 - Q^2n| does not depend
-    on m, so both resolutions take it from one sum, and log|1 + e^z| is
-    evaluated once over the terms of the product family and of the two q-mean
-    families together (see _product_log_means for the term counts).
+    for every complex a, so the mean of log|F(p, .)| over the q-points is
+    (1/4) log 2y - pi y p^2 + sum_n log|1 - Q^2n| + (1/m) sum_(n, +-) log|1 + Q^k|,
+    k = m (2n - 1) +- 2 m p. Over the midpoints p, k runs over the odd
+    integers in (-m, m) once and those above m twice; a negative k gives
+    log|1 + Q^k| = pi |k| y + log|1 + Q^|k||, and p^2 averages to
+    1/3 - 1/(12 m^2). So the grid mean is
+    (1/4) log 2y - pi y / 12 + P + (pi y / 12 + 2 S) / m^2, with the two 1-D
+    families P = sum_n log|1 - Q^2n| and S = sum_n log|1 + Q^(2n-1)| shared
+    by both resolutions (see _product_log_means). The Richardson step cancels
+    the 1/m^2 term: the result is (1/4) log 2y + log|eta(tau)| for every even m.
     """
     if tau.g != 1:
         raise ValueError("the log integral is evaluated for g = 1 only")

@@ -49,8 +49,11 @@ class TestIngest:
             '"embeddings": [{"tau_re": 5.3, "tau_im": 0.2}], '
             '"log_norm_minimal_discriminant": 0.0}\n'
         )
-        with pytest.warns(UserWarning, match="reduced"):
+        with pytest.warns(UserWarning) as caught:
             records = ingest_curves(str(path))
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert "reduced" in messages[0] and "has no conjugate partner" in messages[1]
         assert len(records) == 1
         t = records[0].embeddings[0]
         assert t.re == pytest.approx(-4.0 / 13.0, abs=1e-12)
@@ -522,8 +525,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["height"], ["verify"]])
     def test_record_near_the_cusp(self, argv, tmp_path, capsys):
-        # 0.1 + 1e-300 i reduces to Im tau ~ 1e298: the height is finite there,
-        # but the isogeny suite's period_norm_identity overflows on Im tau^2
+        # 0.1 + 1e-300 i reduces to Im tau ~ 1e298, where |tau|^2 overflows a float:
+        # the height and every report value are still finite there
         path = tmp_path / "cusp.jsonl"
         path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
         with pytest.warns(UserWarning, match="reduced"):
@@ -534,9 +537,16 @@ class TestExitCodes:
             h_f = float(captured.out.split("h_F = ")[1].split(",")[0])
             assert math.isfinite(h_f) and h_f == pytest.approx(5.2e297, rel=0.01)
         else:
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
+            assert code in (0, 1)
+            assert captured.err == ""
+            numbers = []
+            for token in captured.out.split():
+                try:
+                    numbers.append(float(token))
+                except ValueError:
+                    pass
+            assert numbers and all(math.isfinite(x) for x in numbers)
+            assert "period_norm_ceiling" in captured.out
 
     @pytest.mark.parametrize("im", ["60", "120", "1900", "1e6"])
     def test_valid_record_at_large_im(self, im, tmp_path, capsys):

@@ -9,6 +9,7 @@ from periodkit.isogeny import (
     IsogenyBoundInput,
     chain_checkpoints,
     explicit_bound,
+    floor_norm_sq,
     implicit_delta_solver,
     period_norm_identity,
     surface_bound_constants,
@@ -183,6 +184,22 @@ class TestPeriodNormCeiling:
             n = max(1, math.floor(re * re + im * im))
             report = period_norm_identity(n, tau)
             assert report.satisfied, str(report)
+
+    @pytest.mark.parametrize("re, im", [(0.0, 1.0), (0.3, 2.0), (-0.5, 3.0), (0.25, 1.01), (0.1, 1e150)])
+    def test_floor_is_the_float_floor_where_the_square_fits(self, re, im):
+        assert floor_norm_sq(SiegelTau(re, im)) == math.floor(re**2 + im**2)
+
+    @pytest.mark.parametrize("im", [1e154, 1e200, 1e298, 8e307])
+    def test_finite_where_the_square_overflows(self, im):
+        tau = SiegelTau(0.1, im)
+        n = floor_norm_sq(tau)
+        assert n / int(im) ** 2 == pytest.approx(1.0, rel=1e-15)
+        report = period_norm_identity(n, tau)
+        assert report.satisfied, str(report)
+        for x in (report.lhs, report.rhs, report.inputs["intermediate"]):
+            assert x == pytest.approx(2.0 * im, rel=1e-15)
+        with pytest.raises(ValueError):
+            period_norm_identity(n // 2, tau)
 
     def test_wrong_index_rejected(self):
         with pytest.raises(ValueError):

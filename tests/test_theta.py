@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ class TestL2Fold:
             assert 1.0 - torus_l2_norm(tau, 16) > 1e-6
 
 
+class TestL2Stream:
+    @pytest.mark.parametrize("block", [1, 169, 1000])
+    @pytest.mark.parametrize("m", [16, 32])
+    @pytest.mark.parametrize("tau", [TAU_G2, TAU_WRAP_G2], ids=["g2", "wrap_g2"])
+    def test_block_size_does_not_move_the_result(self, tau, m, block, monkeypatch):
+        # blocks of 1, 1 and 5 points for the 169 terms of TAU_G2, of 1 point for TAU_WRAP_G2
+        whole = torus_l2_norm(tau, m)
+        monkeypatch.setattr(theta, "_BLOCK", block)
+        assert abs(torus_l2_norm(tau, m) - whole) <= 1e-15
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        tracemalloc.start()
+        try:
+            torus_l2_norm(RiemannTau(2, [[1j, 0.0], [0.0, 2j]]), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 def _grid_log_mean_g1(tau: RiemannTau, m: int) -> float:
     """Reference sweep: mean of log|F| over the full m x m midpoint grid, g=1."""
     box = default_truncation(tau)
@@ -163,8 +184,8 @@ class TestLogProduct:
         want = float(oracles.mp_log_integral_g1(t))
         assert abs(torus_log_integral(RiemannTau(1, [[t]]), 64) - want) <= 1e-6
 
-    # at 0.001i the families hold 6,368 + 13,056 + 13,568 terms: 20,000 puts the
-    # first two in one block, 4,099 and 1,000 cut inside each family
+    # at 0.001i the families P and S hold 6,368 terms each: 20,000 puts both in
+    # one block, 4,099 and 1,000 cut inside each family
     @pytest.mark.parametrize("block", [20000, 4099, 1000])
     def test_block_boundaries_do_not_move_the_result(self, block, monkeypatch):
         tau = RiemannTau(1, [[0.001j]])
@@ -173,6 +194,13 @@ class TestLogProduct:
         got = torus_log_integral(tau, 64)
         assert abs(got - float(oracles.mp_log_integral_g1(0.001j))) <= 1e-6
         assert abs(got - whole) <= 1e-12
+
+    @pytest.mark.parametrize("m", (16, 64, 256))
+    @pytest.mark.parametrize("t", LOG_TAUS + [0.02j, 0.001j], ids=str)
+    def test_log_integral_is_the_eta_closed_form(self, t, m):
+        # the Richardson step cancels the 1/m^2 term: (1/4) log 2y + log|eta(tau)| for every even m
+        want = float(oracles.mp_log_integral_g1(t))
+        assert abs(torus_log_integral(RiemannTau(1, [[t]]), m) - want) <= 1e-13 * abs(want)
 
     def test_families_share_one_kernel_call(self, monkeypatch):
         calls = []
