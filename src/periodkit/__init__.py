@@ -1,8 +1,8 @@
 """Rigorous numeric checks around lattice minima, theta series, stable
 heights, interpolation constants, and explicit isogeny degree bounds."""
 
-from .bounds import PROOF_CONSTANTS, BoundReport, ProofConstants
-from .heights import CurveRecord, HeightValue, convert_height, faltings_height_silverman
+from .bounds import BoundReport
+from .heights import CurveRecord, faltings_height_silverman
 from .lattice import (
     EllipticLattice,
     PolarizedTorus,
@@ -24,16 +24,12 @@ __all__ = [
     "BoundReport",
     "CurveRecord",
     "EllipticLattice",
-    "HeightValue",
-    "PROOF_CONSTANTS",
     "PolarizedTorus",
-    "ProofConstants",
     "RiemannTau",
     "SiegelTau",
     "Subspace",
     "UnimodularMap",
     "avoidance_minimum",
-    "convert_height",
     "faltings_height_silverman",
     "find_threshold",
     "j_invariant",

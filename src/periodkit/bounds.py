@@ -49,22 +49,11 @@ class BoundReport:
         return f"{verdict} {self.name}: lhs={self.lhs:.12g} rhs={self.rhs:.12g} margin={self.margin:.3g}"
 
 
-@dataclass(frozen=True)
-class ProofConstants:
-    """Numeric constants reused across the structural checks.
-
-    theta and eps_coefficient parametrize the auxiliary-section estimates;
-    gamma2/gamma4/gamma6 are the Hermite constants for rank 2, 4, 6.
-    """
-
-    theta: float = math.log(2.0) / math.pi
-    eps_coefficient: float = 6.0 * math.sqrt(2.0) - 8.0
-    gamma2: float = 2.0 / math.sqrt(3.0)
-    gamma4: float = math.sqrt(2.0)
-    gamma6: float = 2.0 / 3.0 ** (1.0 / 6.0)
-
-
-PROOF_CONSTANTS = ProofConstants()
+# c = 6 sqrt2 - 8 in the epsilon-choice inequality, and the Hermite
+# constants gamma_4, gamma_6 of rank 4 and 6
+EPS_COEFFICIENT = 6.0 * math.sqrt(2.0) - 8.0
+GAMMA4 = math.sqrt(2.0)
+GAMMA6 = 2.0 / 3.0 ** (1.0 / 6.0)
 
 
 def _log_factorial(g: int) -> float:
@@ -241,7 +230,6 @@ def structural_constants(g_max: int, eps_grid: int = 200, seed: int = 0) -> list
         raise ValueError("g_max must be >= 2")
     if eps_grid < 2:
         raise ValueError("eps_grid must be >= 2")
-    pc = PROOF_CONSTANTS
     reports: list[BoundReport] = []
 
     # (a) per-g comparison, exactly as the two displayed constants are defined
@@ -296,7 +284,7 @@ def structural_constants(g_max: int, eps_grid: int = 200, seed: int = 0) -> list
     # g = 2 expands exactly: 4 + c xi + (c xi)^2/16 <= 4 + xi/2. Since
     # c + c^2/16 = 1/2 the margin is (c^2/16)(xi - xi^2), least on (0, 1] at
     # xi = 1 where it is zero; rounding leaves -1.1e-15, inside the tolerance.
-    c = pc.eps_coefficient
+    c = EPS_COEFFICIENT
     xi = 1.0
     reports.append(
         BoundReport("eps_choice_inequality_g2", c * xi + (c * xi) ** 2 / 16.0, xi / 2.0, inputs={"g": 2, "xi": xi})
@@ -337,7 +325,7 @@ def structural_constants(g_max: int, eps_grid: int = 200, seed: int = 0) -> list
     )
 
     # (e) gamma_{2t} t!^{-1/t} <= 1: exact values for t in {2,3}, Blichfeldt after
-    for t, gamma in ((2, pc.gamma4), (3, pc.gamma6)):
+    for t, gamma in ((2, GAMMA4), (3, GAMMA6)):
         reports.append(
             BoundReport(
                 f"hermite_ratio_t{t}",

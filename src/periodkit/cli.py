@@ -35,8 +35,8 @@ from . import isogeny as iso
 from . import modular, serre, theta
 from .bounds import BoundReport
 from .heights import (
+    H_SHIFT,
     CurveRecord,
-    convert_height,
     faltings_height_silverman,
     hetj_report,
     isogeny_height_report,
@@ -308,12 +308,14 @@ def _suite_heights(records, seed: int, quad: int) -> list[BoundReport]:
     reports: list[BoundReport] = []
     floor = -0.5 * math.log(2.0 * math.pi)
     for rec in records:
-        h = convert_height(faltings_height_silverman(rec), "paper_h", g=1).value
+        hF = faltings_height_silverman(rec)
         reports.append(
-            BoundReport(f"height_floor[{rec.label}]", floor, h, inputs={"label": rec.label}, tol=1e-9)
+            BoundReport(
+                f"height_floor[{rec.label}]", floor, hF + H_SHIFT, inputs={"label": rec.label}, tol=1e-9
+            )
         )
         if rec.j_rational is not None:
-            reports.append(hetj_report(rec))
+            reports.append(hetj_report(rec, hF))
     reports += [
         isogeny_height_report(1.0, 1.0),
         isogeny_height_report(0.5, 4.0, 1.0),
@@ -329,8 +331,8 @@ def _suite_bounds(records, seed: int, quad: int) -> list[BoundReport]:
     _, _, checks = bnd.prop_ell_solver(1.0)
     reports += checks
     for rec in records:
-        hF = faltings_height_silverman(rec).value
-        h = hF + 0.5 * math.log(math.pi)
+        hF = faltings_height_silverman(rec)
+        h = hF + H_SHIFT
         rec_rhos = [1.0 / math.sqrt(t.im) for t in rec.embeddings]
         reports.append(bnd.autissier_report(rec_rhos, h, 1))
         T = sum(t.im for t in rec.embeddings) / rec.degree
@@ -358,7 +360,7 @@ def _suite_interpolation(records, seed: int, quad: int) -> list[BoundReport]:
 
 
 def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
-    reports = [cp.report for cp in iso.chain_checkpoints()]
+    reports = iso.chain_checkpoints()
     reports += iso.surface_bound_constants()
     general = iso.explicit_bound(iso.IsogenyBoundInput(1, 900.0, "general"))
     reports.append(_equality_report("general_closed_form", general.bound, 9.70225e12, 1e-3))
@@ -366,7 +368,7 @@ def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
     reports.append(_equality_report("real_closed_form", real.bound, 3583.0, 1e-9))
     for D in (1, 2, 5):
         for hF in (0.0, 10.0, 985.0):
-            H = max(hF + 0.5 * math.log(math.pi), 1000.0)
+            H = max(hF + H_SHIFT, 1000.0)
             delta = iso.implicit_delta_solver(2.0 * D, H)
             cap = iso.explicit_bound(iso.IsogenyBoundInput(D, hF, "general")).bound
             reports.append(
@@ -530,9 +532,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             records, _ = _load_records(args.curves)
             for rec in records:
                 hF = faltings_height_silverman(rec)
-                h = convert_height(hF, "paper_h", g=1)
                 hj = weil_height_rational_j(rec.j_rational) if rec.j_rational else float("nan")
-                print(f"{rec.label}: h_F = {hF.value:.12g}, h = {h.value:.12g}, h(j) = {hj:.12g}")
+                print(f"{rec.label}: h_F = {hF:.12g}, h = {hF + H_SHIFT:.12g}, h(j) = {hj:.12g}")
             return 0
         if args.command == "bound" and args.bound_command == "matrix-lemma":
             records, digests = _load_records(args.curves)

@@ -1,4 +1,4 @@
-"""Heights of elliptic curves and the affine conversions between conventions.
+"""Stable heights of elliptic curves and the inequality reports built on them.
 
 The stable height is computed from a minimal-discriminant norm and the
 archimedean discriminant values; nothing here computes minimal models, the
@@ -17,24 +17,8 @@ from .bounds import BoundReport
 from .lattice import SiegelTau
 from .modular import delta_on_upper_half_plane
 
-CONVENTIONS = ("faltings_original", "paper_h", "colmez")
-
-# additive offsets relative to the working convention, per unit of g/2
-_OFFSET_FACTOR = {
-    "paper_h": 0.0,
-    "faltings_original": -math.log(math.pi),
-    "colmez": -math.log(2.0 * math.pi),
-}
-
-
-@dataclass(frozen=True)
-class HeightValue:
-    value: float
-    convention: str
-
-    def __post_init__(self) -> None:
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
+# h = h_F + H_SHIFT, the paper's height for g = 1
+H_SHIFT = 0.5 * math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -103,30 +87,24 @@ def weil_height_rational_j(j) -> float:
     return math.log(m) if m > 1 else 0.0
 
 
-def faltings_height_silverman(record: CurveRecord) -> HeightValue:
-    """Stable height from the minimal-discriminant norm and period ratios.
+def faltings_height_silverman(record: CurveRecord) -> float:
+    """Stable height h_F from the minimal-discriminant norm and period ratios.
 
-    h = (1/(12 D)) [ log|N(min disc)| - sum over embeddings of
+    h_F = (1/(12 D)) [ log|N(min disc)| - sum over embeddings of
     log(|Delta(tau)| Im(tau)^6) ], with Delta carrying the (2 pi)^12 factor
     so the result lands in the original normalization: 12 D log 2 pi is added
     once to the sum of log|Delta| + 6 log Im(tau), which never underflows.
+    Raises ``OverflowError`` when the value is not finite: 2 pi Im(tau)
+    overflows inside log Delta from about Im(tau) = 2.86e307 on.
     """
     total = 0.0
     for t in record.embeddings:
         total += delta_on_upper_half_plane(t.value).value.real + 6.0 * math.log(t.im)
     total += 12.0 * record.degree * math.log(2.0 * math.pi)
     value = (record.log_norm_minimal_discriminant - total) / (12.0 * record.degree)
-    return HeightValue(value, "faltings_original")
-
-
-def convert_height(h: HeightValue, target: str, g: int) -> HeightValue:
-    """Affine change of height convention; exact round trips."""
-    if target not in CONVENTIONS:
-        raise ValueError(f"unknown convention {target!r}")
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    shift = (g / 2.0) * (_OFFSET_FACTOR[target] - _OFFSET_FACTOR[h.convention])
-    return HeightValue(h.value + shift, target)
+    if not math.isfinite(value):
+        raise OverflowError(f"record {record.label!r}: stable height is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +124,13 @@ def isogeny_height_report(h_source: float, deg: float, h_target: Optional[float]
     )
 
 
-def subvariety_height_report(h_ambient: float, g: int, h0: float, h_sub: Optional[float] = None) -> BoundReport:
-    """h(sub) <= h(ambient) + g log(sqrt(2 pi) h0^2)."""
+def subvariety_height_report(h_ambient: float, g: int, h0: float) -> BoundReport:
+    """h(sub) <= h(ambient) + g log(sqrt(2 pi) h0^2), with h(sub) = h(ambient)."""
     if h0 < 1:
         raise ValueError("h0 must be >= 1")
-    lhs = h_ambient if h_sub is None else h_sub
     return BoundReport(
         "subvariety_height",
-        lhs,
+        h_ambient,
         h_ambient + g * math.log(math.sqrt(2.0 * math.pi) * h0**2),
         inputs={"h_ambient": h_ambient, "g": g, "h0": h0},
     )
@@ -169,16 +146,17 @@ def product_additivity_report(h1: float, h2: float, h_product: float) -> BoundRe
     )
 
 
-def hetj_report(record: CurveRecord) -> BoundReport:
-    """End-to-end check h(E) <= (1/12) h(j) + 2.95 for a record with rational j."""
+def hetj_report(record: CurveRecord, h_F: float) -> BoundReport:
+    """End-to-end check h(E) <= (1/12) h(j) + 2.95 for a record with rational j.
+
+    ``h_F`` is the record's ``faltings_height_silverman``.
+    """
     if record.j_rational is None:
         raise ValueError(f"record {record.label!r} has no rational j")
-    hF = faltings_height_silverman(record)
-    h = convert_height(hF, "paper_h", g=1)
     hj = weil_height_rational_j(record.j_rational)
     return BoundReport(
         "height_vs_j_height",
-        h.value,
+        h_F + H_SHIFT,
         hj / 12.0 + 2.95,
-        inputs={"label": record.label, "h_faltings": hF.value, "h_j": hj},
+        inputs={"label": record.label, "h_faltings": h_F, "h_j": hj},
     )

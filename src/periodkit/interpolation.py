@@ -20,6 +20,7 @@ import numpy as np
 from .bounds import BoundReport
 
 SINH_PI = math.sinh(math.pi)
+# epsilon of the interpolation contours: each node circle has radius 1/2 - epsilon
 DEFAULT_EPSILON = 1.0 / 12.0
 
 
@@ -27,13 +28,10 @@ DEFAULT_EPSILON = 1.0 / 12.0
 class InterpolationParams:
     S: int
     T: int
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if self.S < 1 or self.T < 1:
             raise ValueError("S and T must be >= 1")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2)")
 
 
 class AnalyticTestFunction:
@@ -160,18 +158,19 @@ def _circle_min(S: int, k: int, rho: float) -> float:
     return abs(poly_P(S, k - math.copysign(rho, k)))
 
 
-def lemma52_checks(S_max: int, grid_step: float = 1e-3, seed: int = 7) -> list[BoundReport]:
+def lemma52_checks(S_max: int, seed: int = 7) -> list[BoundReport]:
     """Per-S verdicts for the four properties of the node polynomial.
 
     (1) endpoint values are +-(2S-1)! exactly; (2) |P| dominates
-    (S-1)!^2 |sin(pi t)| / pi on a grid of [-S, S]; (3) |P| stays below
-    (S-1)!^2 sinh(pi)/pi on the unit disc (exact maximum) and the two
-    half-discs at +-1 (``_half_disc_bound``); (4) on a circle about a node
+    (S-1)!^2 |sin(pi t)| / pi on a grid of step 1e-3 over [-S, S]; (3) |P|
+    stays below (S-1)!^2 sinh(pi)/pi on the unit disc (exact maximum) and the
+    two half-discs at +-1 (``_half_disc_bound``); (4) on a circle about a node
     the proved minimum (``_circle_min``) is the smaller real-point value.
     """
     if S_max < 2:
         raise ValueError("S_max must be >= 2")
     rng = np.random.default_rng(seed)
+    grid_step = 1e-3
     reports: list[BoundReport] = []
     for S in range(2, S_max + 1):
         fact = math.factorial(2 * S - 1)
@@ -296,7 +295,7 @@ def hermite_identity_check(f: AnalyticTestFunction, params: InterpolationParams,
     trapezoid nodes, and the residual must be at most 1e-8.
     """
     nodes = 2048
-    S, T, eps = params.S, params.T, params.epsilon
+    S, T, eps = params.S, params.T, DEFAULT_EPSILON
     z = complex(z)
     if abs(z) >= S:
         raise ValueError("z must satisfy |z| < S")
@@ -338,7 +337,7 @@ def schwarz_lemma_check(
     exact L2 mean sqrt(sum |a_k|^2 S^2k) on the circle (Parseval), a lower
     estimate of the maximum, so both err against a PASS.
     """
-    S, T, eps = params.S, params.T, params.epsilon
+    S, T, eps = params.S, params.T, DEFAULT_EPSILON
     lhs = _circle_max(f, 1.0)
     if f.family == "polynomial":
         f_S = math.sqrt(sum(abs(a) ** 2 * S ** (2 * k) for k, a in enumerate(f.coeffs)))

@@ -33,12 +33,6 @@ class IsogenyBoundInput:
             raise ValueError(f"case must be one of {CASES}")
 
 
-@dataclass(frozen=True)
-class ChainCheckpoint:
-    name: str
-    report: BoundReport
-
-
 class ExplicitBound(NamedTuple):
     bound: float
     simplified: Optional[float]
@@ -110,58 +104,34 @@ def _min_margin_pair(name: str, first: tuple[float, float], second: tuple[float,
     )
 
 
-def chain_checkpoints() -> list[ChainCheckpoint]:
+def chain_checkpoints() -> list[BoundReport]:
     """The seven numeric steps of the derivation, in order."""
     pi = math.pi
     s233 = math.sqrt(233.0)
-    cps = [
-        ChainCheckpoint(
-            "log_term_absorption",
-            BoundReport("log_term_absorption", 2.0 * math.log(1.545e6) / 1.545e6, 1.85e-5, inputs={}),
-        ),
-        ChainCheckpoint(
-            "constant_1545",
-            BoundReport("constant_1545", 1461.0 / (1.0 - 1461.0 * 3.7e-5), 1545.0, inputs={}),
-        ),
-        ChainCheckpoint(
+    return [
+        BoundReport("log_term_absorption", 2.0 * math.log(1.545e6) / 1.545e6, 1.85e-5, inputs={}),
+        BoundReport("constant_1545", 1461.0 / (1.0 - 1461.0 * 3.7e-5), 1545.0, inputs={}),
+        BoundReport(
             "cm_delta_vs_sqrt233",
-            BoundReport(
-                "cm_delta_vs_sqrt233",
-                25.12 / (pi * math.sqrt(3.0) / 2.0 - 6.0 * math.log(s233) / s233),
-                s233,
-                inputs={},
-            ),
+            25.12 / (pi * math.sqrt(3.0) / 2.0 - 6.0 * math.log(s233) / s233),
+            s233,
+            inputs={},
         ),
-        ChainCheckpoint(
+        _min_margin_pair(
             "real_delta_fixed_points",
-            _min_margin_pair(
-                "real_delta_fixed_points",
-                (23.61 / (pi - 6.0 * math.log(12.31) / 12.31), 12.31),
-                (39.74 / (pi - 6.0 * math.log(18.19) / 18.19), 18.19),
-                ("at_12_31", "at_18_19"),
-            ),
+            (23.61 / (pi - 6.0 * math.log(12.31) / 12.31), 12.31),
+            (39.74 / (pi - 6.0 * math.log(18.19) / 18.19), 18.19),
+            ("at_12_31", "at_18_19"),
         ),
-        ChainCheckpoint(
+        _min_margin_pair(
             "real_constant_3583",
-            _min_margin_pair(
-                "real_constant_3583",
-                (24.62 * 36.38, 895.7),
-                (895.7 * 4.0, 3583.0),
-                ("product", "final"),
-            ),
+            (24.62 * 36.38, 895.7),
+            (895.7 * 4.0, 3583.0),
+            ("product", "final"),
         ),
-        ChainCheckpoint(
-            "constant_1461",
-            BoundReport("constant_1461", 1.006 * 1778.0 * math.sqrt(2.0 / 3.0), 1461.0, inputs={}),
-        ),
-        ChainCheckpoint(
-            "two_periods_fallback",
-            BoundReport(
-                "two_periods_fallback", 1.03 * math.sqrt(4.0 / 7.0), math.sqrt(2.0 / 3.0), inputs={}
-            ),
-        ),
+        BoundReport("constant_1461", 1.006 * 1778.0 * math.sqrt(2.0 / 3.0), 1461.0, inputs={}),
+        BoundReport("two_periods_fallback", 1.03 * math.sqrt(4.0 / 7.0), math.sqrt(2.0 / 3.0), inputs={}),
     ]
-    return cps
 
 
 def surface_bound_constants() -> list[BoundReport]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .heights import CurveRecord, convert_height, faltings_height_silverman
+from .heights import H_SHIFT, CurveRecord, faltings_height_silverman
 
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 
@@ -248,10 +248,10 @@ def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) ->
 def bost_inequality_check(record: CurveRecord, quadrature_points_per_axis: int = 64) -> BoundReport:
     """Height floor against the mean log integral over the embeddings.
 
-    lhs = -(h + (1/2) log 2 pi)/2 with h the curve height in the working
-    normalization; rhs = mean over embeddings of the torus log integral.
+    lhs = -(h + (1/2) log 2 pi)/2 with h = h_F + H_SHIFT the paper's height
+    of the curve; rhs = mean over embeddings of the torus log integral.
     """
-    h = convert_height(faltings_height_silverman(record), "paper_h", g=1).value
+    h = faltings_height_silverman(record) + H_SHIFT
     a = -(h + 0.5 * math.log(2.0 * math.pi)) / 2.0
     total = 0.0
     for t in record.embeddings:

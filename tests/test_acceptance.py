@@ -20,7 +20,7 @@ from periodkit.bounds import (
 )
 from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
-from periodkit.heights import convert_height, faltings_height_silverman
+from periodkit.heights import H_SHIFT, faltings_height_silverman
 from periodkit.interpolation import (
     AnalyticTestFunction,
     InterpolationParams,
@@ -88,7 +88,7 @@ def test_c03_theta_l2_normalization():
 
 def test_c04_node_polynomial_and_circle_bounds():
     """C4: node-polynomial checks hold for S=2..12 at grid step 1e-3; both circle bounds hold for monomials d<=10 and exponentials |c|<=2 over S in {2,3,4}, T in {1,2,3}"""
-    for rep in lemma52_checks(12, grid_step=1e-3):
+    for rep in lemma52_checks(12):
         assert rep.satisfied, rep
     functions = [AnalyticTestFunction.monomial(d) for d in range(11)]
     functions += [
@@ -155,15 +155,14 @@ def test_c08_height_pipeline_on_fixtures(bundled_records):
     assert bundled_records
     floor = -0.5 * math.log(2.0 * math.pi)
     for rec in bundled_records:
-        hv = faltings_height_silverman(rec)
-        hF = hv.value
+        hF = faltings_height_silverman(rec)
         recomputed = oracles.mp_faltings(
             rec.degree,
             [(t.re, t.im) for t in rec.embeddings],
             rec.log_norm_minimal_discriminant,
         )
         assert hF == pytest.approx(recomputed, abs=1e-12), rec.label
-        h = convert_height(hv, "paper_h", g=1).value
+        h = hF + H_SHIFT
         assert h >= floor, rec.label
         rhos = [1.0 / math.sqrt(t.im) for t in rec.embeddings]
         assert autissier_report(rhos, h, 1).satisfied, rec.label
@@ -178,8 +177,8 @@ def test_c09_chain_checkpoints_and_closed_forms():
     """C9: all seven derivation checkpoints pass; closed-form degree caps give 9.70225e12 (general, D=1, height <= 985) and 3583 (real place, D=1)"""
     checkpoints = chain_checkpoints()
     assert len(checkpoints) == 7
-    for cp in checkpoints:
-        assert cp.report.satisfied, cp.name
+    for report in checkpoints:
+        assert report.satisfied, report.name
     top = explicit_bound(IsogenyBoundInput(1, 985.0, "general")).bound
     assert top == pytest.approx(9.70225e12, rel=1e-12)
     # any height below the clamp lands on the same cap

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import oracles
 from periodkit.bounds import (
-    PROOF_CONSTANTS,
+    EPS_COEFFICIENT,
+    GAMMA4,
+    GAMMA6,
     BoundReport,
     autissier_report,
     bisect_last,
@@ -51,20 +53,17 @@ class TestBoundReport:
 
 class TestProofConstants:
     def test_recorded_values(self):
-        c = PROOF_CONSTANTS
-        assert c.theta == pytest.approx(math.log(2.0) / math.pi, abs=1e-16)
-        assert c.eps_coefficient == pytest.approx(6.0 * math.sqrt(2.0) - 8.0, abs=1e-16)
-        assert c.gamma2 == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-16)
-        assert c.gamma4 == pytest.approx(math.sqrt(2.0), abs=1e-16)
-        assert c.gamma6 == pytest.approx(2.0 / 3.0 ** (1.0 / 6.0), abs=1e-15)
+        assert EPS_COEFFICIENT == pytest.approx(6.0 * math.sqrt(2.0) - 8.0, abs=1e-16)
+        assert GAMMA4 == pytest.approx(math.sqrt(2.0), abs=1e-16)
+        assert GAMMA6 == pytest.approx(2.0 / 3.0 ** (1.0 / 6.0), abs=1e-15)
 
 
 class TestPeriodMeanVsHeight:
     def test_fixture_pipeline(self, bundled_records):
-        from periodkit.heights import convert_height, faltings_height_silverman
+        from periodkit.heights import H_SHIFT, faltings_height_silverman
 
         for rec in bundled_records:
-            h = convert_height(faltings_height_silverman(rec), "paper_h", 1).value
+            h = faltings_height_silverman(rec) + H_SHIFT
             rhos = [1.0 / math.sqrt(t.im) for t in rec.embeddings]
             report = autissier_report(rhos, h, 1)
             assert report.satisfied, str(report)
@@ -87,11 +86,11 @@ class TestMatrixLemma:
         assert report.rhs == 11.0
 
     def test_fixture_pipeline_both_variants(self, bundled_records):
-        from periodkit.heights import convert_height, faltings_height_silverman
+        from periodkit.heights import H_SHIFT, faltings_height_silverman
 
         for rec in bundled_records:
-            hF = faltings_height_silverman(rec).value
-            h = convert_height(faltings_height_silverman(rec), "paper_h", 1).value
+            hF = faltings_height_silverman(rec)
+            h = hF + H_SHIFT
             T = sum(t.im for t in rec.embeddings) / rec.degree
             assert matrix_lemma_report(T, h, 1.0, 1, "eleven").satisfied
             assert matrix_lemma_report(T, hF, 1.0, 1, "fourteen").satisfied
@@ -201,7 +200,7 @@ class TestStructuralConstants:
         # reference sweep: the (g, eps) and (g, xi) grids the closed forms
         # replace, keeping the first point of least margin
         g_max, grid = 60, 200
-        c = PROOF_CONSTANTS.eps_coefficient
+        c = EPS_COEFFICIENT
         by_name = {r.name: r for r in structural_constants(g_max, eps_grid=grid)}
 
         def first_min(points):

@@ -567,6 +567,33 @@ class TestExitCodes:
         for r in reports:
             assert all(math.isfinite(r[key]) for key in ("lhs", "rhs", "margin")), r["name"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["height"], *(["verify", "--suite", suite] for suite in ("heights", "bounds", "theta"))],
+        ids=["height", "heights", "bounds", "theta"],
+    )
+    def test_height_overflow_is_an_error(self, argv, tmp_path, capsys):
+        # 2 pi Im tau overflows inside log Delta from about Im tau = 2.86e307
+        path = tmp_path / "overflow.jsonl"
+        path.write_text(
+            '{"label": "top", "degree": 1, "embeddings": [[0.0, 1.7e308]], '
+            '"log_norm_minimal_discriminant": 5.0}\n'
+        )
+        assert main(argv + ["--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "inf" not in captured.out
+
+    def test_height_just_below_overflow_is_finite(self, tmp_path, capsys):
+        path = tmp_path / "high.jsonl"
+        path.write_text(
+            '{"label": "top", "degree": 1, "embeddings": [[0.0, 2.8e307]], '
+            '"log_norm_minimal_discriminant": 5.0}\n'
+        )
+        assert main(["height", "--curves", str(path)]) == 0
+        h_f = float(capsys.readouterr().out.split("h_F = ")[1].split(",")[0])
+        assert math.isfinite(h_f) and h_f == pytest.approx(math.pi / 6.0 * 2.8e307, rel=1e-6)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_bound_isogeny_rejects_non_finite_h_f(self, value, capsys):
         assert main(["bound", "isogeny", f"--h-f={value}"]) == 2

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from periodkit.heights import (
+    H_SHIFT,
     CurveRecord,
-    HeightValue,
-    convert_height,
     faltings_height_silverman,
     hetj_report,
     isogeny_height_report,
@@ -58,8 +57,8 @@ class TestFaltingsHeight:
     def test_synthetic_square_lattice(self):
         rec = one_curve("sq", 0.0, 1.0, 0.0)
         got = faltings_height_silverman(rec)
-        assert got.convention == "faltings_original"
-        assert got.value == pytest.approx(-1.3105329259115095, rel=1e-12)
+        assert type(got) is float
+        assert got == pytest.approx(-1.3105329259115095, rel=1e-12)
 
     def test_bundled_fixtures_against_extended_precision(self, record_by_label):
         for label, expected in (
@@ -67,7 +66,7 @@ class TestFaltingsHeight:
             ("37a1", -0.99654220763736715),
         ):
             rec = record_by_label[label]
-            got = faltings_height_silverman(rec).value
+            got = faltings_height_silverman(rec)
             assert got == pytest.approx(expected, rel=1e-12)
             orc = oracles.mp_faltings(
                 rec.degree,
@@ -77,8 +76,8 @@ class TestFaltingsHeight:
             assert got == pytest.approx(float(orc), abs=1e-12)
 
     def test_base_change_invariance(self, record_by_label):
-        h1 = faltings_height_silverman(record_by_label["11a1"]).value
-        h2 = faltings_height_silverman(record_by_label["11a1-quad"]).value
+        h1 = faltings_height_silverman(record_by_label["11a1"])
+        h2 = faltings_height_silverman(record_by_label["11a1-quad"])
         assert h1 == pytest.approx(h2, abs=1e-14)
 
     def test_invariant_under_embedding_order_and_conjugation(self):
@@ -96,13 +95,9 @@ class TestFaltingsHeight:
             5.0,
             None,
         )
-        ha = faltings_height_silverman(a).value
-        hb = faltings_height_silverman(b).value
+        ha = faltings_height_silverman(a)
+        hb = faltings_height_silverman(b)
         assert ha == pytest.approx(hb, abs=1e-15)
-        # the two summands agree individually, which is what makes the swap
-        # a no-op: |delta| and Im tau are both mirror-symmetric
-        single = one_curve("half", 0.0, 1.2, 2.5)
-        assert faltings_height_silverman(single).convention == "faltings_original"
 
     def test_embedding_count_must_match_degree(self):
         with pytest.raises(ValueError):
@@ -119,29 +114,8 @@ class TestFaltingsHeight:
 
 
 class TestConversions:
-    @given(st.floats(-5, 5), st.integers(1, 4))
-    @settings(max_examples=60)
-    def test_round_trip_identity(self, value, g):
-        h = HeightValue(value, "faltings_original")
-        there = convert_height(h, "colmez", g)
-        back = convert_height(there, "faltings_original", g)
-        assert back.value == pytest.approx(value, abs=1e-15)
-        assert back.convention == "faltings_original"
-
     def test_shift_sizes_are_exact(self):
-        h = HeightValue(0.0, "faltings_original")
-        paper = convert_height(h, "paper_h", 1)
-        assert paper.value == pytest.approx(0.5 * math.log(math.pi), abs=1e-16)
-        colmez = convert_height(h, "colmez", 1)
-        assert colmez.value == pytest.approx(
-            0.5 * math.log(math.pi) - 0.5 * math.log(2 * math.pi), abs=1e-15
-        )
-
-    def test_composition_consistency(self):
-        h = HeightValue(1.25, "paper_h")
-        direct = convert_height(h, "colmez", 2)
-        via = convert_height(convert_height(h, "faltings_original", 2), "colmez", 2)
-        assert direct.value == pytest.approx(via.value, abs=1e-15)
+        assert H_SHIFT == 0.5 * math.log(math.pi)
 
 
 class TestInequalityReports:
@@ -157,7 +131,7 @@ class TestInequalityReports:
         assert isogeny_height_report(h, float(deg), h_target=target).satisfied
 
     def test_subvariety_report(self):
-        report = subvariety_height_report(0.0, 1, 1.0, h_sub=0.0)
+        report = subvariety_height_report(0.0, 1, 1.0)
         assert report.satisfied
         assert report.rhs == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-15)
 
@@ -171,7 +145,7 @@ class TestInequalityReports:
         for rec in bundled_records:
             if rec.j_rational is None:
                 continue
-            report = hetj_report(rec)
+            report = hetj_report(rec, faltings_height_silverman(rec))
             assert report.satisfied, str(report)
             assert report.margin > 0
 
@@ -188,3 +162,17 @@ class TestInequalityReports:
             "orthogonal_split_degree",
         ]
         assert manifest.all_satisfied
+
+    def test_heights_suite_evaluates_each_height_once(self, bundled_records, monkeypatch):
+        from periodkit import cli, heights
+
+        calls = []
+
+        def counted(record):
+            calls.append(record.label)
+            return faltings_height_silverman(record)
+
+        monkeypatch.setattr(heights, "faltings_height_silverman", counted)
+        monkeypatch.setattr(cli, "faltings_height_silverman", counted)
+        run_suite("heights", bundled_records)
+        assert calls == [rec.label for rec in bundled_records]

@@ -108,13 +108,13 @@ class TestImplicitSolverBisection:
 
 class TestChainCheckpoints:
     def test_exactly_seven_all_satisfied(self):
-        cps = chain_checkpoints()
-        assert len(cps) == 7
-        for cp in cps:
-            assert cp.report.satisfied, f"{cp.name}: {cp.report}"
+        reports = chain_checkpoints()
+        assert len(reports) == 7
+        for report in reports:
+            assert report.satisfied, str(report)
 
     def test_recorded_names(self):
-        names = [cp.name for cp in chain_checkpoints()]
+        names = [report.name for report in chain_checkpoints()]
         assert names == [
             "log_term_absorption",
             "constant_1545",
@@ -126,7 +126,7 @@ class TestChainCheckpoints:
         ]
 
     def test_real_branch_product_step(self):
-        by_name = {cp.name: cp.report for cp in chain_checkpoints()}
+        by_name = {report.name: report for report in chain_checkpoints()}
         product = by_name["real_constant_3583"]
         assert product.lhs == pytest.approx(24.62 * 36.38, rel=1e-12)
         assert product.rhs == 895.7
@@ -134,7 +134,7 @@ class TestChainCheckpoints:
         assert product.inputs["final_rhs"] == 3583.0
 
     def test_fixed_point_pair_values(self):
-        by_name = {cp.name: cp.report for cp in chain_checkpoints()}
+        by_name = {report.name: report for report in chain_checkpoints()}
         pair = by_name["real_delta_fixed_points"]
         assert pair.lhs == pytest.approx(18.189845100873324, rel=1e-10)
         assert pair.inputs["at_12_31_lhs"] == pytest.approx(
