@@ -300,7 +300,7 @@ def _suite_theta(records, seed: int, quad: int) -> list[BoundReport]:
     val = theta.torus_l2_norm(theta.RiemannTau(2, [[1j, 0.0], [0.0, 2j]]), max(16, quad // 4))
     reports.append(_equality_report("l2_norm_g2_diag", val, 1.0, 1e-5))
     for rec in records:
-        reports.append(theta.bost_inequality_check(rec, quad))
+        reports.append(theta.bost_inequality_check(rec))
     return reports
 
 
@@ -441,7 +441,7 @@ def run_suite(
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptk", description="period and isogeny bound toolkit")
-    p.add_argument("--quad-points", type=int, default=64, help="quadrature points per axis")
+    p.add_argument("--quad-points", type=int, default=64, help="quadrature points per axis of the L2 norm")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -520,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             t, _ = siegel_reduce(EllipticLattice(1.0, complex(args.tau_re, args.tau_im)))
             rt = theta.RiemannTau(1, [[t.value]])
             l2 = theta.torus_l2_norm(rt, args.quad_points)
-            li = theta.torus_log_integral(rt, args.quad_points)
+            li = theta.torus_log_integral(rt)
             # the even midpoint grid gives 1 + 2 sum_k (-1)^k e^{-pi k^2 m^2 / (2 Im tau)}
             m = theta._resolution(args.quad_points)
             alias = 2.0 * math.exp(-math.pi * m * m / (2.0 * t.im))

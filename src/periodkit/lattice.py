@@ -1,11 +1,11 @@
 """Complex lattices in dimension one and two.
 
 Reduction of elliptic period lattices to the standard fundamental domain,
-shortest vectors under a positive Hermitian form, minima avoiding a complex
-subspace, and exact index computations for integer matrices. The minimum
-avoiding a line is the shortest vector of the lattice projected onto the
-line's orthogonal complement, a rank-2 lattice in the plane that
-Lagrange-Gauss reduction solves exactly.
+shortest vectors of one-dimensional tori, minima avoiding a complex subspace,
+and exact index computations for integer matrices. Both minima are
+Lagrange-Gauss reductions in the plane: the shortest vector of the periods
+scaled by the form, and the minimum avoiding a line the shortest vector of
+the lattice projected onto the line's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 _BOUNDARY_EPS = 1e-12
-# Largest coefficient box enumerated: about a minute at ~5e6 points per second.
-MAX_GRID_POINTS = 250_000_000
-CHUNK_ROWS = 200_000
 
 
 @dataclass(frozen=True)
@@ -247,53 +244,6 @@ def rho_inverse_squared(tau: SiegelTau) -> float:
 # Shortest vectors and avoidance minima
 # ---------------------------------------------------------------------------
 
-def _box_bounds(gram: np.ndarray, radius_sq: float) -> list[int]:
-    """Per-coordinate bounds: the ellipsoid n^T G n <= R^2 has |n_i| <= R sqrt((G^-1)_ii)."""
-    inv_diag = np.diag(np.linalg.inv(gram)).real
-    return [int(math.floor(math.sqrt(max(radius_sq, 0.0) * d) + 1e-9)) for d in inv_diag]
-
-
-def _grid_chunks(bounds: Sequence[int]):
-    """Integer coefficient grid [-b_i, b_i]^k for k >= 2, yielded as (rows, k) arrays."""
-    points = math.prod(2 * b + 1 for b in bounds)
-    if points > MAX_GRID_POINTS:
-        raise ValueError(f"coefficient box holds {points} points, more than {MAX_GRID_POINTS}")
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1).reshape(-1, len(axes) - 1)
-    buf: list[np.ndarray] = []
-    rows = 0
-    for n0 in axes[0]:
-        block = np.hstack([np.full((tail.shape[0], 1), n0, dtype=np.int64), tail])
-        buf.append(block)
-        rows += block.shape[0]
-        if rows >= CHUNK_ROWS:
-            yield np.vstack(buf)
-            buf, rows = [], 0
-    if buf:
-        yield np.vstack(buf)
-
-
-def shortest_vector(torus: PolarizedTorus) -> tuple[tuple[int, ...], float]:
-    """Nonzero lattice vector of minimal norm.
-
-    The search box is certified complete: starting radius is the smallest
-    diagonal Gram entry, and any coefficient vector reaching outside the box
-    has norm above that radius.
-    """
-    G = torus.gram()
-    diag = np.diag(G)
-    best_sq = float(diag.min())
-    best = tuple(int(v) for v in np.eye(2 * torus.g, dtype=int)[int(diag.argmin())])
-    for N in _grid_chunks(_box_bounds(G, best_sq * (1.0 + 1e-12))):
-        Nf = N.astype(float)
-        q = np.einsum("ij,jk,ik->i", Nf, G, Nf)
-        q[np.all(N == 0, axis=1)] = np.inf
-        k = int(q.argmin())
-        if q[k] < best_sq * (1.0 - 1e-15):
-            best_sq, best = float(q[k]), tuple(int(x) for x in N[k])
-    return best, math.sqrt(best_sq)
-
-
 def _cross(a: complex, b: complex) -> float:
     """Signed area of the parallelogram on a and b, viewed in R^2."""
     return (a.conjugate() * b).imag
@@ -310,21 +260,37 @@ def _gauss_reduce(a: complex, b: complex) -> tuple[complex, complex]:
         a, b = b, a
 
 
+def shortest_vector(torus: PolarizedTorus) -> tuple[tuple[int, int], float]:
+    """Nonzero lattice vector of minimal norm on a g = 1 torus, and its norm.
+
+    Scaled by sqrt(H), the periods lie in the plane with the norm |z|, and
+    the first vector of their Lagrange-Gauss reduced pair is a shortest one.
+    Its coefficients in the periods solve two signed-area equations.
+    """
+    if torus.g != 1:
+        raise ValueError("shortest_vector is evaluated for g = 1 only")
+    scale = math.sqrt(torus.riemann_form[0, 0].real)
+    w1, w2 = (scale * complex(w) for w in torus.periods[0])
+    a, _ = _gauss_reduce(w1, w2)
+    det = _cross(w1, w2)
+    return (round(_cross(a, w2) / det), round(_cross(w1, a) / det)), abs(a)
+
+
 def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
     """Minimal H-distance to the subspace among lattice points off the subspace.
 
-    For the zero subspace this is the shortest-vector norm. For a line C v in
-    a two-dimensional torus it is the shortest nonzero vector of the lattice
-    projected onto the H-orthogonal complement of v: with u*Hv = 0 and
-    u*Hu = 1, the period P e_k has coordinate c_k = u*H P e_k there, and |c_k|
-    is its distance to the line. The c_k are folded into a Gauss-reduced pair
-    (a, b): a residue of at most DEFAULT_TOL times the longest period lies on
-    the line; any other residue has coordinates in [-1/2, 1/2] in (a, b),
-    replaces a basis vector and so at least halves the covolume. When the
-    line meets the lattice in rank 2 the projection is a lattice and the fold
-    ends with |a| as the minimum. Otherwise the projection is dense, and the
-    fold raises once the covolume falls below DEFAULT_TOL times its start,
-    after at most 30 replacements.
+    For the zero subspace, on a g = 1 torus only, this is the shortest-vector
+    norm. For a line C v in a two-dimensional torus it is the shortest
+    nonzero vector of the lattice projected onto the H-orthogonal complement
+    of v: with u*Hv = 0 and u*Hu = 1, the period P e_k has coordinate
+    c_k = u*H P e_k there, and |c_k| is its distance to the line. The c_k are
+    folded into a Gauss-reduced pair (a, b): a residue of at most DEFAULT_TOL
+    times the longest period lies on the line; any other residue has
+    coordinates in [-1/2, 1/2] in (a, b), replaces a basis vector and so at
+    least halves the covolume. When the line meets the lattice in rank 2 the
+    projection is a lattice and the fold ends with |a| as the minimum.
+    Otherwise the projection is dense, and the fold raises once the covolume
+    falls below DEFAULT_TOL times its start, after at most 30 replacements.
     """
     if sub.ambient_g != torus.g:
         raise ValueError("subspace ambient dimension does not match torus")

@@ -1,16 +1,14 @@
 """Gaussian-normalized theta sums on tori of dimension one and two.
 
 The central object is the weighted series F whose squared modulus integrates
-to 1 over the doubled torus. Torus integrals are midpoint means over tensor
-grids, with the half-step offset keeping theta zeros at cell corners, and
-neither integral builds its grid. The L2 norm uses discrete Parseval in q
-and streams the p-grid in blocks, so its peak memory is a few
-(2 box + 1)^g x block x 16 B arrays whatever m is, and it reduces with
-numpy's pairwise sums rather than BLAS, so it does not depend on the BLAS
-thread count. The log integral, for g = 1 only, uses the Jacobi triple
-product: every grid mean is a closed form in two 1-D families of
-log|1 + e^z| terms, P over 1 - Q^2n and S over 1 + Q^(2n-1), and the
-Richardson limit is (1/4) log 2y + log|eta(tau)| for every even m.
+to 1 over the doubled torus. The L2 norm is a midpoint mean over the tensor
+grid, with the half-step offset keeping theta zeros at cell corners, and it
+builds no grid: it uses discrete Parseval in q and streams the p-grid in
+blocks, so its peak memory is a few (2 box + 1)^g x block x 16 B arrays
+whatever m is, and it reduces with numpy's pairwise sums rather than BLAS, so
+it does not depend on the BLAS thread count. The log integral, for g = 1
+only, is no quadrature at all: by Bost's identity it is
+(1/4) log 2y + log|eta(tau)|, read off log Delta.
 """
 
 from __future__ import annotations
@@ -22,6 +20,8 @@ import numpy as np
 
 from .bounds import BoundReport
 from .heights import H_SHIFT, CurveRecord, faltings_height_silverman
+from .lattice import EllipticLattice, siegel_reduce
+from .modular import delta_on_upper_half_plane
 
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 
@@ -71,84 +71,7 @@ def default_truncation(tau: RiemannTau) -> int:
 # Torus quadrature
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 16  # entries per block of the L2 stream and per _log_abs_1p_exp call
-
-
-def _log_abs_1p_exp(z: np.ndarray) -> np.ndarray:
-    """log|1 + e^z| elementwise.
-
-    For Re z > 0, log|1 + e^z| = Re z + log|1 + e^-z|, and with a = -|Re z| <= 0,
-    |1 + e^(a + i Im z)|^2 = expm1(a)^2 + 4 e^a cos^2(Im z / 2), which neither
-    overflows nor cancels near the zeros of 1 + e^z. For a <= -50 that square
-    rounds to exactly 1 (expm1(a) to -1, and 4 e^a < 2^-70), so log|1 + e^z|
-    is max(Re z, 0) there, with the same bits, and only the other entries go
-    through exp, cos and log; most terms of a family lie that deep.
-    """
-    a = -np.abs(z.real)
-    live = a > -50.0
-    out = np.maximum(z.real, 0.0)
-    a = a[live]
-    mod_sq = np.expm1(a) ** 2 + 4.0 * np.exp(a) * np.cos(0.5 * z.imag[live]) ** 2
-    out[live] += 0.5 * np.log(mod_sq)
-    return out
-
-
-def _sum_log_abs_1p_exp(families) -> list[float]:
-    """Sum of log|1 + e^z| per family (z_of, n_max), over z = z_of(n), n = 1..n_max.
-
-    z_of maps an array of n to an array of z. Each family is cut into pieces
-    of at most _BLOCK entries, because n_max grows like 1/Im tau, and
-    consecutive pieces of all families are packed into blocks of at most
-    _BLOCK entries. Each block takes one _log_abs_1p_exp call, and each
-    piece's slice of it is summed into its own family's total.
-    """
-    totals = [0.0] * len(families)
-    block: list = []
-    size = 0
-    for k, (z_of, n_max) in enumerate(families):
-        for n0 in range(1, n_max + 1, _BLOCK):
-            z = z_of(np.arange(n0, min(n0 + _BLOCK, n_max + 1)))
-            if block and size + z.size > _BLOCK:
-                _sum_block(block, totals)
-                block, size = [], 0
-            block.append((k, z))
-            size += z.size
-    _sum_block(block, totals)
-    return totals
-
-
-def _sum_block(block: list, totals: list) -> None:
-    values = _log_abs_1p_exp(np.concatenate([z for _, z in block]))
-    i = 0
-    for k, z in block:
-        totals[k] += float(values[i : i + z.size].sum())
-        i += z.size
-
-
-def _product_log_means(tau: RiemannTau, *ms: int) -> list[float]:
-    """Means of log|F| over the m x m midpoint grids for g = 1, one per even m, with no grid.
-
-    See torus_log_integral for the identity: with Q = e^(i pi tau), every
-    mean is (1/4) log 2y - pi y / 12 + P + (pi y / 12 + 2 S) / m^2 for the
-    two families P = sum_n log|1 - Q^2n| and S = sum_n log|1 + Q^(2n-1)|,
-    which do not depend on m. With T = TAIL_EXPONENT, their terms have size
-    about e^(-2 pi y n) and e^(-pi y (2n - 1)). Each family is summed through
-    n = N + 1, where N is the first n whose term is at most e^-T:
-    N = ceil(T / (2 pi y)) for P and N = ceil(1/2 + T / (2 pi y)) for S. Its
-    first omitted term is therefore at most e^-(T + 4 pi y). Both families
-    share the blocks of one _sum_log_abs_1p_exp pass.
-    """
-    t = complex(tau.matrix[0, 0])
-    y = t.imag
-    reach = TAIL_EXPONENT / (2.0 * math.pi * y)
-    product, odd = _sum_log_abs_1p_exp([
-        # 1 - Q^2n = 1 + e^(i pi (2 n tau + 1))
-        (lambda n: 1j * math.pi * (2.0 * n * t + 1.0), math.ceil(reach) + 1),
-        # 1 + Q^(2n-1) = 1 + e^(i pi (2n - 1) tau)
-        (lambda n: 1j * math.pi * (2.0 * n - 1.0) * t, math.ceil(0.5 + reach) + 1),
-    ])
-    base = 0.25 * math.log(2.0 * y) - math.pi * y / 12.0 + product
-    return [base + (math.pi * y / 12.0 + 2.0 * odd) / (m * m) for m in ms]
+_BLOCK = 1 << 16  # entries per block of the L2 stream
 
 
 def _fold(C: np.ndarray, axis: int, m: int) -> np.ndarray:
@@ -169,6 +92,7 @@ def _resolution(quadrature_points_per_axis: int) -> int:
     return m + (m % 2)  # even grid keeps the standard theta zero at cell corners
 
 
+@np.errstate(over="raise", invalid="raise")
 def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
     """Midpoint quadrature of the squared modulus over (R^g/Z^g)^2; expect 1.
 
@@ -187,7 +111,9 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
     2 i pi (tau n)_j p_j per axis, then exponentiated and folded, so peak
     memory is a few such 16 B arrays, about 1 MB each, whatever m is. Each
     block is reduced by numpy's pairwise sum, not by BLAS, whose result
-    depends on its thread count, and the block sums by math.fsum.
+    depends on its thread count, and the block sums by math.fsum. An exponent
+    that overflows, from about Im tau = 6e306 at g = 1, raises
+    ``FloatingPointError`` instead of giving a NaN mean.
     """
     m = _resolution(quadrature_points_per_axis)
     g, t = tau.g, tau.matrix
@@ -214,49 +140,37 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
     return float(np.linalg.det(2.0 * tau.y)) ** 0.5 * math.fsum(sums) / m**g
 
 
-def torus_log_integral(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
-    """Quadrature of log|F| over the doubled torus, for g = 1.
+def torus_log_integral(tau: RiemannTau) -> float:
+    """Integral of log|F| over the doubled torus, for g = 1, by Bost's identity.
 
-    The integrand has integrable log singularities along the theta divisor;
-    the leading quadrature error from cells meeting it scales as the square
-    of the step, so the midpoint mean over the m x m grid is
-    Richardson-extrapolated from one internal resolution doubling.
-
-    The mean is evaluated without the grid. There
-    F(p, q) = (2y)^(1/4) e^(i pi p^2 tau) theta_3(p tau + q | tau), and with
-    Q = e^(i pi tau) the Jacobi triple product gives
-    theta_3(z | tau) = prod_n (1 - Q^2n)(1 + Q^(2n-1) e^(2 i pi z))(1 + Q^(2n-1) e^(-2 i pi z)).
-    On the even midpoint grid q_j = (j + 1/2)/m, prod_j (1 + a e^(+-2 i pi q_j)) = 1 + a^m
-    for every complex a, so the mean of log|F(p, .)| over the q-points is
-    (1/4) log 2y - pi y p^2 + sum_n log|1 - Q^2n| + (1/m) sum_(n, +-) log|1 + Q^k|,
-    k = m (2n - 1) +- 2 m p. Over the midpoints p, k runs over the odd
-    integers in (-m, m) once and those above m twice; a negative k gives
-    log|1 + Q^k| = pi |k| y + log|1 + Q^|k||, and p^2 averages to
-    1/3 - 1/(12 m^2). So the grid mean is
-    (1/4) log 2y - pi y / 12 + P + (pi y / 12 + 2 S) / m^2, with the two 1-D
-    families P = sum_n log|1 - Q^2n| and S = sum_n log|1 + Q^(2n-1)| shared
-    by both resolutions (see _product_log_means). The Richardson step cancels
-    the 1/m^2 term: the result is (1/4) log 2y + log|eta(tau)| for every even m.
+    Bost (Duke Math. J. 82, 1996) gives it as (1/4) log 2y + log|eta(tau)|,
+    and 24 log|eta(tau)| = Re log Delta(tau). Since y^(1/4) |eta(tau)| is
+    SL2(Z)-invariant, tau is reduced first, where the Delta sum takes at most
+    nine terms. Raises ``OverflowError`` where the value is not finite: Re log
+    Delta overflows from about Im tau = 2.86e307.
     """
     if tau.g != 1:
         raise ValueError("the log integral is evaluated for g = 1 only")
-    m = _resolution(quadrature_points_per_axis)
-    coarse, fine = _product_log_means(tau, m, 2 * m)
-    return (4.0 * fine - coarse) / 3.0
+    t, _ = siegel_reduce(EllipticLattice(1.0, complex(tau.matrix[0, 0])))
+    value = 0.25 * math.log(2.0 * t.im) + delta_on_upper_half_plane(t.value).value.real / 24.0
+    if not math.isfinite(value):
+        raise OverflowError(f"log integral is not finite at Im tau = {t.im:.6g}")
+    return value
 
 
-def bost_inequality_check(record: CurveRecord, quadrature_points_per_axis: int = 64) -> BoundReport:
+def bost_inequality_check(record: CurveRecord, _quad_points: int = 64) -> BoundReport:
     """Height floor against the mean log integral over the embeddings.
 
     lhs = -(h + (1/2) log 2 pi)/2 with h = h_F + H_SHIFT the paper's height
-    of the curve; rhs = mean over embeddings of the torus log integral.
+    of the curve; rhs = mean over embeddings of the torus log integral. The
+    second argument is accepted and unused, since the log integral has no
+    grid; the span test in perfbench/tests still passes a resolution here.
     """
     h = faltings_height_silverman(record) + H_SHIFT
     a = -(h + 0.5 * math.log(2.0 * math.pi)) / 2.0
     total = 0.0
     for t in record.embeddings:
-        rt = RiemannTau(1, [[complex(t.re, t.im)]])
-        total += torus_log_integral(rt, quadrature_points_per_axis)
+        total += torus_log_integral(RiemannTau(1, [[t.value]]))
     mean = total / len(record.embeddings)
     return BoundReport(
         "height_vs_mean_log_integral",

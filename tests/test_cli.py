@@ -481,6 +481,15 @@ class TestExitCodes:
         assert main(["theta", "check", flag, value]) == 2
         assert "error: periods must be finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("im", ["1e307", "1.7e308"])
+    def test_theta_check_overflow_is_an_error(self, im, capsys):
+        # the L2 exponents overflow from about Im tau = 6e306: no NaN line, no warning
+        assert main(["theta", "check", "--tau-re", "0", "--tau-im", im]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_height_subcommand(self, capsys):
         assert main(["height"]) == 0
         out = capsys.readouterr().out

@@ -10,14 +10,11 @@ import oracles
 from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.lattice import (
-    CHUNK_ROWS,
-    MAX_GRID_POINTS,
     EllipticLattice,
     PolarizedTorus,
     SiegelTau,
     Subspace,
     UnimodularMap,
-    _grid_chunks,
     avoidance_minimum,
     rho_inverse_squared,
     shortest_vector,
@@ -134,16 +131,28 @@ class TestRhoAndShortestVector:
         _, norm = shortest_vector(g1_torus(tau.value))
         assert rho_inverse_squared(tau) * norm * norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_g2_svp_against_bruteforce(self):
+    def test_skewed_g1_basis_against_bruteforce(self):
+        # bases (1 + a tau, b + (1 + a b) tau) of Z + Z tau, so 1 has coefficients (1 + a b, -a)
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            t1 = random_reduced_tau(rng).value
-            t2 = random_reduced_tau(rng).value
-            periods = [[1.0, t1, 0.0, 0.0], [0.0, 0.0, 1.0, t2]]
-            torus = PolarizedTorus(2, periods, np.diag([1 / t1.imag, 1 / t2.imag]))
-            _, norm = shortest_vector(torus)
-            _, expected_sq = oracles.svp_bruteforce(torus.gram().tolist(), box=6)
+        for _ in range(20):
+            tau = random_reduced_tau(rng).value
+            a, b = (int(v) for v in rng.integers(-4, 5, size=2))
+            w1, w2 = 1.0 + a * tau, b + (1 + a * b) * tau
+            torus = PolarizedTorus(1, [[w1, w2]], [[1.0 / tau.imag]])
+            coeffs, norm = shortest_vector(torus)
+            # the Gram entries reach ~5e3, so the oracle's n^T G n cancels to ~1e-12
+            _, expected_sq = oracles.svp_bruteforce(torus.gram().tolist(), box=20)
             assert norm * norm == pytest.approx(expected_sq, rel=1e-10)
+            assert norm * norm == pytest.approx(1.0 / tau.imag, rel=1e-12)  # |1|^2 / Im tau
+            x, y = coeffs
+            assert abs(x * w1 + y * w2) == pytest.approx(norm * math.sqrt(tau.imag), rel=1e-12)
+
+    def test_g2_is_refused(self):
+        torus = product_torus(1j)
+        with pytest.raises(ValueError, match="g = 1 only"):
+            shortest_vector(torus)
+        with pytest.raises(ValueError, match="g = 1 only"):
+            avoidance_minimum(torus, Subspace(2, []))
 
 
 class TestAvoidanceMinimum:
@@ -219,9 +228,6 @@ class TestAvoidanceMinimum:
         torus = PolarizedTorus(2, periods, np.diag([1 / t1.imag, 1 / t2.imag]))
         rho1 = 1.0 / math.sqrt(t1.imag)
         rho2 = 1.0 / math.sqrt(t2.imag)
-        assert avoidance_minimum(torus, Subspace(2, [])) == pytest.approx(
-            min(rho1, rho2), abs=1e-12
-        )
         assert avoidance_minimum(torus, Subspace(2, [[1.0, 0.0]])) == pytest.approx(
             rho2, abs=1e-10
         )
@@ -229,23 +235,11 @@ class TestAvoidanceMinimum:
             rho1, abs=1e-10
         )
 
-    def test_oversized_box_is_refused_before_enumeration(self):
-        # 1414215 x 1 x 1414215 x 1 coefficients
-        with pytest.raises(ValueError, match="holds 2000004066225 points"):
-            next(_grid_chunks([707107, 0, 707107, 0]))
+    def test_diagonal_avoidance_at_im_1e6(self):
         d = avoidance_minimum(product_torus(1e6j), Subspace(2, [[1.0, 1.0]]))
         assert d == pytest.approx(1.0 / math.sqrt(2e6), rel=1e-15)
 
-    def test_box_at_the_limit_is_enumerated(self):
-        side = 2 * 7905 + 1  # side**2 = 249,948,961 points
-        assert side * side <= MAX_GRID_POINTS < (side + 2) ** 2
-        first = next(_grid_chunks([7905, 7905]))
-        rows = -(-CHUNK_ROWS // side) * side  # whole rows of the first axis
-        assert first.shape == (rows, 2)
-        assert first[0].tolist() == [-7905, -7905] and first[-1, 1] == 7905
-
     def test_invariant_under_a_change_of_lattice_basis(self):
-        # skewed bases: the search boxes of draws 5 (k = 2) and 14 (k = 1) exceed MAX_GRID_POINTS
         rng = np.random.default_rng(1)
         for _ in range(16):
             tau = random_reduced_tau(rng).value
