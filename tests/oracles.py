@@ -589,6 +589,7 @@ def main():
     out["scipy_log_tau_i"] = scipy_log_integral_g1(1j, tol=1e-9)
     out["scipy_log_tau_5i"] = scipy_log_integral_g1(5j, tol=1e-9)
     out["log_grid_mean_002i_m16"] = mp_log_grid_mean_g1(mp.mpc(0, "0.02"), 16)
+    out["log_grid_mean_002i_m32"] = mp_log_grid_mean_g1(mp.mpc(0, "0.02"), 32)
     out["log_integral_0001i"] = mp_log_integral_g1(mp.mpc(0, "0.001"))
 
     # Siegel reduction targets

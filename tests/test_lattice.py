@@ -147,6 +147,15 @@ class TestRhoAndShortestVector:
             x, y = coeffs
             assert abs(x * w1 + y * w2) == pytest.approx(norm * math.sqrt(tau.imag), rel=1e-12)
 
+    # the second period reaches |1 + a b| |tau| ~ 1.5e4: no search box, a few Gauss steps
+    @pytest.mark.parametrize("a, b", [(10, -7), (-100, 99), (300, 41)])
+    def test_far_skewed_g1_basis(self, a, b):
+        tau = complex(0.3, 1.2)
+        w1, w2 = 1.0 + a * tau, b + (1 + a * b) * tau
+        coeffs, norm = shortest_vector(PolarizedTorus(1, [[w1, w2]], [[1.0 / tau.imag]]))
+        assert coeffs in ((1 + a * b, -a), (-1 - a * b, a))
+        assert norm * norm == pytest.approx(1.0 / tau.imag, rel=1e-9)
+
     def test_g2_is_refused(self):
         torus = product_torus(1j)
         with pytest.raises(ValueError, match="g = 1 only"):
