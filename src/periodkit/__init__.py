@@ -4,10 +4,8 @@ heights, interpolation constants, and explicit isogeny degree bounds."""
 from .bounds import BoundReport
 from .heights import CurveRecord, faltings_height_silverman
 from .lattice import (
-    EllipticLattice,
     PolarizedTorus,
     SiegelTau,
-    Subspace,
     UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
@@ -23,11 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CurveRecord",
-    "EllipticLattice",
     "PolarizedTorus",
     "RiemannTau",
     "SiegelTau",
-    "Subspace",
     "UnimodularMap",
     "avoidance_minimum",
     "faltings_height_silverman",

@@ -45,10 +45,8 @@ from .heights import (
     weil_height_rational_j,
 )
 from .lattice import (
-    EllipticLattice,
     PolarizedTorus,
     SiegelTau,
-    Subspace,
     UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
@@ -172,7 +170,7 @@ def _record_from_obj(obj: dict) -> CurveRecord:
         try:
             embeddings.append(SiegelTau(re, im))
         except ValueError:
-            reduced, _ = siegel_reduce(EllipticLattice(1.0, complex(re, im)))
+            reduced, _ = siegel_reduce(complex(re, im))
             warnings.warn(
                 f"record {obj.get('label', '?')!r}: embedding ({re}, {im}) reduced to "
                 f"({reduced.re}, {reduced.im})",
@@ -253,14 +251,14 @@ def _suite_lattice(records, seed: int, quad: int) -> list[BoundReport]:
         if found is None:
             continue
         scr = UnimodularMap(a, b, c, found).apply(t.value)
-        back, _ = siegel_reduce(EllipticLattice(1.0, scr))
+        back, _ = siegel_reduce(scr)
         worst = max(worst, abs(back.value - t.value))
     reports.append(BoundReport("siegel_round_trip_200", worst, 1e-10, inputs={"seed": seed}))
     worst = 0.0
     for _ in range(10):
         t = _random_reduced_tau(rng)
         torus = _product_torus(t.value)
-        delta = avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+        delta = avoidance_minimum(torus, [1.0, 1.0])
         rho = math.sqrt(1.0 / rho_inverse_squared(t))
         worst = max(worst, abs(delta - rho / math.sqrt(2.0)))
     reports.append(BoundReport("diagonal_avoidance_identity_10", worst, 1e-10, inputs={"seed": seed}))
@@ -362,15 +360,15 @@ def _suite_interpolation(records, seed: int, quad: int) -> list[BoundReport]:
 def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
     reports = iso.chain_checkpoints()
     reports += iso.surface_bound_constants()
-    general = iso.explicit_bound(iso.IsogenyBoundInput(1, 900.0, "general"))
+    general = iso.explicit_bound(1, 900.0)
     reports.append(_equality_report("general_closed_form", general.bound, 9.70225e12, 1e-3))
-    real = iso.explicit_bound(iso.IsogenyBoundInput(1, 1.0, "real_place_non_cm"))
+    real = iso.explicit_bound(1, 1.0, "real")
     reports.append(_equality_report("real_closed_form", real.bound, 3583.0, 1e-9))
     for D in (1, 2, 5):
         for hF in (0.0, 10.0, 985.0):
             H = max(hF + H_SHIFT, 1000.0)
             delta = iso.implicit_delta_solver(2.0 * D, H)
-            cap = iso.explicit_bound(iso.IsogenyBoundInput(D, hF, "general")).bound
+            cap = iso.explicit_bound(D, hF).bound
             reports.append(
                 BoundReport(
                     f"implicit_vs_explicit[D={D},hF={hF:g}]",
@@ -381,8 +379,7 @@ def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
             )
     for rec in records:
         for t in rec.embeddings:
-            n = max(1, iso.floor_norm_sq(t))
-            reports.append(iso.period_norm_identity(n, t))
+            reports.append(iso.period_norm_identity(t))
     return reports
 
 
@@ -471,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bm = bsub.add_parser("matrix-lemma", help="mean inverse-square minima vs height")
     bm.add_argument("--curves", default=None)
     bi = bsub.add_parser("isogeny", help="explicit isogeny degree bounds")
-    bi.add_argument("--case", choices=("general", "cm", "real"), default="general")
+    bi.add_argument("--case", choices=iso.CASES, default="general")
     bi.add_argument("--degree", type=int, default=1)
     bi.add_argument("--h-f", type=float, default=1.0, dest="h_f")
 
@@ -499,25 +496,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "reduce":
-            t, m = siegel_reduce(EllipticLattice(1.0, complex(args.re, args.im)))
+            t, m = siegel_reduce(complex(args.re, args.im))
             print(f"tau = {t.re:.17g} + {t.im:.17g}i")
             print(f"map = ({m.a}, {m.b}; {m.c}, {m.d})")
             return 0
         if args.command == "rho":
-            t, _ = siegel_reduce(EllipticLattice(1.0, complex(args.re, args.im)))
+            t, _ = siegel_reduce(complex(args.re, args.im))
             print(f"rho^-2 = {rho_inverse_squared(t):.17g}")
             return 0
         if args.command == "delta":
-            t, _ = siegel_reduce(EllipticLattice(1.0, complex(args.re, args.im)))
+            t, _ = siegel_reduce(complex(args.re, args.im))
             torus = _product_torus(t.value)
-            d = avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+            d = avoidance_minimum(torus, [1.0, 1.0])
             rho = math.sqrt(1.0 / rho_inverse_squared(t))
             print(f"delta = {d:.17g}")
             print(f"rho/sqrt(2) = {rho / math.sqrt(2.0):.17g}")
             return 0
         if args.command == "theta":
             # both integrals depend only on the torus, so tau is reduced first
-            t, _ = siegel_reduce(EllipticLattice(1.0, complex(args.tau_re, args.tau_im)))
+            t, _ = siegel_reduce(complex(args.tau_re, args.tau_im))
             rt = theta.RiemannTau(1, [[t.value]])
             l2 = theta.torus_l2_norm(rt, args.quad_points)
             li = theta.torus_log_integral(rt)
@@ -541,8 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_report(manifest, "text")
             return 0 if manifest.all_satisfied else 1
         if args.command == "bound" and args.bound_command == "isogeny":
-            case = {"general": "general", "cm": "cm", "real": "real_place_non_cm"}[args.case]
-            out = iso.explicit_bound(iso.IsogenyBoundInput(args.degree, args.h_f, case))
+            out = iso.explicit_bound(args.degree, args.h_f, args.case)
             print(f"bound = {out.bound:.17g}")
             if out.simplified is not None:
                 print(f"simplified = {out.simplified:.17g}")

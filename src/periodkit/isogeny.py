@@ -9,28 +9,12 @@ along the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .bounds import BoundReport, bisect_last
 from .lattice import SiegelTau
 
-CASES = ("general", "cm", "real_place_non_cm")
-
-
-@dataclass(frozen=True)
-class IsogenyBoundInput:
-    D_k: int
-    h_F: float
-    case: str = "general"
-
-    def __post_init__(self) -> None:
-        if self.D_k < 1:
-            raise ValueError("D_k must be >= 1")
-        if not math.isfinite(self.h_F):
-            raise ValueError(f"h_F = {self.h_F} is not finite")
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
+CASES = ("general", "cm", "real")
 
 
 class ExplicitBound(NamedTuple):
@@ -38,24 +22,35 @@ class ExplicitBound(NamedTuple):
     simplified: Optional[float]
 
 
-def explicit_bound(inp: IsogenyBoundInput) -> ExplicitBound:
-    """Degree bound for the requested case.
+def explicit_bound(D_k: int, h_F: float, case: str = "general") -> ExplicitBound:
+    """Degree bound for the requested case, one of ``CASES``.
 
     general: 10^7 D^2 (max(h_F, 985) + 4 log D)^2, together with the weaker
     closed form 10^13 D^2 max(h_F, log D, 1)^2. cm: 3.4e4 D^2
-    max(h_F + log(D)/2, 1)^2. real_place_non_cm: 3583 D^2
-    max(h_F, log D, 1)^2.
+    max(h_F + log(D)/2, 1)^2. real (a real place, no CM): 3583 D^2
+    max(h_F, log D, 1)^2. Raises ``OverflowError`` where a value is not finite.
     """
-    D = float(inp.D_k)
-    hF = inp.h_F
+    if D_k < 1:
+        raise ValueError("D_k must be >= 1")
+    if not math.isfinite(h_F):
+        raise ValueError(f"h_F = {h_F} is not finite")
+    if case not in CASES:
+        raise ValueError(f"case must be one of {CASES}")
+    D = float(D_k)
     logD = math.log(D)
-    if inp.case == "general":
-        main = 1e7 * D**2 * (max(hF, 985.0) + 4.0 * logD) ** 2
-        simplified = 1e13 * D**2 * max(hF, logD, 1.0) ** 2
-        return ExplicitBound(main, simplified)
-    if inp.case == "cm":
-        return ExplicitBound(3.4e4 * D**2 * max(hF + 0.5 * logD, 1.0) ** 2, None)
-    return ExplicitBound(3583.0 * D**2 * max(hF, logD, 1.0) ** 2, None)
+    try:
+        if case == "general":
+            out = ExplicitBound(1e7 * D**2 * (max(h_F, 985.0) + 4.0 * logD) ** 2,
+                                1e13 * D**2 * max(h_F, logD, 1.0) ** 2)
+        elif case == "cm":
+            out = ExplicitBound(3.4e4 * D**2 * max(h_F + 0.5 * logD, 1.0) ** 2, None)
+        else:
+            out = ExplicitBound(3583.0 * D**2 * max(h_F, logD, 1.0) ** 2, None)
+    except OverflowError:  # a float ** 2 past the largest double raises instead of giving inf
+        out = ExplicitBound(math.inf, None)
+    if not all(math.isfinite(x) for x in out if x is not None):
+        raise OverflowError(f"{case} isogeny bound is not finite at h_F = {h_F:g}")
+    return out
 
 
 def implicit_delta_solver(D: float, H: float) -> float:
@@ -182,21 +177,17 @@ def floor_norm_sq(tau: SiegelTau) -> int:
     return (num << 2 * e) // den
 
 
-def period_norm_identity(n: int, tau: SiegelTau) -> BoundReport:
+def period_norm_identity(tau: SiegelTau) -> BoundReport:
     """Norm of the constructed period against the floor-indexed ceiling.
 
-    The squared norm (n + |tau|^2)/Im(tau) is bounded by
-    (n + |tau|^2)/sqrt(|tau|^2 - 1/4) and then by 2n/sqrt(n - 1/4); requires
-    n = floor(|tau|^2). All three are evaluated on n and tau scaled by 4^-e
+    With n = max(1, floor(|tau|^2)), the squared norm (n + |tau|^2)/Im(tau)
+    is bounded by (n + |tau|^2)/sqrt(|tau|^2 - 1/4) and then by
+    2n/sqrt(n - 1/4). All three are evaluated on n and tau scaled by 4^-e
     and 2^-e and scaled back by 2^e, so none overflows while its value fits.
     """
+    n = max(1, floor_norm_sq(tau))
     e, t2 = _scaled_norm_sq(tau)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     n_s = n / 4**e
-    # accept the boundary case |tau| = 1 where t2 rounds just below n
-    if n != floor_norm_sq(tau) and not abs(t2 - n_s) <= math.ldexp(1e-9, -2 * e):
-        raise ValueError(f"n must be floor(|tau|^2) = {floor_norm_sq(tau)}")
     quarter = math.ldexp(0.25, -2 * e)
     norm_sq = math.ldexp((n_s + t2) / math.ldexp(tau.im, -e), e)
     mid = math.ldexp((n_s + t2) / math.sqrt(t2 - quarter), e)

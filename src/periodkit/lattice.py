@@ -1,7 +1,7 @@
 """Complex lattices in dimension one and two.
 
-Reduction of elliptic period lattices to the standard fundamental domain,
-shortest vectors of one-dimensional tori, minima avoiding a complex subspace,
+Reduction of elliptic period ratios to the standard fundamental domain,
+shortest vectors of one-dimensional tori, minima avoiding a complex line,
 and exact index computations for integer matrices. Both minima are
 Lagrange-Gauss reductions in the plane: the shortest vector of the periods
 scaled by the form, and the minimum avoiding a line the shortest vector of
@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,32 +80,6 @@ class UnimodularMap:
         )
 
 
-@dataclass(frozen=True)
-class EllipticLattice:
-    """Rank-2 lattice Z omega1 + Z omega2 with oriented basis.
-
-    EXAMPLES: the square lattice is ``EllipticLattice(1, 1j)``.
-    """
-
-    omega1: complex
-    omega2: complex
-
-    def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.omega1) and cmath.isfinite(self.omega2)):
-            raise ValueError("periods must be finite")
-        if self.omega1 == 0:
-            raise ValueError("omega1 must be nonzero")
-        ratio = self.omega2 / self.omega1
-        if ratio.imag == 0:
-            raise ValueError("degenerate lattice: basis is real-collinear")
-        if ratio.imag < 0:
-            raise ValueError("basis not oriented: Im(omega2/omega1) < 0")
-
-    @property
-    def tau(self) -> complex:
-        return self.omega2 / self.omega1
-
-
 def _as_c_array(m, shape_hint: str) -> np.ndarray:
     arr = np.array(m, dtype=complex)
     if arr.ndim != 2:
@@ -145,9 +119,10 @@ class PolarizedTorus:
         eigs = np.linalg.eigvalsh(H)
         if eigs.min() <= 0:
             raise ValueError("riemann_form is not positive-definite")
-        # real rank of the 2g columns viewed in R^{2g}
+        # real rank of the 2g columns viewed in R^{2g}, each scaled to largest entry 1
         real_cols = np.vstack([P.real, P.imag])
-        if np.linalg.matrix_rank(real_cols, tol=1e-12 * max(1.0, abs(P).max())) < 2 * g:
+        scale = np.abs(real_cols).max(axis=0)
+        if not scale.all() or np.linalg.matrix_rank(real_cols / scale, tol=1e-12) < 2 * g:
             raise ValueError("periods do not have full real rank")
         pairings = P.conj().T @ H @ P
         if np.abs(pairings.imag - np.round(pairings.imag)).max() > DEFAULT_TOL:
@@ -167,47 +142,22 @@ class PolarizedTorus:
         return np.ascontiguousarray(G.real)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Complex subspace of dimension 0 or 1 inside C^g, spanned by ``basis``."""
-
-    ambient_g: int
-    basis: tuple
-
-    def __init__(self, ambient_g: int, basis: Iterable = ()) -> None:
-        if ambient_g not in (1, 2):
-            raise ValueError("ambient_g must be 1 or 2")
-        vecs = []
-        for b in basis:
-            v = np.asarray(b, dtype=complex).reshape(-1)
-            if v.shape != (ambient_g,):
-                raise ValueError("basis vector has wrong dimension")
-            if not np.any(v):
-                raise ValueError("basis vector must be nonzero")
-            v.setflags(write=False)
-            vecs.append(v)
-        if len(vecs) > 1:
-            raise ValueError("subspace dimension must be 0 or 1")
-        object.__setattr__(self, "ambient_g", ambient_g)
-        object.__setattr__(self, "basis", tuple(vecs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 # ---------------------------------------------------------------------------
 # Siegel reduction
 # ---------------------------------------------------------------------------
 
-def siegel_reduce(lat: EllipticLattice) -> tuple[SiegelTau, UnimodularMap]:
-    """Reduce omega2/omega1 into the standard fundamental domain.
+def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
+    """Reduce the period ratio z, with Im z > 0, into the standard fundamental domain.
 
-    Returns (tau, m) with m mapping omega2/omega1 to tau. Boundary ties are
+    Returns (tau, m) with m mapping z to tau. Boundary ties are
     broken deterministically: Re tau = +1/2 is preferred to -1/2, and on the
     unit circle the representative with Re tau >= 0 is chosen.
     """
-    z = lat.tau
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("periods must be finite")
+    if not z.imag > 0:
+        raise ValueError(f"Im tau = {z.imag} is not positive")
     word = UnimodularMap(1, 0, 0, 1)
     for _ in range(10_000):
         n = round(z.real)
@@ -276,30 +226,29 @@ def shortest_vector(torus: PolarizedTorus) -> tuple[tuple[int, int], float]:
     return (round(_cross(a, w2) / det), round(_cross(w1, a) / det)), abs(a)
 
 
-def avoidance_minimum(torus: PolarizedTorus, sub: Subspace) -> float:
-    """Minimal H-distance to the subspace among lattice points off the subspace.
+def avoidance_minimum(torus: PolarizedTorus, line) -> float:
+    """Minimal H-distance to the line C v, v = ``line`` in C^2, among lattice points off it; g = 2.
 
-    For the zero subspace, on a g = 1 torus only, this is the shortest-vector
-    norm. For a line C v in a two-dimensional torus it is the shortest
-    nonzero vector of the lattice projected onto the H-orthogonal complement
-    of v: with u*Hv = 0 and u*Hu = 1, the period P e_k has coordinate
-    c_k = u*H P e_k there, and |c_k| is its distance to the line. The c_k are
-    folded into a Gauss-reduced pair (a, b): a residue of at most DEFAULT_TOL
-    times the longest period lies on the line; any other residue has
-    coordinates in [-1/2, 1/2] in (a, b), replaces a basis vector and so at
-    least halves the covolume. When the line meets the lattice in rank 2 the
-    projection is a lattice and the fold ends with |a| as the minimum.
-    Otherwise the projection is dense, and the fold raises once the covolume
-    falls below DEFAULT_TOL times its start, after at most 30 replacements.
+    It is the shortest nonzero vector of the lattice projected onto the
+    H-orthogonal complement of v: with u*Hv = 0 and u*Hu = 1, the period
+    P e_k has coordinate c_k = u*H P e_k there, and |c_k| is its distance to
+    the line. The c_k are folded into a Gauss-reduced pair (a, b): a residue
+    of at most DEFAULT_TOL times the longest period lies on the line; any
+    other residue has coordinates in [-1/2, 1/2] in (a, b), replaces a basis
+    vector and so at least halves the covolume. When the line meets the
+    lattice in rank 2 the projection is a lattice and the fold ends with |a|
+    as the minimum. Otherwise the projection is dense, and the fold raises
+    once the covolume falls below DEFAULT_TOL times its start, after at most
+    30 replacements.
     """
-    if sub.ambient_g != torus.g:
-        raise ValueError("subspace ambient dimension does not match torus")
-    if sub.dim == 0:
-        return shortest_vector(torus)[1]
-    if sub.dim >= torus.g:
-        raise ValueError("subspace must be proper")
+    if torus.g != 2:
+        raise ValueError("avoidance_minimum is evaluated for g = 2 only")
+    v = np.asarray(line, dtype=complex).reshape(-1)
+    if v.shape != (2,) or not v.any():
+        raise ValueError("line must be spanned by a nonzero vector of C^2")
     H = torus.riemann_form
-    h = H @ sub.basis[0]
+    h = H @ v
+    h /= abs(h).max()  # H v underflows where H is tiny (Im tau ~ 1e298)
     w = np.array([h[1], -h[0]])  # conj(u), unnormalised
     coords = [complex(c) for c in (w @ H @ torus.periods) / math.sqrt((w @ H @ w.conj()).real)]
     zero = DEFAULT_TOL * math.sqrt(torus.gram().diagonal().max())

@@ -44,15 +44,7 @@ def _log_tail(abs_q: float, order: int) -> float:
 
 def _stop_order(abs_q: float) -> int:
     """First order n <= ORDER with log tail <= 2^-70, else ORDER."""
-    if abs_q == 0.0:
-        return 1
-    if not abs_q < 1.0:
-        return ORDER
-    # solve 24 |q|^(n+1) / (1-|q|)^2 = 2^-70, then correct the rounding
-    n = math.ceil(math.log(_STOP_TAIL * (1.0 - abs_q) ** 2 / 24.0) / math.log(abs_q)) - 1
-    n = min(max(n, 1), ORDER)
-    while n > 1 and _log_tail(abs_q, n - 1) <= _STOP_TAIL:
-        n -= 1
+    n = 1
     while n < ORDER and _log_tail(abs_q, n) > _STOP_TAIL:
         n += 1
     return n

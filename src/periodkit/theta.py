@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .heights import H_SHIFT, CurveRecord, faltings_height_silverman
-from .lattice import EllipticLattice, siegel_reduce
+from .lattice import siegel_reduce
 from .modular import delta_on_upper_half_plane
 
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
@@ -151,7 +151,7 @@ def torus_log_integral(tau: RiemannTau) -> float:
     """
     if tau.g != 1:
         raise ValueError("the log integral is evaluated for g = 1 only")
-    t, _ = siegel_reduce(EllipticLattice(1.0, complex(tau.matrix[0, 0])))
+    t, _ = siegel_reduce(tau.matrix[0, 0])
     value = 0.25 * math.log(2.0 * t.im) + delta_on_upper_half_plane(t.value).value.real / 24.0
     if not math.isfinite(value):
         raise OverflowError(f"log integral is not finite at Im tau = {t.im:.6g}")

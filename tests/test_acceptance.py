@@ -28,11 +28,9 @@ from periodkit.interpolation import (
     schwarz_lemma_check,
     u_sequence,
 )
-from periodkit.isogeny import IsogenyBoundInput, chain_checkpoints, explicit_bound
+from periodkit.isogeny import chain_checkpoints, explicit_bound
 from periodkit.lattice import (
-    EllipticLattice,
     SiegelTau,
-    Subspace,
     UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
@@ -64,7 +62,7 @@ def test_c02_diagonal_avoidance_identity():
     for _ in range(50):
         st_tau = random_reduced_tau(rng)
         tau = st_tau.value
-        delta = avoidance_minimum(product_torus(tau), Subspace(2, [[1.0, 1.0]]))
+        delta = avoidance_minimum(product_torus(tau), [1.0, 1.0])
         rho = 1.0 / math.sqrt(rho_inverse_squared(st_tau))
         assert delta == pytest.approx(rho / math.sqrt(2.0), abs=1e-10)
         brute = oracles.avoidance_bruteforce(
@@ -143,7 +141,7 @@ def test_c07_reduction_round_trip_and_j_values():
             k = int(rng.integers(-4, 5))
             m = m @ np.array([[1, k], [0, 1]], dtype=np.int64) @ s_mat
         scramble = UnimodularMap(int(m[0, 0]), int(m[0, 1]), int(m[1, 0]), int(m[1, 1]))
-        recovered, _ = siegel_reduce(EllipticLattice(1.0, scramble.apply(st_tau.value)))
+        recovered, _ = siegel_reduce(scramble.apply(st_tau.value))
         assert abs(recovered.value - st_tau.value) < 1e-10
     assert j_invariant(SiegelTau(0.0, 1.0)).value == pytest.approx(1728.0, abs=1e-9)
     corner = SiegelTau(0.5, math.sqrt(3.0) / 2.0)
@@ -179,12 +177,12 @@ def test_c09_chain_checkpoints_and_closed_forms():
     assert len(checkpoints) == 7
     for report in checkpoints:
         assert report.satisfied, report.name
-    top = explicit_bound(IsogenyBoundInput(1, 985.0, "general")).bound
+    top = explicit_bound(1, 985.0, "general").bound
     assert top == pytest.approx(9.70225e12, rel=1e-12)
     # any height below the clamp lands on the same cap
-    low = explicit_bound(IsogenyBoundInput(1, 400.0, "general")).bound
+    low = explicit_bound(1, 400.0, "general").bound
     assert low == pytest.approx(9.70225e12, rel=1e-12)
-    real = explicit_bound(IsogenyBoundInput(1, 1.0, "real_place_non_cm")).bound
+    real = explicit_bound(1, 1.0, "real").bound
     assert real == pytest.approx(3583.0, rel=1e-12)
 
 

@@ -523,14 +523,20 @@ class TestExitCodes:
         ids=["reduce", "rho", "delta"],
     )
     def test_point_near_the_cusp(self, command, expected, capsys):
-        code = main([command, "0.1", "1e-300"])
+        assert main([command, "0.1", "1e-300"]) == 0
         captured = capsys.readouterr()
         if expected is None:
-            assert code == 2
-            assert captured.err.startswith("error: ")
+            delta, closed = (float(line.split(" = ")[1]) for line in captured.out.splitlines())
+            assert delta == pytest.approx(closed, rel=1e-15)
         else:
-            assert code == 0
             assert captured.out == expected
+
+    @pytest.mark.parametrize("re, im", [("0.3", "1e12"), ("0.3", "1e100"), ("0.3", "1e298"), ("0", "1.7e308")])
+    def test_delta_near_the_cusp(self, re, im, capsys):
+        assert main(["delta", re, im]) == 0
+        delta, closed = (float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines())
+        assert closed == pytest.approx(1.0 / math.sqrt(2.0 * float(im)), rel=1e-15)
+        assert delta == pytest.approx(closed, rel=1e-15)
 
     @pytest.mark.parametrize("argv", [["height"], ["verify"]])
     def test_record_near_the_cusp(self, argv, tmp_path, capsys):
@@ -602,6 +608,21 @@ class TestExitCodes:
         assert main(["height", "--curves", str(path)]) == 0
         h_f = float(capsys.readouterr().out.split("h_F = ")[1].split(",")[0])
         assert math.isfinite(h_f) and h_f == pytest.approx(math.pi / 6.0 * 2.8e307, rel=1e-6)
+
+    @pytest.mark.parametrize("h_f", ["1e150", "1e153", "1e155"])
+    @pytest.mark.parametrize("case", ["general", "cm", "real"])
+    def test_bound_isogeny_overflow_is_an_error(self, case, h_f, capsys):
+        # the caps grow like h_F^2: general's simplified 1e13 h_F^2 passes the largest double
+        # from h_F ~ 4.2e147, and every case's cap does by h_F ~ 2.3e152
+        code = main(["bound", "isogeny", "--case", case, "--h-f", h_f])
+        captured = capsys.readouterr()
+        if case != "general" and h_f == "1e150":
+            assert code == 0
+            assert all(math.isfinite(float(line.split(" = ")[1])) for line in captured.out.splitlines())
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {case} isogeny bound is not finite at h_F = {float(h_f):g}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_bound_isogeny_rejects_non_finite_h_f(self, value, capsys):

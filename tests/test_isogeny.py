@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import oracles
 from periodkit.isogeny import (
-    IsogenyBoundInput,
     chain_checkpoints,
     explicit_bound,
     floor_norm_sq,
@@ -19,36 +18,36 @@ from periodkit.lattice import SiegelTau
 
 class TestExplicitBound:
     def test_general_closed_form(self):
-        out = explicit_bound(IsogenyBoundInput(1, 900.0, "general"))
+        out = explicit_bound(1, 900.0, "general")
         assert out.bound == pytest.approx(1e7 * 985.0**2)
         assert out.bound == pytest.approx(9.70225e12)
 
     def test_general_height_above_floor(self):
-        out = explicit_bound(IsogenyBoundInput(1, 2000.0, "general"))
+        out = explicit_bound(1, 2000.0, "general")
         assert out.bound == pytest.approx(1e7 * 2000.0**2)
 
     def test_cm_closed_form(self):
-        out = explicit_bound(IsogenyBoundInput(1, 1.0, "cm"))
+        out = explicit_bound(1, 1.0, "cm")
         assert out.bound == pytest.approx(3.4e4)
         assert out.simplified is None
 
     def test_real_closed_form(self):
-        out = explicit_bound(IsogenyBoundInput(1, 1.0, "real_place_non_cm"))
+        out = explicit_bound(1, 1.0, "real")
         assert out.bound == pytest.approx(3583.0)
 
     @given(st.integers(1, 100), st.floats(0.0, 100.0))
     @settings(max_examples=100)
     def test_simplified_form_dominates(self, D, hF):
-        out = explicit_bound(IsogenyBoundInput(D, hF, "general"))
+        out = explicit_bound(D, hF, "general")
         assert out.simplified >= out.bound
 
     def test_degree_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            IsogenyBoundInput(0, 1.0, "general")
+        with pytest.raises(ValueError, match="D_k"):
+            explicit_bound(0, 1.0, "general")
 
     def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError):
-            IsogenyBoundInput(1, 1.0, "imaginary")
+        with pytest.raises(ValueError, match="case"):
+            explicit_bound(1, 1.0, "imaginary")
 
 
 class TestImplicitSolver:
@@ -75,7 +74,7 @@ class TestImplicitSolver:
     def test_consistent_with_explicit_general_bound(self, D, hF):
         H = max(hF + 0.5 * math.log(math.pi), 1000.0)
         delta = implicit_delta_solver(2.0 * D, H)
-        cap = explicit_bound(IsogenyBoundInput(D, hF, "general")).bound
+        cap = explicit_bound(D, hF, "general").bound
         assert delta <= cap
 
 
@@ -160,7 +159,7 @@ class TestSurfaceConstants:
 
 class TestPeriodNormCeiling:
     def test_tau_i(self):
-        report = period_norm_identity(1, SiegelTau(0.0, 1.0))
+        report = period_norm_identity(SiegelTau(0.0, 1.0))
         assert report.lhs == pytest.approx(2.0)
         assert report.rhs == pytest.approx(2.0 / math.sqrt(0.75))
         assert report.satisfied
@@ -169,11 +168,12 @@ class TestPeriodNormCeiling:
         for k in range(1, 50):
             re = -0.5 + k / 50.0
             tau = SiegelTau(re, math.sqrt(max(1.0 - re * re, 0.75)))
-            report = period_norm_identity(1, tau)
+            report = period_norm_identity(tau)
+            assert report.inputs["n"] == 1  # also where |tau|^2 rounds just below 1
             assert report.satisfied, str(report)
 
     def test_equality_at_half_real_part_corner(self):
-        report = period_norm_identity(1, SiegelTau(0.5, math.sqrt(0.75)))
+        report = period_norm_identity(SiegelTau(0.5, math.sqrt(0.75)))
         assert report.margin == pytest.approx(0.0, abs=1e-12)
         assert report.inputs["first_step_margin"] == pytest.approx(0.0, abs=1e-12)
         assert report.inputs["second_step_margin"] == pytest.approx(0.0, abs=1e-12)
@@ -181,8 +181,8 @@ class TestPeriodNormCeiling:
     def test_interior_scan_with_floor_index(self):
         for re, im in ((0.0, 1.5), (0.3, 2.0), (-0.5, 3.0), (0.25, 1.01)):
             tau = SiegelTau(re, im)
-            n = max(1, math.floor(re * re + im * im))
-            report = period_norm_identity(n, tau)
+            report = period_norm_identity(tau)
+            assert report.inputs["n"] == max(1, math.floor(re * re + im * im))
             assert report.satisfied, str(report)
 
     @pytest.mark.parametrize("re, im", [(0.0, 1.0), (0.3, 2.0), (-0.5, 3.0), (0.25, 1.01), (0.1, 1e150)])
@@ -194,15 +194,8 @@ class TestPeriodNormCeiling:
         tau = SiegelTau(0.1, im)
         n = floor_norm_sq(tau)
         assert n / int(im) ** 2 == pytest.approx(1.0, rel=1e-15)
-        report = period_norm_identity(n, tau)
+        report = period_norm_identity(tau)
+        assert report.inputs["n"] == n
         assert report.satisfied, str(report)
         for x in (report.lhs, report.rhs, report.inputs["intermediate"]):
             assert x == pytest.approx(2.0 * im, rel=1e-15)
-        with pytest.raises(ValueError):
-            period_norm_identity(n // 2, tau)
-
-    def test_wrong_index_rejected(self):
-        with pytest.raises(ValueError):
-            period_norm_identity(3, SiegelTau(0.0, 1.0))
-        with pytest.raises(ValueError):
-            period_norm_identity(0, SiegelTau(0.0, 1.0))

@@ -10,10 +10,8 @@ import oracles
 from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.lattice import (
-    EllipticLattice,
     PolarizedTorus,
     SiegelTau,
-    Subspace,
     UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
@@ -49,12 +47,12 @@ def conjugate_torus(torus: PolarizedTorus) -> PolarizedTorus:
 
 class TestSiegelReduce:
     def test_half_plus_half_i_reduces_to_i(self):
-        t, m = siegel_reduce(EllipticLattice(1.0, 0.5 + 0.5j))
+        t, m = siegel_reduce(0.5 + 0.5j)
         assert abs(t.value - 1j) < 1e-12
         assert m.apply(0.5 + 0.5j) == pytest.approx(1j, abs=1e-12)
 
     def test_generic_point_matches_word_enumeration(self):
-        t, m = siegel_reduce(EllipticLattice(1.0, 5.3 + 0.2j))
+        t, m = siegel_reduce(5.3 + 0.2j)
         canon, word = oracles.siegel_bfs(5.3 + 0.2j)
         assert abs(t.value - canon) < 1e-10
         assert (m.a, m.b, m.c, m.d) == word
@@ -65,7 +63,7 @@ class TestSiegelReduce:
     @given(reduced_taus)
     @settings(max_examples=60, deadline=None)
     def test_idempotent_on_reduced_input(self, tau):
-        t, m = siegel_reduce(EllipticLattice(1.0, tau.value))
+        t, m = siegel_reduce(tau.value)
         assert (m.a, m.b, m.c, m.d) == (1, 0, 0, 1)
         assert abs(t.value - tau.value) < 1e-12
 
@@ -80,14 +78,14 @@ class TestSiegelReduce:
         if d is None:
             return
         scrambled = UnimodularMap(a, b, c, d).apply(tau.value)
-        t, _ = siegel_reduce(EllipticLattice(1.0, scrambled))
+        t, _ = siegel_reduce(scrambled)
         assert abs(t.value - tau.value) < 1e-10
 
     def test_boundary_tie_breaks(self):
-        t, _ = siegel_reduce(EllipticLattice(1.0, -0.5 + 1.3j))
+        t, _ = siegel_reduce(-0.5 + 1.3j)
         assert t.re == pytest.approx(0.5)
         # on the unit circle the representative keeps nonnegative real part
-        t, _ = siegel_reduce(EllipticLattice(1.0, complex(-0.3, math.sqrt(1 - 0.09))))
+        t, _ = siegel_reduce(complex(-0.3, math.sqrt(1 - 0.09)))
         assert t.re >= 0
 
     @pytest.mark.parametrize(
@@ -98,10 +96,10 @@ class TestSiegelReduce:
             SiegelTau(re, im)
 
     def test_degenerate_basis_rejected(self):
-        with pytest.raises(ValueError):
-            EllipticLattice(1.0, 2.0)
-        with pytest.raises(ValueError):
-            EllipticLattice(1.0, 1.0 - 0.5j)
+        with pytest.raises(ValueError, match="not positive"):
+            siegel_reduce(2.0)
+        with pytest.raises(ValueError, match="not positive"):
+            siegel_reduce(1 - 0.5j)
 
 
 class TestRhoAndShortestVector:
@@ -156,27 +154,24 @@ class TestRhoAndShortestVector:
         assert coeffs in ((1 + a * b, -a), (-1 - a * b, a))
         assert norm * norm == pytest.approx(1.0 / tau.imag, rel=1e-9)
 
+    def test_shortest_vector_at_im_1e13(self):
+        coeffs, norm = shortest_vector(g1_torus(complex(0.3, 1e13)))
+        assert coeffs in ((1, 0), (-1, 0))
+        assert norm == pytest.approx(1.0 / math.sqrt(1e13), rel=1e-15)
+
     def test_g2_is_refused(self):
         torus = product_torus(1j)
         with pytest.raises(ValueError, match="g = 1 only"):
             shortest_vector(torus)
-        with pytest.raises(ValueError, match="g = 1 only"):
-            avoidance_minimum(torus, Subspace(2, []))
 
 
 class TestAvoidanceMinimum:
-    def test_zero_subspace_gives_shortest_vector(self):
-        torus = g1_torus(1.3j)
-        d = avoidance_minimum(torus, Subspace(1, []))
-        _, norm = shortest_vector(torus)
-        assert d == norm
-
     def test_diagonal_identity_and_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             tau = random_reduced_tau(rng).value
             torus = product_torus(tau)
-            d = avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+            d = avoidance_minimum(torus, [1.0, 1.0])
             rho = 1.0 / math.sqrt(tau.imag)
             assert d == pytest.approx(rho / math.sqrt(2.0), abs=1e-10)
             brute = oracles.avoidance_bruteforce(
@@ -191,9 +186,9 @@ class TestAvoidanceMinimum:
         rng = np.random.default_rng(23)
         tau = random_reduced_tau(rng).value
         torus = product_torus(tau)
-        sub = Subspace(2, [[1.0, 1.0]])
-        d = avoidance_minimum(torus, sub)
-        d_conj = avoidance_minimum(conjugate_torus(torus), sub)
+        line = [1.0, 1.0]
+        d = avoidance_minimum(torus, line)
+        d_conj = avoidance_minimum(conjugate_torus(torus), line)
         assert d == pytest.approx(d_conj, abs=1e-12)
 
     def test_graph_lines_have_constant_scaled_minimum(self):
@@ -202,7 +197,7 @@ class TestAvoidanceMinimum:
         for k in (1, 2, 3):
             tau = random_reduced_tau(rng).value
             torus = product_torus(tau)
-            d = avoidance_minimum(torus, Subspace(2, [[1.0, float(k)]]))
+            d = avoidance_minimum(torus, [1.0, float(k)])
             expected = 1.0 / math.sqrt((1 + k * k) * tau.imag)
             assert d == pytest.approx(expected, abs=1e-10)
 
@@ -213,7 +208,7 @@ class TestAvoidanceMinimum:
             tau = random_reduced_tau(rng).value
             torus = product_torus(tau)
             for line, x_of_b in (([1.0, 0.0], 1.0), ([1.0, 1.0], 2.0), ([1.0, 2.0], 5.0)):
-                d = avoidance_minimum(torus, Subspace(2, [line]))
+                d = avoidance_minimum(torus, line)
                 assert x_of_b * d * d <= 2.0 / math.sqrt(3.0) + 1e-12
 
     def test_line_minimum_dominates_transverse_in_line_minimum(self):
@@ -222,7 +217,7 @@ class TestAvoidanceMinimum:
         rng = np.random.default_rng(9)
         tau = random_reduced_tau(rng).value
         torus = product_torus(tau)
-        d = avoidance_minimum(torus, Subspace(2, [[1.0, 1.0]]))
+        d = avoidance_minimum(torus, [1.0, 1.0])
         anti = min(
             math.sqrt(2.0 * abs(a + b * tau) ** 2 / tau.imag)
             for a in range(-4, 5)
@@ -237,15 +232,15 @@ class TestAvoidanceMinimum:
         torus = PolarizedTorus(2, periods, np.diag([1 / t1.imag, 1 / t2.imag]))
         rho1 = 1.0 / math.sqrt(t1.imag)
         rho2 = 1.0 / math.sqrt(t2.imag)
-        assert avoidance_minimum(torus, Subspace(2, [[1.0, 0.0]])) == pytest.approx(
+        assert avoidance_minimum(torus, [1.0, 0.0]) == pytest.approx(
             rho2, abs=1e-10
         )
-        assert avoidance_minimum(torus, Subspace(2, [[0.0, 1.0]])) == pytest.approx(
+        assert avoidance_minimum(torus, [0.0, 1.0]) == pytest.approx(
             rho1, abs=1e-10
         )
 
     def test_diagonal_avoidance_at_im_1e6(self):
-        d = avoidance_minimum(product_torus(1e6j), Subspace(2, [[1.0, 1.0]]))
+        d = avoidance_minimum(product_torus(1e6j), [1.0, 1.0])
         assert d == pytest.approx(1.0 / math.sqrt(2e6), rel=1e-15)
 
     def test_invariant_under_a_change_of_lattice_basis(self):
@@ -255,7 +250,7 @@ class TestAvoidanceMinimum:
             base = product_torus(tau)
             torus = PolarizedTorus(2, base.periods @ random_unimodular(rng), base.riemann_form)
             for k in (1, 2):
-                d = avoidance_minimum(torus, Subspace(2, [[1.0, float(k)]]))
+                d = avoidance_minimum(torus, [1.0, float(k)])
                 assert d == pytest.approx(1.0 / math.sqrt((1 + k * k) * tau.imag), rel=1e-12)
 
     @given(st.floats(-0.5, 0.5), st.floats(math.log(math.sqrt(3.0) / 2.0), math.log(1e6)))
@@ -264,16 +259,22 @@ class TestAvoidanceMinimum:
         im = math.exp(log_im)
         assume(re * re + im * im >= 1.0)
         tau = SiegelTau(re, im)
-        d = avoidance_minimum(product_torus(tau.value), Subspace(2, [[1.0, 1.0]]))
+        d = avoidance_minimum(product_torus(tau.value), [1.0, 1.0])
         rho = 1.0 / math.sqrt(rho_inverse_squared(tau))
         assert d == pytest.approx(rho / math.sqrt(2.0), rel=1e-12)
+
+    def test_g1_torus_and_zero_vector_are_refused(self):
+        with pytest.raises(ValueError, match="g = 2 only"):
+            avoidance_minimum(g1_torus(1j), [1.0])
+        with pytest.raises(ValueError, match="nonzero vector"):
+            avoidance_minimum(product_torus(1j), [0.0, 0.0])
 
     @pytest.mark.parametrize("tau", [1j, complex(0.3, 1.2), 2.5j])
     def test_irrational_line_is_refused(self, tau):
         # the line (1, sqrt 2) meets the lattice only in 0, so its projection is dense
         start = time.perf_counter()
         with pytest.raises(ValueError, match="does not intersect the lattice in a rank-2 subgroup"):
-            avoidance_minimum(product_torus(tau), Subspace(2, [[1.0, math.sqrt(2.0)]]))
+            avoidance_minimum(product_torus(tau), [1.0, math.sqrt(2.0)])
         assert time.perf_counter() - start < 1.0
 
 
@@ -289,6 +290,13 @@ class TestPolarizedTorusValidation:
     def test_rejects_rank_deficient_periods(self):
         with pytest.raises(ValueError):
             PolarizedTorus(1, [[1.0, 2.0]], [[1.0]])
+        with pytest.raises(ValueError, match="full real rank"):
+            PolarizedTorus(1, [[1.0, 0.0]], [[1.0]])
+
+    def test_full_rank_far_from_the_unit_period(self):
+        # the columns differ in size by 1e13; each is scaled to its largest entry before the rank test
+        torus = PolarizedTorus(1, [[1, 0.3 + 1e13j]], [[1e-13]])
+        assert torus.gram()[1, 1] == pytest.approx(1e13, rel=1e-15)
 
 
 class TestSmithIndex:
