@@ -112,11 +112,14 @@ def matrix_lemma_report(T: float, h: float, deg: float, g: int, variant: str = "
 
 
 def bisect_last(pred: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Bisect a bracket with pred(lo) true and pred(hi) false; returns the final lo.
+    """Bisect a bracket with pred(lo) true; returns the final lo.
 
+    hi is first doubled while pred(hi) holds, so it need not be a false end.
     Stops once the midpoint rounds to an end of the bracket: from then on
     every further halving would leave the bracket unchanged.
     """
+    while pred(hi):
+        hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -141,10 +144,7 @@ def prop_ell_delta_max(h: float) -> float:
     lo = 3.0 / math.pi
     if excess(lo) > 0:
         raise ValueError("no admissible delta: need 6h + 8.66 >= 3 - 3 log(3/pi)")
-    hi = max(2.0 * lo, 2.0)
-    while excess(hi) <= 0:
-        hi *= 2.0
-    return bisect_last(lambda d: excess(d) <= 0, lo, hi)
+    return bisect_last(lambda d: excess(d) <= 0, lo, max(2.0 * lo, 2.0))
 
 
 def prop_ell_caps(h: float) -> tuple[float, float]:

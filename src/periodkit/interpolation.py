@@ -12,26 +12,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport
+from .bounds import BoundReport, _worst_of
 
 SINH_PI = math.sinh(math.pi)
 # epsilon of the interpolation contours: each node circle has radius 1/2 - epsilon
 DEFAULT_EPSILON = 1.0 / 12.0
-
-
-@dataclass(frozen=True)
-class InterpolationParams:
-    S: int
-    T: int
-
-    def __post_init__(self) -> None:
-        if self.S < 1 or self.T < 1:
-            raise ValueError("S and T must be >= 1")
 
 
 class AnalyticTestFunction:
@@ -39,45 +28,37 @@ class AnalyticTestFunction:
 
     INPUT:
 
-    - ``family`` -- "monomial", "exponential" or "polynomial"
-    - ``param`` -- the degree d, the rate c, or the coefficient list
+    - ``coeffs`` -- the coefficients a_0, a_1, ... of the polynomial sum a_k z^k,
+      or None for the exponential e^{c z}
+    - ``rate`` -- the rate c of the exponential
 
-    EXAMPLES: ``AnalyticTestFunction.monomial(3)`` is z^3 and its divided
-    derivative of order 2 at z is 3z.
+    EXAMPLES: ``AnalyticTestFunction.monomial(3)`` is the polynomial z^3 and
+    its divided derivative of order 2 at z is 3z.
     """
 
-    def __init__(self, family: str, param) -> None:
-        if family == "monomial":
-            self.degree = int(param)
-            if self.degree < 0:
-                raise ValueError("degree must be >= 0")
-        elif family == "exponential":
-            self.rate = complex(param)
-        elif family == "polynomial":
-            self.coeffs = tuple(complex(c) for c in param)
-            if not self.coeffs:
-                raise ValueError("need at least one coefficient")
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        self.family = family
+    def __init__(self, coeffs: Optional[Sequence[complex]], rate: complex = 0.0) -> None:
+        self.coeffs = None if coeffs is None else tuple(complex(c) for c in coeffs)
+        if self.coeffs == ():
+            raise ValueError("need at least one coefficient")
+        self.rate = complex(rate)
 
     @classmethod
     def monomial(cls, d: int) -> "AnalyticTestFunction":
-        return cls("monomial", d)
+        if d < 0:
+            raise ValueError("degree must be >= 0")
+        return cls([0.0] * d + [1.0])
 
     @classmethod
     def exponential(cls, c: complex) -> "AnalyticTestFunction":
-        return cls("exponential", c)
+        return cls(None, c)
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[complex]) -> "AnalyticTestFunction":
-        return cls("polynomial", coeffs)
+        return cls(coeffs)
 
     def __call__(self, z):
         """f(z) at a complex number, or elementwise on a numpy array."""
-        if self.family == "monomial":
-            return (z + 0j) ** self.degree
-        if self.family == "exponential":
+        if self.coeffs is None:
             return np.exp(self.rate * z)
         acc = complex(0.0)
         for c in reversed(self.coeffs):
@@ -88,36 +69,33 @@ class AnalyticTestFunction:
         """f^(ell)(z) / ell!, in closed form."""
         if ell < 0:
             raise ValueError("ell must be >= 0")
-        if self.family == "monomial":
-            if ell > self.degree:
-                return complex(0.0)
-            return math.comb(self.degree, ell) * complex(z) ** (self.degree - ell)
-        if self.family == "exponential":
+        if self.coeffs is None:
             return self.rate**ell * cmath.exp(self.rate * z) / math.factorial(ell)
         acc = complex(0.0)
         for k in range(len(self.coeffs) - 1, ell - 1, -1):
             acc = acc * z + self.coeffs[k] * math.comb(k, ell)
         return acc
 
+    def circle_bounds(self, r: float) -> tuple[float, float]:
+        """(lower, upper) estimates of max|f| on the circle of radius r about 0.
+
+        For a polynomial, the L2 mean sqrt(sum |a_k|^2 r^2k) (Parseval) and
+        sum |a_k| r^k, both exact for a single term; for an exponential, the
+        exact maximum e^{|c| r} twice.
+        """
+        if self.coeffs is None:
+            top = math.exp(abs(self.rate) * r)
+            return top, top
+        mean = math.sqrt(sum(abs(a) ** 2 * r ** (2 * k) for k, a in enumerate(self.coeffs)))
+        return mean, sum(abs(a) * r**k for k, a in enumerate(self.coeffs))
+
     def describe(self) -> str:
-        if self.family == "monomial":
-            return f"z^{self.degree}"
-        if self.family == "exponential":
+        if self.coeffs is None:
             return f"exp({self.rate}z)"
-        return f"poly(deg {len(self.coeffs) - 1})"
-
-
-def _circle_max(f: AnalyticTestFunction, radius: float) -> float:
-    """max|f| on the circle of given radius about 0, or an upper bound for it.
-
-    Exact for a monomial (r^d) and an exponential (e^{|c| r}); for a
-    polynomial, sum |a_k| r^k, which the maximum never exceeds.
-    """
-    if f.family == "monomial":
-        return radius**f.degree
-    if f.family == "exponential":
-        return math.exp(abs(f.rate) * radius)
-    return sum(abs(a) * radius**k for k, a in enumerate(f.coeffs))
+        d = len(self.coeffs) - 1
+        if self.coeffs[d] == 1 and not any(self.coeffs[:d]):
+            return f"z^{d}"
+        return f"poly(deg {d})"
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +220,19 @@ def u_sequence(S_max: int) -> list[BoundReport]:
     reports = [
         BoundReport("u_at_2_is_8_3", abs(us[2] - 8.0 / 3.0), 0.0, inputs={"u_2": us[2]})
     ]
-    worst_step = None
+    reports += _worst_of(
+        BoundReport("u_monotone_decreasing", 0.0, us[S] - us[S + 1], inputs={"S": S})
+        for S in range(2, S_max + 1)
+    )
     worst_ratio = 0.0
     ratio_at = 2
     for S in range(2, S_max + 1):
-        step = us[S] - us[S + 1]
-        if worst_step is None or step < worst_step.margin:
-            worst_step = BoundReport("u_monotone_decreasing", 0.0, step, inputs={"S": S})
         dev = abs(us[S] / us[S + 1] - (1.0 + 1.0 / (2.0 * S)))
         # rounding allowance: each u is exp of lgamma combinations whose
         # absolute error scales with the largest lgamma magnitude involved
         allowance = 16.0 * sys.float_info.epsilon * max(1.0, math.lgamma(2.0 * S + 2.0))
         if dev / allowance > worst_ratio:
             worst_ratio, ratio_at = dev / allowance, S
-    reports.append(worst_step)
     reports.append(
         BoundReport("u_ratio_identity", worst_ratio, 1.0, inputs={"worst_S": ratio_at})
     )
@@ -286,7 +263,7 @@ def _contour_mean(g: Callable[[np.ndarray], np.ndarray], center: complex, radius
     return complex(np.sum(g(w) * (w - center)) / n)
 
 
-def hermite_identity_check(f: AnalyticTestFunction, params: InterpolationParams, z: complex) -> BoundReport:
+def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) -> BoundReport:
     """Residue decomposition of f(z)/P(z)^T against direct quadrature.
 
     The outer circle has radius S; each node carries a circle of radius
@@ -294,8 +271,9 @@ def hermite_identity_check(f: AnalyticTestFunction, params: InterpolationParams,
     the truncated sum is exact for holomorphic f. Every contour takes 2048
     trapezoid nodes, and the residual must be at most 1e-8.
     """
-    nodes = 2048
-    S, T, eps = params.S, params.T, DEFAULT_EPSILON
+    if S < 1 or T < 1:
+        raise ValueError("S and T must be >= 1")
+    nodes, eps = 2048, DEFAULT_EPSILON
     z = complex(z)
     if abs(z) >= S:
         raise ValueError("z must satisfy |z| < S")
@@ -324,25 +302,21 @@ def hermite_identity_check(f: AnalyticTestFunction, params: InterpolationParams,
     )
 
 
-def schwarz_lemma_check(
-    f: AnalyticTestFunction, params: InterpolationParams
-) -> tuple[BoundReport, BoundReport]:
+def schwarz_lemma_check(f: AnalyticTestFunction, S: int, T: int) -> tuple[BoundReport, BoundReport]:
     """Both forms of the two-term comparison for |f| on the unit circle.
 
     Sharp form: |f|_1 <= 4 (u_S sinh(pi)/(4^S pi))^T |f|_S
     + (S T / eps) (sinh(pi)/cos(pi eps))^T max |f^(l)(j)/(2^l l!)|.
     Simplified form at eps = 1/12: 4 (10/4^S)^T |f|_S + 12 S T 12^T max(...).
-    Both circle maxima are exact for monomials and exponentials. For a
-    polynomial the left side takes the upper bound sum |a_k| and |f|_S the
-    exact L2 mean sqrt(sum |a_k|^2 S^2k) on the circle (Parseval), a lower
-    estimate of the maximum, so both err against a PASS.
+    The left side takes the upper and |f|_S the lower of ``circle_bounds``,
+    so both err against a PASS; for monomials and exponentials both are the
+    exact maxima.
     """
-    S, T, eps = params.S, params.T, DEFAULT_EPSILON
-    lhs = _circle_max(f, 1.0)
-    if f.family == "polynomial":
-        f_S = math.sqrt(sum(abs(a) ** 2 * S ** (2 * k) for k, a in enumerate(f.coeffs)))
-    else:
-        f_S = _circle_max(f, float(S))
+    if S < 1 or T < 1:
+        raise ValueError("S and T must be >= 1")
+    eps = DEFAULT_EPSILON
+    lhs = f.circle_bounds(1.0)[1]
+    f_S = f.circle_bounds(S)[0]
     node_max = 0.0
     for j in range(1 - S, S):
         for ell in range(T):

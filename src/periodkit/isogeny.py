@@ -69,13 +69,9 @@ def implicit_delta_solver(D: float, H: float) -> float:
     def excess(s: float) -> float:
         return s - C * (base + 4.0 * math.log(s))
 
-    lo = 1.0
-    if excess(lo) > 0:
+    if excess(1.0) > 0:
         raise RuntimeError("no admissible Delta at s = 1")
-    hi = 2.0
-    while excess(hi) <= 0:
-        hi *= 2.0
-    root = bisect_last(lambda s: excess(s) <= 0, lo, hi)
+    root = bisect_last(lambda s: excess(s) <= 0, 1.0, 2.0)
     return root * root
 
 

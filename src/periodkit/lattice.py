@@ -152,12 +152,17 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
     Returns (tau, m) with m mapping z to tau. Boundary ties are
     broken deterministically: Re tau = +1/2 is preferred to -1/2, and on the
     unit circle the representative with Re tau >= 0 is chosen.
+
+    Each S step moves the point by at most 2^-51 |z|/Im z in the hyperbolic
+    metric (translations are exact, later steps are isometries); raises
+    ``ValueError`` once the sum of these bounds exceeds ``DEFAULT_TOL``.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError("periods must be finite")
     if not z.imag > 0:
         raise ValueError(f"Im tau = {z.imag} is not positive")
+    im, drift = z.imag, 0.0
     word = UnimodularMap(1, 0, 0, 1)
     for _ in range(10_000):
         n = round(z.real)
@@ -165,6 +170,9 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
             z = complex(z.real - n, z.imag)
             word = UnimodularMap(1, -n, 0, 1).compose(word)
         if abs(z) < 1.0 - _BOUNDARY_EPS:
+            drift += abs(z) / z.imag
+            if math.ldexp(drift, -51) > DEFAULT_TOL:
+                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
             z = -1.0 / z
             word = UnimodularMap(0, -1, 1, 0).compose(word)
             continue

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import bisect_last
+
 
 @dataclass(frozen=True)
 class SerreThreshold:
@@ -38,16 +40,10 @@ def f_of_p(p: float) -> float:
 
 
 def find_threshold() -> SerreThreshold:
-    """Largest integer p with f(p) >= 1, by integer bisection on [2, 10^8].
+    """Largest integer p with f(p) >= 1: the floor of the bisected crossing on [2, 10^8].
 
-    f(2) >= 1 > f(10^8) and f decreases on the bracket, so the loop keeps
-    f(lo) >= 1 > f(hi); ``SerreThreshold`` checks the two values it returns.
+    f(2) >= 1 > f(10^8) and f decreases on the bracket; ``SerreThreshold``
+    checks that the two values it returns bracket 1.
     """
-    lo, hi = 2, 10**8
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f_of_p(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return SerreThreshold(lo, f_of_p(lo), f_of_p(lo + 1))
+    p = math.floor(bisect_last(lambda x: f_of_p(x) >= 1.0, 2.0, 1e8))
+    return SerreThreshold(p, f_of_p(p), f_of_p(p + 1))

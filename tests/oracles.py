@@ -415,6 +415,31 @@ def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
     return ref, hits[0][1]
 
 
+def exact_siegel_reduce(re, im):
+    """Reduce the float point re + i im into the fundamental domain in exact rationals.
+
+    Returns (x, y, drift): the reduced point as Fractions, with the package's
+    tie-breaks, and the sum of |z|/Im z over the S steps (a float, inf once it
+    overflows). Every float is an exact dyadic rational, so the only rounding
+    is in ``drift``.
+    """
+    x, y = Fraction(re), Fraction(im)
+    drift = 0.0
+    while True:
+        x -= math.floor(x + Fraction(1, 2))
+        r2 = x * x + y * y
+        if r2 >= 1:
+            break
+        ratio = r2 / (y * y)
+        drift += math.sqrt(ratio) if ratio < 1e300 else math.inf
+        x, y = -x / r2, y / r2
+    if x == Fraction(-1, 2):
+        x = -x
+    if r2 == 1 and x < 0:
+        x = -x
+    return x, y, drift
+
+
 # ---------------------------------------------------------------------------
 # Scalar scan oracles for the implicit solvers
 # ---------------------------------------------------------------------------

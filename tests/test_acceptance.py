@@ -23,7 +23,6 @@ from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.heights import H_SHIFT, faltings_height_silverman
 from periodkit.interpolation import (
     AnalyticTestFunction,
-    InterpolationParams,
     lemma52_checks,
     schwarz_lemma_check,
     u_sequence,
@@ -94,9 +93,8 @@ def test_c04_node_polynomial_and_circle_bounds():
     ]
     for S in (2, 3, 4):
         for T in (1, 2, 3):
-            params = InterpolationParams(S, T)
             for f in functions:
-                sharp, simple = schwarz_lemma_check(f, params)
+                sharp, simple = schwarz_lemma_check(f, S, T)
                 assert sharp.satisfied, (f.describe(), S, T, sharp)
                 assert simple.satisfied, (f.describe(), S, T, simple)
 

@@ -22,6 +22,7 @@ from periodkit.bounds import (
     quadratic_root_bound,
     structural_constants,
 )
+from periodkit.isogeny import implicit_delta_solver
 
 finite = st.floats(-1e12, 1e12)
 
@@ -156,6 +157,23 @@ def _prop_ell_delta_max_200(h):
     return _bisect_200(lambda d: excess(d) <= 0, lo, hi)
 
 
+H_GRID = [-0.9, -0.5, 0.0, 0.25] + [10.0 ** (k / 8.0) for k in range(-16, 57)]
+
+
+def _doubling_then_bisect(pred, lo, hi):
+    """Reference: the doubling loop each caller ran, then bisect_last as it was without one."""
+    while pred(hi):
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 class TestBisectLast:
     @pytest.mark.parametrize("c", [0.5, 2.0, 3.0, 10.0, 1e6, 1e30])
     def test_equals_fixed_200_step_loop(self, c):
@@ -171,9 +189,28 @@ class TestBisectLast:
         assert got * got <= c < math.nextafter(got, math.inf) ** 2
 
     def test_prop_ell_delta_max_equals_200_step_loop_on_h_grid(self):
-        hs = [-0.9, -0.5, 0.0, 0.25] + [10.0 ** (k / 8.0) for k in range(-16, 57)]
-        for h in hs:
+        for h in H_GRID:
             assert prop_ell_delta_max(h) == _prop_ell_delta_max_200(h), h
+
+    def test_doubling_gives_the_callers_brackets(self):
+        # the same points are probed, so prop_ell_delta_max on the h grid and
+        # implicit_delta_solver on the (D, H) grid keep their results bit for bit
+        def probes(pred, lo, hi):
+            new, old = [], []
+            got = bisect_last(lambda x: new.append(x) or pred(x), lo, hi)
+            want = _doubling_then_bisect(lambda x: old.append(x) or pred(x), lo, hi)
+            assert got == want and new == old
+            return got
+
+        for h in H_GRID:
+            rhs = 6.0 * h + 8.66
+            got = probes(lambda d: math.pi * d - 3.0 * math.log(d) - rhs <= 0, 3.0 / math.pi, 2.0)
+            assert got == prop_ell_delta_max(h), h
+        for D in (1.0, 1.5, 2.0, 4.0, 8.0, 100.0, 1e6):
+            for H in (1000.0, 1000.5, 1500.0, 4321.0, 1e4, 1e6, 1e9, 1e15):
+                C, base = 1778.0 * D * math.sqrt(2.0 / 3.0), H + 0.5 * math.log(H) + 2.4
+                got = probes(lambda s: s - C * (base + 4.0 * math.log(s)) <= 0, 1.0, 2.0)
+                assert got * got == implicit_delta_solver(D, H), (D, H)
 
 
 class TestQuadraticRootBound:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import periodkit
+from periodkit import cli
+from periodkit.bounds import BoundReport
 from periodkit.cli import (
     RunManifest,
     default_fixture_path,
@@ -503,6 +506,30 @@ class TestExitCodes:
         assert main(["bound", "matrix-lemma"]) == 0
         assert "matrix_lemma_eleven" in capsys.readouterr().out
 
+    def test_bound_matrix_lemma_is_the_bounds_suite(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "one.jsonl"
+        path.write_text(VALID_LINE + "\n")
+
+        def outputs(code):
+            got = []
+            for argv in (["bound", "matrix-lemma"], ["verify", "--suite", "bounds"]):
+                assert main(argv + ["--curves", str(path)]) == code
+                got.append(re.sub(r"wall time \S+", "", capsys.readouterr().out))
+            assert got[0] == got[1]
+            return got[0]
+
+        assert "0 failed" in outputs(0)
+        # the bounds suite proves its inequalities for every valid record, so a
+        # failing report is added to it for the exit code
+        suite = cli.SUITES["bounds"]
+        monkeypatch.setitem(
+            cli.SUITES,
+            "bounds",
+            lambda records, seed, quad: suite(records, seed, quad)
+            + [BoundReport(f"forced[{records[0].label}]", 2.0, 1.0)],
+        )
+        assert "forced[probe] 2 1 -1 FAIL" in " ".join(outputs(1).split())
+
     def test_serre_threshold_subcommand(self, capsys):
         assert main(["serre", "threshold"]) == 0
         assert "p_star = 3094027" in capsys.readouterr().out
@@ -516,20 +543,29 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, expected",
         [
-            ("reduce", "tau = 0 + 1.0000000000000001e+298i\nmap = (-1, 0; 10, -1)\n"),
-            ("rho", "rho^-2 = 1.0000000000000001e+298\n"),
+            ("reduce", "tau = 0.10000000000000001 + 9.9999999999999996e+297i\nmap = (1, 0; 0, 1)\n"),
+            ("rho", "rho^-2 = 9.9999999999999996e+297\n"),
             ("delta", None),
         ],
         ids=["reduce", "rho", "delta"],
     )
     def test_point_near_the_cusp(self, command, expected, capsys):
-        assert main([command, "0.1", "1e-300"]) == 0
+        assert main([command, "0.1", "1e298"]) == 0
         captured = capsys.readouterr()
         if expected is None:
             delta, closed = (float(line.split(" = ")[1]) for line in captured.out.splitlines())
             assert delta == pytest.approx(closed, rel=1e-15)
         else:
             assert captured.out == expected
+
+    @pytest.mark.parametrize("command", ["reduce", "rho", "delta"])
+    @pytest.mark.parametrize("re, im", [("0.3", "1e-12"), ("0.3", "1e-20"), ("0.3", "5e-324"), ("0.1", "1e-300")])
+    def test_point_too_near_the_real_axis(self, command, re, im, capsys):
+        # the double-precision reduction of these points is off by more than DEFAULT_TOL
+        assert main([command, re, im]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Im z = {float(im)} is too close to the real axis to reduce in double precision\n"
 
     @pytest.mark.parametrize("re, im", [("0.3", "1e12"), ("0.3", "1e100"), ("0.3", "1e298"), ("0", "1.7e308")])
     def test_delta_near_the_cusp(self, re, im, capsys):
@@ -540,10 +576,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["height"], ["verify"]])
     def test_record_near_the_cusp(self, argv, tmp_path, capsys):
-        # 0.1 + 1e-300 i reduces to Im tau ~ 1e298, where |tau|^2 overflows a float:
+        # 1 + 1e298 i reduces to 1e298 i, where |tau|^2 overflows a float:
         # the height and every report value are still finite there
         path = tmp_path / "cusp.jsonl"
-        path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
+        path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[1.0, 1e298]]") + "\n")
         with pytest.warns(UserWarning, match="reduced"):
             code = main(argv + ["--curves", str(path)])
         captured = capsys.readouterr()
@@ -562,6 +598,15 @@ class TestExitCodes:
                     pass
             assert numbers and all(math.isfinite(x) for x in numbers)
             assert "period_norm_ceiling" in captured.out
+
+    @pytest.mark.parametrize("argv", [["height"], ["verify"]])
+    def test_record_too_near_the_real_axis(self, argv, tmp_path, capsys):
+        # an embedding the double-precision reduction cannot place skips its record
+        path = tmp_path / "axis.jsonl"
+        path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
+        with pytest.warns(UserWarning, match="skipped invalid record: Im z = 1e-300 is too close"):
+            assert main(argv + ["--curves", str(path)]) == 2
+        assert "no valid records" in capsys.readouterr().err
 
     @pytest.mark.parametrize("im", ["60", "120", "1900", "1e6"])
     def test_valid_record_at_large_im(self, im, tmp_path, capsys):

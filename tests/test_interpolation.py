@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from periodkit.bounds import BoundReport
 from periodkit.interpolation import (
+    SINH_PI,
     AnalyticTestFunction,
-    InterpolationParams,
-    _circle_max,
     _circle_min,
     _contour_mean,
     _half_disc_bound,
@@ -146,27 +146,27 @@ class TestUSequence:
 class TestHermiteIdentity:
     def test_constant_function_minimal_parameters(self):
         f = AnalyticTestFunction.monomial(0)
-        report = hermite_identity_check(f, InterpolationParams(2, 1), 0.4 + 0.3j)
+        report = hermite_identity_check(f, 2, 1, 0.4 + 0.3j)
         assert report.satisfied
         assert report.lhs < 1e-10
 
     def test_cubic_monomial(self):
         f = AnalyticTestFunction.monomial(3)
-        report = hermite_identity_check(f, InterpolationParams(3, 2), -0.8 + 0.55j)
+        report = hermite_identity_check(f, 3, 2, -0.8 + 0.55j)
         assert report.satisfied
         assert report.lhs < 1e-8
 
     def test_exponential(self):
         f = AnalyticTestFunction.exponential(1.3)
-        report = hermite_identity_check(f, InterpolationParams(4, 3), 0.9 - 0.7j)
+        report = hermite_identity_check(f, 4, 3, 0.9 - 0.7j)
         assert report.satisfied
 
     def test_point_on_node_disk_rejected(self):
         f = AnalyticTestFunction.monomial(1)
         with pytest.raises(ValueError):
-            hermite_identity_check(f, InterpolationParams(2, 1), 1.0 + 0.1j)
+            hermite_identity_check(f, 2, 1, 1.0 + 0.1j)
         with pytest.raises(ValueError):
-            hermite_identity_check(f, InterpolationParams(2, 1), 2.5 + 0.0j)
+            hermite_identity_check(f, 2, 1, 2.5 + 0.0j)
 
     def test_array_contour_mean_matches_loop(self):
         # reference: the trapezoid rule summed node by node
@@ -245,7 +245,7 @@ class TestSchwarzLemma:
     @pytest.mark.parametrize("S,T", [(2, 1), (3, 2), (4, 3)])
     def test_monomials(self, d, S, T):
         sharp, simplified = schwarz_lemma_check(
-            AnalyticTestFunction.monomial(d), InterpolationParams(S, T)
+            AnalyticTestFunction.monomial(d), S, T
         )
         assert sharp.satisfied, str(sharp)
         assert simplified.satisfied, str(simplified)
@@ -253,14 +253,14 @@ class TestSchwarzLemma:
     @pytest.mark.parametrize("c", [-2.0, -0.5, 1.0, 2.0])
     def test_exponentials(self, c):
         sharp, simplified = schwarz_lemma_check(
-            AnalyticTestFunction.exponential(c), InterpolationParams(3, 2)
+            AnalyticTestFunction.exponential(c), 3, 2
         )
         assert sharp.satisfied
         assert simplified.satisfied
 
     def test_constant_is_trivial(self):
         sharp, simplified = schwarz_lemma_check(
-            AnalyticTestFunction.monomial(0), InterpolationParams(2, 1)
+            AnalyticTestFunction.monomial(0), 2, 1
         )
         assert sharp.satisfied
         assert simplified.satisfied
@@ -269,7 +269,7 @@ class TestSchwarzLemma:
         for d in (1, 3, 7):
             for S, T in ((2, 1), (3, 2), (4, 2)):
                 sharp, simplified = schwarz_lemma_check(
-                    AnalyticTestFunction.monomial(d), InterpolationParams(S, T)
+                    AnalyticTestFunction.monomial(d), S, T
                 )
                 assert simplified.rhs >= sharp.rhs * (1 - 1e-12)
 
@@ -286,19 +286,19 @@ class TestSchwarzLemma:
 
     def test_exact_families_take_closed_form_maxima(self):
         sharp, simplified = schwarz_lemma_check(
-            AnalyticTestFunction.monomial(10), InterpolationParams(3, 2)
+            AnalyticTestFunction.monomial(10), 3, 2
         )
         assert sharp.lhs == simplified.lhs == 1.0
         assert sharp.inputs["f_S"] == 3.0**10
         sharp, _ = schwarz_lemma_check(
-            AnalyticTestFunction.exponential(-2.0), InterpolationParams(4, 1)
+            AnalyticTestFunction.exponential(-2.0), 4, 1
         )
         assert sharp.lhs == math.exp(2.0)
         assert sharp.inputs["f_S"] == math.exp(8.0)
 
     def test_polynomial_bounds_lhs_above_and_f_S_below(self):
         f = AnalyticTestFunction.polynomial([1.0, -2.0j, 0.0, 1.0])
-        sharp, simplified = schwarz_lemma_check(f, InterpolationParams(3, 2))
+        sharp, simplified = schwarz_lemma_check(f, 3, 2)
         assert sharp.lhs == 4.0  # sum of |a_k|
         assert sharp.lhs >= oracles.sup_on_circle(f, 1.0)
         assert sharp.inputs["f_S"] == math.sqrt(766.0)  # 1 + 4 * 3^2 + 3^6
@@ -314,11 +314,66 @@ class TestSchwarzLemma:
         # for a single term |f| is constant on the circle and both agree
         f = AnalyticTestFunction.polynomial(coeffs)
         for S in (2, 3, 4):
-            sharp, _ = schwarz_lemma_check(f, InterpolationParams(S, 1))
+            sharp, _ = schwarz_lemma_check(f, S, 1)
             f_S = sharp.inputs["f_S"]
             w = S * np.exp(2j * math.pi * np.arange(64) / 64)
             assert f_S == pytest.approx(math.sqrt(np.mean(np.abs(f(w)) ** 2)), rel=1e-13)
             assert f_S <= oracles.sup_on_circle(f, float(S)) * (1.0 + 1e-14)
+
+
+def _schwarz_monomial_reference(d, S, T):
+    """Reference: the two reports as the closed forms r^d and comb(d, l) j^(d-l) of z^d gave them."""
+    eps = 1.0 / 12.0
+    lhs, f_S, node_max = 1.0**d, float(S) ** d, 0.0
+    for j in range(1 - S, S):
+        for ell in range(T):
+            dd = complex(0.0) if ell > d else math.comb(d, ell) * complex(j) ** (d - ell)
+            node_max = max(node_max, abs(dd) / 2.0**ell)
+    ratio = math.factorial(S - 1) ** 2 * SINH_PI / (math.pi * math.factorial(2 * S - 1))
+    sharp_rhs = 4.0 * ratio**T * f_S + (S * T / eps) * (SINH_PI / math.cos(math.pi * eps)) ** T * node_max
+    simple_rhs = 4.0 * (10.0 / 4.0**S) ** T * f_S + 12.0 * S * T * 12.0**T * node_max
+    common = {"S": S, "T": T, "f": f"z^{d}", "f_S": f_S, "node_max": node_max}
+    return (
+        BoundReport("schwarz_sharp", lhs, sharp_rhs, inputs={**common, "epsilon": eps}),
+        BoundReport("schwarz_simplified", lhs, simple_rhs, inputs=common),
+    )
+
+
+class TestMonomialsArePolynomials:
+    @pytest.mark.parametrize("d", [0, 3, 10])
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_schwarz_reports_bit_equal_to_the_closed_forms(self, d, S, T):
+        # every intermediate value on the verify grid is an exact integer
+        got = schwarz_lemma_check(AnalyticTestFunction.monomial(d), S, T)
+        want = _schwarz_monomial_reference(d, S, T)
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in want]
+
+    def test_monomial_is_its_coefficient_list(self):
+        f = AnalyticTestFunction.monomial(3)
+        assert f.coeffs == (0j, 0j, 0j, 1 + 0j)
+        assert f.describe() == "z^3"
+        assert AnalyticTestFunction.polynomial([0.0, 0.0, 1.0]).describe() == "z^2"
+        assert AnalyticTestFunction.polynomial([0.0, 0.0, 3.0]).describe() == "poly(deg 2)"
+        assert AnalyticTestFunction.exponential(-2.0).describe() == "exp((-2+0j)z)"
+
+    def test_circle_bounds(self):
+        assert AnalyticTestFunction.monomial(4).circle_bounds(3) == (81.0, 81.0)
+        assert AnalyticTestFunction.exponential(-2.0).circle_bounds(4) == (math.exp(8.0), math.exp(8.0))
+        lower, upper = AnalyticTestFunction.polynomial([1.0, -2.0j, 0.0, 1.0]).circle_bounds(3)
+        assert (lower, upper) == (math.sqrt(766.0), 1.0 + 6.0 + 27.0)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            AnalyticTestFunction.monomial(-1)
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            AnalyticTestFunction.polynomial([])
+        f = AnalyticTestFunction.monomial(1)
+        for S, T in ((0, 1), (2, 0)):
+            with pytest.raises(ValueError, match="S and T must be >= 1"):
+                schwarz_lemma_check(f, S, T)
+            with pytest.raises(ValueError, match="S and T must be >= 1"):
+                hermite_identity_check(f, S, T, 0.4 + 0.3j)
 
 
 class TestSupOnCircle:
@@ -329,7 +384,7 @@ class TestSupOnCircle:
         functions += [AnalyticTestFunction.exponential(c) for c in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
         for f in functions:
             for radius in (0.5, 1.0, 2.0, 3.0, 4.0):
-                exact = _circle_max(f, radius)
+                exact = f.circle_bounds(radius)[1]
                 sampled = oracles.sup_on_circle(f, radius)
                 assert exact >= sampled * (1.0 - 1e-14), (f.describe(), radius)
                 assert exact == pytest.approx(sampled, rel=1e-12), (f.describe(), radius)
@@ -337,7 +392,7 @@ class TestSupOnCircle:
     def test_polynomial_circle_bound_dominates_samples(self):
         f = AnalyticTestFunction.polynomial([0.5, -1.0, 0.25j, 2.0])
         for radius in (0.5, 1.0, 3.0):
-            assert _circle_max(f, radius) >= oracles.sup_on_circle(f, radius)
+            assert f.circle_bounds(radius)[1] >= oracles.sup_on_circle(f, radius)
 
     @given(st.integers(0, 8), st.floats(0.5, 4.0))
     @settings(max_examples=60)

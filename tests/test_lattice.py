@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.lattice import (
+    DEFAULT_TOL,
     PolarizedTorus,
     SiegelTau,
     UnimodularMap,
@@ -94,6 +96,29 @@ class TestSiegelReduce:
     def test_non_finite_tau_rejected(self, re, im):
         with pytest.raises(ValueError, match="not finite"):
             SiegelTau(re, im)
+
+    def test_agrees_with_the_exact_reduction_within_its_bound(self):
+        # scrambles as in the lattice suite, plus accepted points near the real axis
+        rng = np.random.default_rng(0)
+        points = [5.3 + 0.2j, 0.5 + 0.5j, 0.3 + 1e-6j, 1e-9j, 0.1 + 1e298j]
+        while len(points) < 300:
+            a, b, c = (int(v) for v in rng.integers(-10, 11, 3))
+            d = next((d for d in range(-60, 61) if a * d - b * c == 1), None)
+            if d is not None:
+                points.append(UnimodularMap(a, b, c, d).apply(random_reduced_tau(rng).value))
+        for z in points:
+            t, _ = siegel_reduce(z)
+            x, y, drift = oracles.exact_siegel_reduce(z.real, z.imag)
+            bound = math.ldexp(drift, -51)
+            assert bound <= DEFAULT_TOL, z
+            dist = math.sqrt((Fraction(t.re) - x) ** 2 + (Fraction(t.im) - y) ** 2)
+            assert dist <= bound * y, z
+
+    @pytest.mark.parametrize("z", [0.3 + 1e-12j, 0.3 + 1e-20j, 0.3 + 5e-324j, 0.1 + 1e-300j])
+    def test_rounding_past_the_tolerance_is_an_error(self, z):
+        # the float reduction of these lands far from the exact one (Im 7.7e266 for 0.1 + 1e-300 i)
+        with pytest.raises(ValueError, match="too close to the real axis"):
+            siegel_reduce(z)
 
     def test_degenerate_basis_rejected(self):
         with pytest.raises(ValueError, match="not positive"):

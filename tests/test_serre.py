@@ -56,6 +56,18 @@ class TestFOfP:
             prev = cur
 
 
+def _find_threshold_by_integer_bisection():
+    """Reference: the integer bisection on [2, 10^8] that find_threshold replaced."""
+    lo, hi = 2, 10**8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f_of_p(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return SerreThreshold(lo, f_of_p(lo), f_of_p(lo + 1))
+
+
 class TestFindThreshold:
     def test_integer_threshold(self):
         th = find_threshold()
@@ -66,6 +78,9 @@ class TestFindThreshold:
         th = find_threshold()
         assert float(oracles.mp_serre_f(th.p_star)) > 1.0
         assert float(oracles.mp_serre_f(th.p_star + 1)) < 1.0
+
+    def test_equals_the_integer_bisection(self):
+        assert find_threshold() == _find_threshold_by_integer_bisection()
 
     def test_threshold_type_validates_bracket(self):
         with pytest.raises(ValueError):
