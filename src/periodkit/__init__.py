@@ -4,7 +4,6 @@ heights, interpolation constants, and explicit isogeny degree bounds."""
 from .bounds import BoundReport
 from .heights import CurveRecord, faltings_height_silverman
 from .lattice import (
-    PolarizedTorus,
     SiegelTau,
     UnimodularMap,
     avoidance_minimum,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CurveRecord",
-    "PolarizedTorus",
     "RiemannTau",
     "SiegelTau",
     "UnimodularMap",

@@ -45,7 +45,6 @@ from .heights import (
     weil_height_rational_j,
 )
 from .lattice import (
-    PolarizedTorus,
     SiegelTau,
     UnimodularMap,
     avoidance_minimum,
@@ -217,18 +216,23 @@ def _digest(path: str) -> str:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _product_torus(tau: complex) -> PolarizedTorus:
-    periods = [[1.0, tau, 0.0, 0.0], [0.0, 0.0, 1.0, tau]]
-    H = np.diag([1.0 / tau.imag, 1.0 / tau.imag])
-    return PolarizedTorus(2, periods, H)
-
-
 def _random_reduced_tau(rng: np.random.Generator) -> SiegelTau:
     while True:
         re = rng.uniform(-0.5, 0.5)
         im = rng.uniform(math.sqrt(3.0) / 2.0, 2.5)
         if re * re + im * im >= 1.0 + 1e-6:
             return SiegelTau(re, im)
+
+
+def _random_unimodular(rng: np.random.Generator) -> UnimodularMap:
+    """(a b; c d) of determinant 1 for a coprime pair a, c drawn from [-10, 10]."""
+    while True:
+        a, c = (int(x) for x in rng.integers(-10, 11, 2))
+        if math.gcd(a, c) == 1:
+            break
+    # d = a^-1 mod |c| (extended Euclid) makes a d - 1 a multiple of c; for c = 0, a = +-1 = a^-1
+    d = pow(a, -1, abs(c)) if c else a
+    return UnimodularMap(a, (a * d - 1) // c if c else 0, c, d)
 
 
 def _equality_report(name: str, value: float, expected: float, tol: float, **inputs) -> BoundReport:
@@ -241,30 +245,18 @@ def _suite_lattice(records, seed: int, quad: int) -> list[BoundReport]:
     worst = 0.0
     for _ in range(200):
         t = _random_reduced_tau(rng)
-        a, b, c = int(rng.integers(-10, 11)), int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
-        # complete (a b / c d) to determinant 1 by solving a d - b c = 1
-        found = None
-        for d in range(-60, 61):
-            if a * d - b * c == 1:
-                found = d
-                break
-        if found is None:
-            continue
-        scr = UnimodularMap(a, b, c, found).apply(t.value)
-        back, _ = siegel_reduce(scr)
+        back, _ = siegel_reduce(_random_unimodular(rng).apply(t.value))
         worst = max(worst, abs(back.value - t.value))
     reports.append(BoundReport("siegel_round_trip_200", worst, 1e-10, inputs={"seed": seed}))
     worst = 0.0
     for _ in range(10):
         t = _random_reduced_tau(rng)
-        torus = _product_torus(t.value)
-        delta = avoidance_minimum(torus, [1.0, 1.0])
+        delta = avoidance_minimum(t.value, [1.0, 1.0])
         rho = math.sqrt(1.0 / rho_inverse_squared(t))
         worst = max(worst, abs(delta - rho / math.sqrt(2.0)))
     reports.append(BoundReport("diagonal_avoidance_identity_10", worst, 1e-10, inputs={"seed": seed}))
-    t = SiegelTau(0.0, 2.0)
-    torus1 = PolarizedTorus(1, [[1.0, 2j]], [[0.5]])
-    _, norm = shortest_vector(torus1)
+    # Z + 2iZ under |z|^2 / Im tau: the periods 1 and 2i scaled by sqrt(1/2)
+    _, norm = shortest_vector(math.sqrt(0.5), math.sqrt(0.5) * 2j)
     reports.append(_equality_report("shortest_vector_tau_2i", norm * norm, 0.5, 1e-12))
     idx, cyc = smith_index([[2, 0], [0, 2]])
     reports.append(_equality_report("smith_diag22_index", float(idx), 4.0, 0.0, cyclic=cyc))
@@ -505,8 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "delta":
             t, _ = siegel_reduce(complex(args.re, args.im))
-            torus = _product_torus(t.value)
-            d = avoidance_minimum(torus, [1.0, 1.0])
+            d = avoidance_minimum(t.value, [1.0, 1.0])
             rho = math.sqrt(1.0 / rho_inverse_squared(t))
             print(f"delta = {d:.17g}")
             print(f"rho/sqrt(2) = {rho / math.sqrt(2.0):.17g}")

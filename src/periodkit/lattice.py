@@ -1,11 +1,12 @@
-"""Complex lattices in dimension one and two.
+"""Plane lattices from elliptic period ratios.
 
-Reduction of elliptic period ratios to the standard fundamental domain,
-shortest vectors of one-dimensional tori, minima avoiding a complex line,
-and exact index computations for integer matrices. Both minima are
-Lagrange-Gauss reductions in the plane: the shortest vector of the periods
-scaled by the form, and the minimum avoiding a line the shortest vector of
-the lattice projected onto the line's orthogonal complement.
+Reduction of a period ratio to the standard fundamental domain, the
+shortest vector of a lattice Z w1 + Z w2 in C, the distance of the lattice of
+E_tau x E_tau from a complex line, and exact index computations for integer
+matrices. Both minima are Lagrange-Gauss reductions in the plane: the
+shortest vector of the two periods, and for the line the shortest vector of
+the four periods projected onto its orthogonal complement. Every function
+takes plain numbers.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 DEFAULT_TOL = 1e-9
 _BOUNDARY_EPS = 1e-12
@@ -80,68 +79,6 @@ class UnimodularMap:
         )
 
 
-def _as_c_array(m, shape_hint: str) -> np.ndarray:
-    arr = np.array(m, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"{shape_hint} must be a 2-d matrix")
-    return arr
-
-
-class PolarizedTorus:
-    """Complex torus of dimension 1 or 2 with a positive Hermitian form.
-
-    INPUT:
-
-    - ``g`` -- 1 or 2
-    - ``periods`` -- g x 2g complex matrix; columns span the lattice
-    - ``riemann_form`` -- g x g Hermitian positive matrix H; the squared
-      norm of z is the real number H(z, z) = conj(z)^T H z
-
-    H must be Hermitian and Im H integral on lattice pairs, both up to
-    ``DEFAULT_TOL``.
-
-    Instances are immutable; all arrays are copied and frozen.
-    """
-
-    __slots__ = ("g", "periods", "riemann_form")
-
-    def __init__(self, g: int, periods, riemann_form) -> None:
-        if g not in (1, 2):
-            raise ValueError("g must be 1 or 2")
-        P = _as_c_array(periods, "periods")
-        H = _as_c_array(riemann_form, "riemann_form")
-        if P.shape != (g, 2 * g):
-            raise ValueError(f"periods must be {g}x{2 * g}")
-        if H.shape != (g, g):
-            raise ValueError(f"riemann_form must be {g}x{g}")
-        if not np.allclose(H, H.conj().T, rtol=0, atol=DEFAULT_TOL):
-            raise ValueError("riemann_form is not Hermitian")
-        eigs = np.linalg.eigvalsh(H)
-        if eigs.min() <= 0:
-            raise ValueError("riemann_form is not positive-definite")
-        # real rank of the 2g columns viewed in R^{2g}, each scaled to largest entry 1
-        real_cols = np.vstack([P.real, P.imag])
-        scale = np.abs(real_cols).max(axis=0)
-        if not scale.all() or np.linalg.matrix_rank(real_cols / scale, tol=1e-12) < 2 * g:
-            raise ValueError("periods do not have full real rank")
-        pairings = P.conj().T @ H @ P
-        if np.abs(pairings.imag - np.round(pairings.imag)).max() > DEFAULT_TOL:
-            raise ValueError("Im H is not integral on the lattice")
-        P.setflags(write=False)
-        H.setflags(write=False)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "periods", P)
-        object.__setattr__(self, "riemann_form", H)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolarizedTorus is immutable")
-
-    def gram(self) -> np.ndarray:
-        """Real 2g x 2g Gram matrix of the period columns under the form."""
-        G = self.periods.conj().T @ self.riemann_form @ self.periods
-        return np.ascontiguousarray(G.real)
-
-
 # ---------------------------------------------------------------------------
 # Siegel reduction
 # ---------------------------------------------------------------------------
@@ -155,7 +92,8 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
 
     Each S step moves the point by at most 2^-51 |z|/Im z in the hyperbolic
     metric (translations are exact, later steps are isometries); raises
-    ``ValueError`` once the sum of these bounds exceeds ``DEFAULT_TOL``.
+    ``ValueError`` once the sum of these bounds exceeds ``DEFAULT_TOL``, or
+    once an S step overflows (Im z = 1e-320 maps to Im tau = inf).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -171,9 +109,9 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
             word = UnimodularMap(1, -n, 0, 1).compose(word)
         if abs(z) < 1.0 - _BOUNDARY_EPS:
             drift += abs(z) / z.imag
-            if math.ldexp(drift, -51) > DEFAULT_TOL:
-                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
             z = -1.0 / z
+            if math.ldexp(drift, -51) > DEFAULT_TOL or not cmath.isfinite(z):
+                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
             word = UnimodularMap(0, -1, 1, 0).compose(word)
             continue
         break
@@ -218,48 +156,62 @@ def _gauss_reduce(a: complex, b: complex) -> tuple[complex, complex]:
         a, b = b, a
 
 
-def shortest_vector(torus: PolarizedTorus) -> tuple[tuple[int, int], float]:
-    """Nonzero lattice vector of minimal norm on a g = 1 torus, and its norm.
+def shortest_vector(w1: complex, w2: complex) -> tuple[tuple[int, int], float]:
+    """Shortest nonzero vector of the lattice Z w1 + Z w2 under |z|: its coefficients and its length.
 
-    Scaled by sqrt(H), the periods lie in the plane with the norm |z|, and
-    the first vector of their Lagrange-Gauss reduced pair is a shortest one.
-    Its coefficients in the periods solve two signed-area equations.
+    The first vector of the Lagrange-Gauss reduced pair is a shortest one;
+    its coefficients in (w1, w2) solve two signed-area equations. The periods
+    must be finite, nonzero and R-independent: the sine of the angle between
+    them must exceed 1e-12.
     """
-    if torus.g != 1:
-        raise ValueError("shortest_vector is evaluated for g = 1 only")
-    scale = math.sqrt(torus.riemann_form[0, 0].real)
-    w1, w2 = (scale * complex(w) for w in torus.periods[0])
+    w1, w2 = complex(w1), complex(w2)
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise ValueError("periods must be finite")
+    if not (w1 and w2) or abs(_cross(w1 / abs(w1), w2 / abs(w2))) <= 1e-12:
+        raise ValueError("periods do not have full real rank")
     a, _ = _gauss_reduce(w1, w2)
     det = _cross(w1, w2)
     return (round(_cross(a, w2) / det), round(_cross(w1, a) / det)), abs(a)
 
 
-def avoidance_minimum(torus: PolarizedTorus, line) -> float:
-    """Minimal H-distance to the line C v, v = ``line`` in C^2, among lattice points off it; g = 2.
+def avoidance_minimum(tau: complex, v) -> float:
+    """Distance to the line C v, v in C^2, of the nearest lattice point of E_tau x E_tau off it.
 
-    It is the shortest nonzero vector of the lattice projected onto the
-    H-orthogonal complement of v: with u*Hv = 0 and u*Hu = 1, the period
-    P e_k has coordinate c_k = u*H P e_k there, and |c_k| is its distance to
-    the line. The c_k are folded into a Gauss-reduced pair (a, b): a residue
-    of at most DEFAULT_TOL times the longest period lies on the line; any
-    other residue has coordinates in [-1/2, 1/2] in (a, b), replaces a basis
-    vector and so at least halves the covolume. When the line meets the
-    lattice in rank 2 the projection is a lattice and the fold ends with |a|
-    as the minimum. Otherwise the projection is dense, and the fold raises
-    once the covolume falls below DEFAULT_TOL times its start, after at most
-    30 replacements.
+    The periods are (1, 0), (tau, 0), (0, 1) and (0, tau), and the norm is
+    H(z, z) = |z|^2 / Im tau. The minimum is the shortest nonzero vector of
+    the lattice projected onto the H-orthogonal complement of v: with
+    u*Hv = 0 and u*Hu = 1, the period p_k has coordinate c_k = u*H p_k
+    there, and |c_k| is its distance to the line; u is proportional to
+    (conj v_2, -conj v_1), so the c_k are (v_2, v_2 tau, -v_1, -v_1 tau) up
+    to a positive factor. The c_k are folded into a Gauss-reduced pair
+    (a, b): a residue of at most DEFAULT_TOL times the longest period lies on
+    the line; any other residue has coordinates in [-1/2, 1/2] in (a, b),
+    replaces a basis vector and so at least halves the covolume. When the
+    line meets the lattice in rank 2 the projection is a lattice and the fold
+    ends with |a| as the minimum. Otherwise the projection is dense, and the
+    fold raises once the covolume falls below DEFAULT_TOL times its start,
+    after at most 30 replacements.
     """
-    if torus.g != 2:
-        raise ValueError("avoidance_minimum is evaluated for g = 2 only")
-    v = np.asarray(line, dtype=complex).reshape(-1)
-    if v.shape != (2,) or not v.any():
-        raise ValueError("line must be spanned by a nonzero vector of C^2")
-    H = torus.riemann_form
-    h = H @ v
-    h /= abs(h).max()  # H v underflows where H is tiny (Im tau ~ 1e298)
-    w = np.array([h[1], -h[0]])  # conj(u), unnormalised
-    coords = [complex(c) for c in (w @ H @ torus.periods) / math.sqrt((w @ H @ w.conj()).real)]
-    zero = DEFAULT_TOL * math.sqrt(torus.gram().diagonal().max())
+    tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError("tau must be finite")
+    if not tau.imag > 0:
+        raise ValueError(f"Im tau = {tau.imag} is not positive")
+    v1, v2 = (complex(c) for c in v)
+    if not (cmath.isfinite(v1) and cmath.isfinite(v2)) or not (v1 or v2):
+        raise ValueError("line must be spanned by a finite nonzero vector of C^2")
+    # v scaled to largest entry 1 (exact when it already is), so H v neither overflows nor underflows to 0
+    top = max(abs(v1), abs(v2))
+    v1, v2 = v1 / top, v2 / top
+    inv = 1.0 / tau.imag
+    h1, h2 = inv * v1, inv * v2
+    # H v scaled to largest entry 1: H v underflows where H is tiny (Im tau ~ 1e298)
+    scale = 1.0 / max(abs(h1), abs(h2))
+    w1, w2 = h2 * scale, -(h1 * scale)  # conj(u), unnormalised
+    x1, x2 = inv * w1, inv * w2  # w H
+    scale = 1.0 / math.sqrt((x1 * w1.conjugate() + x2 * w2.conjugate()).real)
+    coords = [c * scale for c in (x1, x1 * tau, x2, x2 * tau)]
+    zero = DEFAULT_TOL * max(1.0, abs(tau)) / math.sqrt(tau.imag)
     a = max(coords, key=abs)
     a, b = _gauss_reduce(a, max(coords, key=lambda c: abs(_cross(a, c))))
     covol = abs(_cross(a, b))

@@ -18,7 +18,6 @@ from periodkit.bounds import (
     prop_ell_solver,
     structural_constants,
 )
-from periodkit.cli import _product_torus as product_torus
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.heights import H_SHIFT, faltings_height_silverman
 from periodkit.interpolation import (
@@ -61,7 +60,7 @@ def test_c02_diagonal_avoidance_identity():
     for _ in range(50):
         st_tau = random_reduced_tau(rng)
         tau = st_tau.value
-        delta = avoidance_minimum(product_torus(tau), [1.0, 1.0])
+        delta = avoidance_minimum(tau, [1.0, 1.0])
         rho = 1.0 / math.sqrt(rho_inverse_squared(st_tau))
         assert delta == pytest.approx(rho / math.sqrt(2.0), abs=1e-10)
         brute = oracles.avoidance_bruteforce(

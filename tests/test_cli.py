@@ -125,6 +125,19 @@ class TestStrictInput:
             records = ingest_curves(str(path))
         assert [r.label for r in records] == ["probe"]
 
+    @pytest.mark.parametrize("as_string", [True, False])
+    def test_integers_of_up_to_4300_digits(self, tmp_path, as_string):
+        # CPython's default int <-> str limit: a longer j_num fails in int() or in json.loads
+        lines = []
+        for digits in (4300, 4301):
+            num = "9" * digits
+            lines.append(VALID_LINE.replace('"j_num": "50"', f'"j_num": "{num}"' if as_string else f'"j_num": {num}'))
+        path = tmp_path / "long.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match=r":2: skipped invalid record: Exceeds the limit \(4300 digits\)"):
+            records = ingest_curves(str(path))
+        assert [r.j_rational for r in records] == [(10**4300 - 1, 3)]
+
     @pytest.mark.parametrize(
         "key, field, value",
         [
@@ -249,6 +262,21 @@ class TestRunSuite:
         manifest = run_suite("heights", bundled_records)
         assert manifest.suites == ["heights"]
         assert all(r["suite"] == "heights" for r in manifest.reports)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_round_trip_builds_200_determinant_one_maps(self, seed, monkeypatch):
+        built = []
+
+        def recording(rng):
+            built.append(draw(rng))
+            return built[-1]
+
+        draw = cli._random_unimodular
+        monkeypatch.setattr(cli, "_random_unimodular", recording)
+        (report,) = [r for r in run_suite("lattice", [], seed=seed).reports if r["name"] == "siegel_round_trip_200"]
+        assert len(built) == 200
+        assert all(m.a * m.d - m.b * m.c == 1 for m in built)
+        assert report["satisfied"] and 0.0 < report["lhs"] < 1e-12
 
     def test_seed_reaches_the_quadratic_root_trials(self, bundled_records):
         def worst_trial(seed):
@@ -563,6 +591,15 @@ class TestExitCodes:
     def test_point_too_near_the_real_axis(self, command, re, im, capsys):
         # the double-precision reduction of these points is off by more than DEFAULT_TOL
         assert main([command, re, im]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Im z = {float(im)} is too close to the real axis to reduce in double precision\n"
+
+    @pytest.mark.parametrize("command", ["reduce", "rho", "delta"])
+    @pytest.mark.parametrize("im", ["1e-320", "5e-324"])
+    def test_overflowing_s_step_is_an_input_error(self, command, im, capsys):
+        # -1/z overflows Im z to inf although the input is finite; the error names the input
+        assert main([command, "0", im]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: Im z = {float(im)} is too close to the real axis to reduce in double precision\n"
