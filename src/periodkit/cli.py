@@ -24,9 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from . import bounds as bnd
@@ -53,6 +51,9 @@ from .lattice import (
     siegel_reduce,
     smith_index,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,8 @@ def _equality_report(name: str, value: float, expected: float, tol: float, **inp
 
 
 def _suite_lattice(records, seed: int, quad: int) -> list[BoundReport]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     reports: list[BoundReport] = []
     worst = 0.0
@@ -485,6 +488,8 @@ def _load_records(path: Optional[str]) -> tuple[list[CurveRecord], dict]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, not {args.seed}")
     try:
         if args.command == "reduce":
             t, m = siegel_reduce(complex(args.re, args.im))

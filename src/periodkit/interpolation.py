@@ -12,11 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bounds import BoundReport, _worst_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SINH_PI = math.sinh(math.pi)
 # epsilon of the interpolation contours: each node circle has radius 1/2 - epsilon
@@ -59,6 +60,8 @@ class AnalyticTestFunction:
     def __call__(self, z):
         """f(z) at a complex number, or elementwise on a numpy array."""
         if self.coeffs is None:
+            import numpy as np
+
             return np.exp(self.rate * z)
         acc = complex(0.0)
         for c in reversed(self.coeffs):
@@ -118,6 +121,8 @@ def _half_disc_bound(S: int) -> float:
     By the maximum principle the circles suffice. Each point w of a circle
     lies within h = pi/(2n) of one of its n samples z, so |w - j| <= |z - j| + h.
     """
+    import numpy as np
+
     n = 4096
     ring = 0.5 * np.exp(2j * math.pi * np.arange(n) / n)
     dists = np.abs(np.concatenate([1.0 + ring, -1.0 + ring])[:, None] - np.arange(1 - S, S))
@@ -147,6 +152,8 @@ def lemma52_checks(S_max: int, seed: int = 7) -> list[BoundReport]:
     """
     if S_max < 2:
         raise ValueError("S_max must be >= 2")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     grid_step = 1e-3
     reports: list[BoundReport] = []
@@ -259,6 +266,8 @@ def _contour_mean(g: Callable[[np.ndarray], np.ndarray], center: complex, radius
 
     ``g`` is evaluated once, elementwise on the array of all n nodes.
     """
+    import numpy as np
+
     w = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
     return complex(np.sum(g(w) * (w - center)) / n)
 

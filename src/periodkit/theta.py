@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import BoundReport
 from .heights import H_SHIFT, CurveRecord, faltings_height_silverman
 from .lattice import siegel_reduce
 from .modular import delta_on_upper_half_plane
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 
@@ -34,6 +36,8 @@ class RiemannTau:
     matrix: np.ndarray
 
     def __init__(self, g: int, matrix) -> None:
+        import numpy as np
+
         if g not in (1, 2):
             raise ValueError("g must be 1 or 2")
         m = np.array(matrix, dtype=complex).reshape(g, g)
@@ -60,6 +64,8 @@ def _min_eigenvalue(y: np.ndarray) -> float:
     """Smallest eigenvalue of a real symmetric matrix; the entry itself for g=1."""
     if y.shape == (1, 1):
         return float(y[0, 0])
+    import numpy as np
+
     return float(np.linalg.eigvalsh(y).min())
 
 
@@ -76,6 +82,8 @@ _BLOCK = 1 << 16  # entries per block of the L2 stream
 
 def _fold(C: np.ndarray, axis: int, m: int) -> np.ndarray:
     """Sum the entries along one axis whose indices agree mod m; a no-op for length <= m."""
+    import numpy as np
+
     n = C.shape[axis]
     if n <= m:
         return C
@@ -92,7 +100,6 @@ def _resolution(quadrature_points_per_axis: int) -> int:
     return m + (m % 2)  # even grid keeps the standard theta zero at cell corners
 
 
-@np.errstate(over="raise", invalid="raise")
 def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> float:
     """Midpoint quadrature of the squared modulus over (R^g/Z^g)^2; expect 1.
 
@@ -115,29 +122,32 @@ def torus_l2_norm(tau: RiemannTau, quadrature_points_per_axis: int = 64) -> floa
     that overflows, from about Im tau = 6e306 at g = 1, raises
     ``FloatingPointError`` instead of giving a NaN mean.
     """
-    m = _resolution(quadrature_points_per_axis)
-    g, t = tau.g, tau.matrix
-    box = default_truncation(tau)
-    axes = [np.arange(-box, box + 1)] * g
-    ns = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    tn = [sum(t[j, l] * ns[:, l] for l in range(g)) for j in range(g)]  # (tau n)_j per term
-    term = 1j * math.pi * (sum(ns[:, j] * tn[j] for j in range(g)) + ns.sum(axis=1) / m)
-    cross = [2j * math.pi * u for u in tn]
-    step = max(1, _BLOCK // ns.shape[0])
-    sums = []
-    for i0 in range(0, m**g, step):
-        i = np.arange(i0, min(i0 + step, m**g))
-        p = [(i // m ** (g - 1 - j) % m + 0.5) / m for j in range(g)]  # row-major p-grid
-        point = 1j * math.pi * sum(p[j] * sum(t[j, l] * p[l] for l in range(g)) for j in range(g))
-        E = np.add.outer(term, point)
-        prod = np.empty_like(E)
-        for j in range(g):
-            E += np.multiply.outer(cross[j], p[j], out=prod)
-        C = np.exp(E, out=E).reshape((2 * box + 1,) * g + (-1,))
-        for axis in range(g):
-            C = _fold(C, axis, m)
-        sums.append(float((C.real**2).sum() + (C.imag**2).sum()))
-    return float(np.linalg.det(2.0 * tau.y)) ** 0.5 * math.fsum(sums) / m**g
+    import numpy as np
+
+    with np.errstate(over="raise", invalid="raise"):
+        m = _resolution(quadrature_points_per_axis)
+        g, t = tau.g, tau.matrix
+        box = default_truncation(tau)
+        axes = [np.arange(-box, box + 1)] * g
+        ns = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+        tn = [sum(t[j, l] * ns[:, l] for l in range(g)) for j in range(g)]  # (tau n)_j per term
+        term = 1j * math.pi * (sum(ns[:, j] * tn[j] for j in range(g)) + ns.sum(axis=1) / m)
+        cross = [2j * math.pi * u for u in tn]
+        step = max(1, _BLOCK // ns.shape[0])
+        sums = []
+        for i0 in range(0, m**g, step):
+            i = np.arange(i0, min(i0 + step, m**g))
+            p = [(i // m ** (g - 1 - j) % m + 0.5) / m for j in range(g)]  # row-major p-grid
+            point = 1j * math.pi * sum(p[j] * sum(t[j, l] * p[l] for l in range(g)) for j in range(g))
+            E = np.add.outer(term, point)
+            prod = np.empty_like(E)
+            for j in range(g):
+                E += np.multiply.outer(cross[j], p[j], out=prod)
+            C = np.exp(E, out=E).reshape((2 * box + 1,) * g + (-1,))
+            for axis in range(g):
+                C = _fold(C, axis, m)
+            sums.append(float((C.real**2).sum() + (C.imag**2).sum()))
+        return float(np.linalg.det(2.0 * tau.y)) ** 0.5 * math.fsum(sums) / m**g
 
 
 def torus_log_integral(tau: RiemannTau) -> float:

@@ -444,6 +444,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: ptk")
 
+    # modular draws nothing from the seed, lattice and interpolation hand it to
+    # numpy; the curves file does not exist, so only a check at parse time exits first
+    @pytest.mark.parametrize("suite", ["modular", "lattice", "interpolation"])
+    def test_negative_seed_is_a_usage_error(self, suite, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "verify", "--suite", suite, "--curves", str(tmp_path / "nope.jsonl")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^ptk: error: argument --seed: ", captured.err, re.M)
+
     def test_reduce_subcommand(self, capsys):
         assert main(["reduce", "5.3", "0.2"]) == 0
         out = capsys.readouterr().out

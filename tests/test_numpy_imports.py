@@ -1,15 +1,22 @@
-"""numpy only where arrays pay: the scalar modules import it neither directly nor through the package.
+"""numpy only where arrays pay: importing periodkit loads no numpy, and the scalar modules never do.
 
-The scan reads the sources with ``ast`` and imports nothing. A module counts
+The scans read the sources with ``ast`` and import nothing. A module counts
 as importing numpy when any of its ``import`` statements, at any depth, names
 numpy or a ``numpy.`` submodule, or when it imports a package module that
 does. ``theta``, ``interpolation`` and ``cli`` evaluate on arrays and may
-import it.
+import it, but only inside the functions that build them: no module imports
+numpy when it is itself imported, that is in its module body outside an
+``if TYPE_CHECKING:`` block (class bodies and other blocks included,
+function bodies not). One fresh interpreter checks the same at run time,
+through the ``ptk`` commands that build no array.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,24 +25,48 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
 SCALAR_MODULES = ("lattice", "heights", "modular", "bounds", "isogeny", "serre")
 
 
+def _names_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+
+
 def _imports(tree: ast.Module) -> tuple[bool, set]:
     """(names numpy itself, package modules it imports)."""
     numpy, package = False, set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            numpy |= any(a.name.split(".")[0] == "numpy" for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                numpy |= (node.module or "").split(".")[0] == "numpy"
-            elif node.module is None:
+        numpy |= _names_numpy(node)
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
                 package |= {a.name for a in node.names}
             else:
                 package.add(node.module.split(".")[0])
     return numpy, package
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _import_time_numpy(nodes) -> list[int]:
+    """Lines of the numpy imports among these statements that run when the module is imported."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # its body runs when it is called
+        if _names_numpy(node):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.If) and _is_type_checking(node.test):
+            lines += _import_time_numpy(node.orelse)
+        else:
+            lines += _import_time_numpy(ast.iter_child_nodes(node))
+    return lines
+
+
 def _loads_numpy() -> dict:
-    """Module name -> whether importing it loads numpy, through package imports too."""
+    """Module name -> whether it imports numpy anywhere, through package imports too."""
     direct, edges = {}, {}
     for path in sorted(SRC.glob("*.py")):
         direct[path.stem], edges[path.stem] = _imports(ast.parse(path.read_text(encoding="utf-8")))
@@ -65,3 +96,51 @@ def test_the_scan_sees_numpy_where_it_is():
 )
 def test_every_import_form_counts(source):
     assert _imports(ast.parse(source))[0]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_numpy_when_imported(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert _import_time_numpy(tree.body) == [], f"periodkit.{module} imports numpy at module level"
+
+
+@pytest.mark.parametrize(
+    "source, runs",
+    [
+        ("import numpy as np", True),
+        ("try:\n    import numpy\nexcept ImportError:\n    pass", True),
+        ("class A:\n    import numpy", True),
+        ("if TYPE_CHECKING:\n    pass\nelse:\n    from numpy import array", True),
+        ("if TYPE_CHECKING:\n    import numpy as np", False),
+        ("if typing.TYPE_CHECKING:\n    import numpy.typing", False),
+        ("def f():\n    import numpy as np", False),
+        ("class A:\n    def f(self):\n        import numpy", False),
+    ],
+)
+def test_the_module_level_scan(source, runs):
+    assert bool(_import_time_numpy(ast.parse(source).body)) == runs
+
+
+# after each step: the step, its exit code and whether numpy is loaded
+PROBE = """
+import contextlib, io, sys
+import periodkit
+from periodkit import cli
+print("import", 0, "numpy" in sys.modules)
+for argv in (["height"], ["reduce", "0.3", "1.2"], ["rho", "0.1", "1.5"], ["delta", "0.5", "1.2"],
+             ["bound", "isogeny"], ["serre", "threshold"], ["verify", "--suite", "theta"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    print(argv[0], rc, "numpy" in sys.modules)
+"""
+
+
+def test_only_commands_that_build_arrays_load_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("PTK_FIXTURES", None)
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [line.split() for line in proc.stdout.splitlines()]
+    assert [s[0] for s in steps] == ["import", "height", "reduce", "rho", "delta", "bound", "serre", "verify"]
+    assert all(rc == "0" for _, rc, _ in steps)
+    assert [loaded for _, _, loaded in steps] == ["False"] * 7 + ["True"]

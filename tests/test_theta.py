@@ -79,8 +79,10 @@ class TestTorusIntegrals:
         # L2 exponents from about 6e306
         with pytest.raises(OverflowError, match="log integral is not finite"):
             torus_log_integral(RiemannTau(1, [[2.9e307j]]))
+        before = np.geterr()
         with pytest.raises(FloatingPointError):
             torus_l2_norm(RiemannTau(1, [[1e307j]]), 64)
+        assert np.geterr() == before  # the raising error state ends with the call
 
 
 def _grid_l2_mean(tau: RiemannTau, m: int) -> float:
