@@ -24,7 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import __version__
 from . import bounds as bnd
@@ -191,19 +191,24 @@ def _record_from_obj(obj: dict) -> CurveRecord:
     )
 
 
-def ingest_curves(path: str) -> list[CurveRecord]:
-    """Parse newline-delimited JSON records; skip invalid lines with a warning."""
-    records: list[CurveRecord] = []
+def _iter_records(path: str) -> Iterator[CurveRecord]:
+    """Parse newline-delimited JSON records one at a time; skip invalid lines with a warning."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(_record_from_obj(json.loads(line)))
+                record = _record_from_obj(json.loads(line))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipped invalid record: {exc}", stacklevel=2)
-    return records
+                continue
+            yield record
+
+
+def ingest_curves(path: str) -> list[CurveRecord]:
+    """Parse newline-delimited JSON records; skip invalid lines with a warning."""
+    return list(_iter_records(path))
 
 
 def _digest(path: str) -> str:
@@ -521,11 +526,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"log integral = {li:.12g} (expect <= 0)")
             return 0 if abs(l2 - 1.0) < 1e-5 and li <= 1e-9 else 1
         if args.command == "height":
-            records, _ = _load_records(args.curves)
-            for rec in records:
+            # one record at a time, so memory does not grow with the file
+            path, count = args.curves or default_fixture_path(), 0
+            for count, rec in enumerate(_iter_records(path), start=1):
                 hF = faltings_height_silverman(rec)
                 hj = weil_height_rational_j(rec.j_rational) if rec.j_rational else float("nan")
                 print(f"{rec.label}: h_F = {hF:.12g}, h = {hF + H_SHIFT:.12g}, h(j) = {hj:.12g}")
+            if not count:
+                raise ValueError(f"no valid records in {path}")
             return 0
         if args.command == "bound":
             out = iso.explicit_bound(args.degree, args.h_f, args.case)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import BoundReport
@@ -80,10 +79,12 @@ class CurveRecord:
                 )
 
 
-def weil_height_rational_j(j) -> float:
-    """log max(|num|, |den|) of a rational number in lowest terms."""
-    frac = Fraction(*j) if isinstance(j, tuple) else Fraction(j)
-    m = max(abs(frac.numerator), abs(frac.denominator))
+def weil_height_rational_j(j: tuple[int, int]) -> float:
+    """log max(|num|, |den|) of the rational number num/den, j = (num, den), in lowest terms."""
+    num, den = j
+    if den == 0:
+        raise ZeroDivisionError(f"j = {num}/0")
+    m = max(abs(num), abs(den)) // math.gcd(num, den)
     return math.log(m) if m > 1 else 0.0
 
 

@@ -101,18 +101,18 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
     if not z.imag > 0:
         raise ValueError(f"Im tau = {z.imag} is not positive")
     im, drift = z.imag, 0.0
-    word = UnimodularMap(1, 0, 0, 1)
+    a, b, c, d = 1, 0, 0, 1  # the word so far, built into a UnimodularMap once at the end
     for _ in range(10_000):
         n = round(z.real)
         if n != 0:
             z = complex(z.real - n, z.imag)
-            word = UnimodularMap(1, -n, 0, 1).compose(word)
+            a, b = a - n * c, b - n * d
         if abs(z) < 1.0 - _BOUNDARY_EPS:
             drift += abs(z) / z.imag
             z = -1.0 / z
             if math.ldexp(drift, -51) > DEFAULT_TOL or not cmath.isfinite(z):
                 raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
-            word = UnimodularMap(0, -1, 1, 0).compose(word)
+            a, b, c, d = -c, -d, a, b
             continue
         break
     else:
@@ -120,11 +120,11 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
     # boundary ties
     if abs(z.real + 0.5) <= _BOUNDARY_EPS:
         z = complex(z.real + 1.0, z.imag)
-        word = UnimodularMap(1, 1, 0, 1).compose(word)
+        a, b = a + c, b + d
     if abs(abs(z) - 1.0) <= _BOUNDARY_EPS and z.real < -_BOUNDARY_EPS:
         z = -1.0 / z
-        word = UnimodularMap(0, -1, 1, 0).compose(word)
-    return SiegelTau(z.real, z.imag), word
+        a, b, c, d = -c, -d, a, b
+    return SiegelTau(z.real, z.imag), UnimodularMap(a, b, c, d)
 
 
 def rho_inverse_squared(tau: SiegelTau) -> float:

@@ -361,6 +361,13 @@ def _tie_break(z):
     return z
 
 
+def mat_mul(m1, m2):
+    """Product of two 2x2 integer matrices given as (a, b, c, d)."""
+    a, b, c, d = m1
+    e, f, g, h = m2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
     """All fundamental-domain images of tau0 under words in S, T, T^{-1}.
 
@@ -377,11 +384,6 @@ def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
             return (-a, -b, -c, -d)
         return m
 
-    def mul(m1, m2):
-        a, b, c, d = m1
-        e, f, g, h = m2
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
     gens = [(0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1)]
     start = (1, 0, 0, 1)
     seen = {canon(start)}
@@ -394,7 +396,7 @@ def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
         if _in_closed_domain(z):
             hits.append((z, m))
         for gmat in gens:
-            nm = mul(gmat, m)
+            nm = mat_mul(gmat, m)
             if max(abs(x) for x in nm) > entry_bound:
                 continue
             cm = canon(nm)
@@ -413,6 +415,42 @@ def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
         if abs(z - ref) <= 1e-12:
             return ref, m
     return ref, hits[0][1]
+
+
+def siegel_reduce_compose_chain(z, tol=1e-9, eps=1e-12):
+    """The float Siegel reduction with its word composed as a matrix product at every step.
+
+    The same float steps, tie-breaks (within ``eps``) and rounding-drift
+    refusal (past ``tol``) as ``lattice.siegel_reduce``; the word is
+    multiplied on the left by T^-n, S or T after each step, as the package
+    once did with ``UnimodularMap.compose``. Returns (re, im, (a, b, c, d)),
+    or raises ``ValueError`` with the package's message.
+    """
+    z = complex(z)
+    im, drift = z.imag, 0.0
+    word = (1, 0, 0, 1)
+    for _ in range(10_000):
+        n = round(z.real)
+        if n != 0:
+            z = complex(z.real - n, z.imag)
+            word = mat_mul((1, -n, 0, 1), word)
+        if abs(z) < 1.0 - eps:
+            drift += abs(z) / z.imag
+            z = -1.0 / z
+            if math.ldexp(drift, -51) > tol or not cmath.isfinite(z):
+                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
+            word = mat_mul((0, -1, 1, 0), word)
+            continue
+        break
+    else:
+        raise RuntimeError("reduction did not terminate")
+    if abs(z.real + 0.5) <= eps:
+        z = complex(z.real + 1.0, z.imag)
+        word = mat_mul((1, 1, 0, 1), word)
+    if abs(abs(z) - 1.0) <= eps and z.real < -eps:
+        z = -1.0 / z
+        word = mat_mul((0, -1, 1, 0), word)
+    return z.real, z.imag, word
 
 
 def exact_siegel_reduce(re, im):

@@ -1,12 +1,15 @@
+import contextlib
 import importlib.util
 import json
 import math
 import os
+import random
 import re
 import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from periodkit.cli import (
     main,
     run_suite,
 )
+from periodkit.heights import H_SHIFT, faltings_height_silverman, weil_height_rational_j
 
 VALID_LINE = (
     '{"label": "probe", "degree": 1, '
@@ -170,7 +174,11 @@ class TestStrictInput:
         )
         assert [r.j_rational for r in ingest_curves(str(path))] == [(50, 3), (-50, 3)]
 
-    @pytest.mark.parametrize("content", ["", "\n\n", NON_FINITE_LINES])
+    @pytest.mark.parametrize(
+        "content",
+        # the last: malformed lines and an embedding the reduction refuses
+        ["", "\n\n", NON_FINITE_LINES, '{"label": "broken"}\n[1, 2]\n' + VALID_LINE.replace("0.0, \"tau_im\": 1.25", "0.1, \"tau_im\": 1e-300")],
+    )
     @pytest.mark.parametrize(
         "argv",
         [["height"], ["verify"], ["verify", "--suite", "heights"], ["bound", "matrix-lemma"]],
@@ -237,6 +245,76 @@ class TestEmbeddingForms:
         path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', embeddings) + "\n")
         with pytest.warns(UserWarning, match="skipped invalid record"):
             assert ingest_curves(str(path)) == []
+
+
+def _mixed_lines(n: int, seed: int) -> str:
+    """A generated curve file: valid lines, unreduced ones, blank ones and malformed ones."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(n):
+        z, kind = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0)), rng.random()
+        if kind < 0.3:  # off the fundamental domain: reduced with a warning
+            z = -1.0 / (z + rng.randint(-3, 3))
+        rec = {"label": f"m{k}", "degree": 1, "embeddings": [[z.real, z.imag]],
+               "log_norm_minimal_discriminant": rng.uniform(0.0, 20.0)}
+        if rng.random() < 0.5:
+            rec["j_num"], rec["j_den"] = str(rng.randint(-10**9, 10**9)), rng.randint(1, 10**6)
+        line = json.dumps(rec)
+        if kind > 0.85:
+            line = rng.choice([line[: len(line) // 2], line.replace('"degree": 1', '"degree": 2'),
+                               line.replace('"label"', '"name"'), "", "NaN"])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _height_row(rec) -> str:
+    hF = faltings_height_silverman(rec)
+    hj = weil_height_rational_j(rec.j_rational) if rec.j_rational else float("nan")
+    return f"{rec.label}: h_F = {hF:.12g}, h = {hF + H_SHIFT:.12g}, h(j) = {hj:.12g}\n"
+
+
+class TestStreamedHeight:
+    """`ptk height` prints each record as soon as it is parsed."""
+
+    def test_output_and_warnings_equal_those_of_the_ingested_list(self, tmp_path, capsys):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(_mixed_lines(400, seed=21))
+        with warnings.catch_warnings(record=True) as listed:
+            warnings.simplefilter("always")
+            records = ingest_curves(str(path))
+        with warnings.catch_warnings(record=True) as streamed:
+            warnings.simplefilter("always")
+            assert main(["height", "--curves", str(path)]) == 0
+        assert capsys.readouterr().out == "".join(map(_height_row, records))
+        messages = [str(w.message) for w in listed]
+        assert [str(w.message) for w in streamed] == messages
+        assert sum("skipped invalid record" in m for m in messages) > 10
+        assert sum(") reduced to (" in m for m in messages) > 10
+
+    def test_error_partway_prints_the_earlier_lines(self, tmp_path, capsys):
+        top = VALID_LINE.replace("probe", "top").replace('"tau_im": 1.25', '"tau_im": 1.7e308')
+        path = tmp_path / "overflow.jsonl"
+        path.write_text("\n".join([VALID_LINE, VALID_LINE.replace("probe", "second"), top, VALID_LINE]) + "\n")
+        first, second, _, _ = ingest_curves(str(path))
+        assert main(["height", "--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == _height_row(first) + _height_row(second)
+        assert captured.err == "error: record 'top': stable height is not finite\n"
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        line = '{{"label": "c{0}", "degree": 1, "embeddings": [[0.0, {1}]], "log_norm_minimal_discriminant": 1.0}}\n'
+        peaks = {}
+        for n in (10, 1000, 10000):  # the first run fills the lazy caches and is not compared
+            path = tmp_path / f"clean{n}.jsonl"
+            path.write_text("".join(line.format(k, 1.0 + k % 100 / 10) for k in range(n)))
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(["height", "--curves", str(path)]) == 0
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[10000] - peaks[1000]) < 2**20, peaks
 
 
 class TestRunSuite:

@@ -34,12 +34,16 @@ class TestWeilHeight:
     def test_unreduced_fraction_is_reduced_first(self):
         assert weil_height_rational_j((200, 100)) == pytest.approx(math.log(2.0))
 
-    @given(st.integers(-10**9, 10**9), st.integers(1, 10**9))
+    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(bool))
     @settings(max_examples=60)
     def test_matches_fraction_arithmetic(self, num, den):
         f = Fraction(num, den)
         expected = math.log(max(abs(f.numerator), f.denominator)) if f else 0.0
         assert weil_height_rational_j((num, den)) == pytest.approx(expected, abs=1e-13)
+
+    def test_zero_denominator_is_a_division_error(self):
+        with pytest.raises(ZeroDivisionError):
+            weil_height_rational_j((5, 0))
 
 
 def one_curve(label, re, im, disc, j=None, degree=1):

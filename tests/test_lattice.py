@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 import time
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from periodkit.cli import _random_unimodular as random_unimodular
 from periodkit.lattice import (
     DEFAULT_TOL,
     SiegelTau,
+    UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
     shortest_vector,
@@ -88,6 +91,26 @@ class TestSiegelReduce:
             assert bound <= DEFAULT_TOL, z
             dist = math.sqrt((Fraction(t.re) - x) ** 2 + (Fraction(t.im) - y) ** 2)
             assert dist <= bound * y, z
+
+    def test_bit_identical_to_the_compose_chain(self):
+        # C7-style scrambles (1 to 4 factors T^k S), the tie points, and points it refuses
+        rng = np.random.default_rng(7)
+        points = [-0.5 + 1.3j, complex(-0.3, math.sqrt(1 - 0.09)), 0.5 + 0.5j, 5.3 + 0.2j]
+        for _ in range(1000):
+            tau, m = random_reduced_tau(rng), (1, 0, 0, 1)
+            for _ in range(int(rng.integers(1, 5))):
+                m = oracles.mat_mul(m, (int(rng.integers(-4, 5)), -1, 1, 0))  # times T^k S
+            points.append(UnimodularMap(*m).apply(tau.value))
+        points += [0.3 + 1e-12j, 0.1 + 1e-300j, 1e-320j]
+        for z in points:
+            try:
+                want = oracles.siegel_reduce_compose_chain(z)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    siegel_reduce(z)
+                continue
+            t, m = siegel_reduce(z)
+            assert (struct.pack("dd", t.re, t.im), (m.a, m.b, m.c, m.d)) == (struct.pack("dd", *want[:2]), want[2]), z
 
     @pytest.mark.parametrize("z", [0.3 + 1e-12j, 0.3 + 1e-20j, 0.3 + 5e-324j, 0.1 + 1e-300j])
     def test_rounding_past_the_tolerance_is_an_error(self, z):
