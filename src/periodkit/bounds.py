@@ -9,21 +9,19 @@ inequality is detected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 # Relative tolerance used for verdicts: satisfied <=> margin >= -tol*max(1,|rhs|).
 REPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One named inequality check: lhs <= rhs with margin rhs - lhs."""
 
     name: str
     lhs: float
     rhs: float
-    inputs: dict = field(default_factory=dict)
+    inputs: Optional[dict] = None  # read as {}; a dict default would be shared by every report
     tol: float = REPORT_TOL
 
     @property
@@ -41,7 +39,7 @@ class BoundReport:
             "rhs": self.rhs,
             "margin": self.margin,
             "satisfied": self.satisfied,
-            "inputs": dict(self.inputs),
+            "inputs": dict(self.inputs or {}),
         }
 
     def __str__(self) -> str:

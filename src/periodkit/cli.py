@@ -14,7 +14,6 @@ before anything is written.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -22,9 +21,8 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from . import bounds as bnd
@@ -60,14 +58,13 @@ if TYPE_CHECKING:
 # Manifest and reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     suites: list
     reports: list  # list of BoundReport.as_dict() dictionaries
     tolerances: dict
     wall_time: Optional[float]
     tool_version: str = __version__
-    input_digests: dict = field(default_factory=dict)
+    input_digests: Optional[dict] = None  # None reads as {}
 
     @property
     def all_satisfied(self) -> bool:
@@ -81,7 +78,7 @@ class RunManifest:
             # nulled for byte-identical reports across runs; kept on the object
             "wall_time": None,
             "tool_version": self.tool_version,
-            "input_digests": dict(self.input_digests),
+            "input_digests": dict(self.input_digests or {}),
         }
 
 
@@ -95,7 +92,7 @@ def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str]
         # leaves no partial file. The pieces are written without joining them.
         encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
         reports = ",\n".join("    " + encode(r) for r in manifest.reports)
-        doc = replace(manifest, reports=[]).to_dict()
+        doc = manifest._replace(reports=[]).to_dict()
         top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         head, tail = top.split('\n  "reports": []', 1)
         parts = [head, '\n  "reports": [\n', reports, "\n  ]", tail] if reports else [top]
@@ -212,6 +209,8 @@ def ingest_curves(path: str) -> list[CurveRecord]:
 
 
 def _digest(path: str) -> str:
+    import hashlib  # only verify hashes its input; hashlib loads OpenSSL
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -280,8 +279,8 @@ def _suite_modular(records, seed: int, quad: int) -> list[BoundReport]:
     for rec in records:
         for k, t in enumerate(rec.embeddings):
             r1, r2 = modular.check_classical_bounds(t)
-            reports.append(replace(r1, name=f"j_lower[{rec.label}:{k}]"))
-            reports.append(replace(r2, name=f"delta_lower[{rec.label}:{k}]"))
+            reports.append(r1._replace(name=f"j_lower[{rec.label}:{k}]"))
+            reports.append(r2._replace(name=f"delta_lower[{rec.label}:{k}]"))
     reports.append(modular.silverman_f_extrema())
     return reports
 

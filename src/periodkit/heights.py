@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bounds import BoundReport
 from .lattice import SiegelTau
@@ -20,8 +19,10 @@ from .modular import delta_on_upper_half_plane
 H_SHIFT = 0.5 * math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple("CurveRecord", [
+    ("label", str), ("degree", int), ("embeddings", tuple),
+    ("log_norm_minimal_discriminant", float), ("j_rational", Optional[tuple]),
+])):
     """Elliptic curve over a number field, reduced to analytic data.
 
     INPUT:
@@ -35,33 +36,33 @@ class CurveRecord:
     - ``j_rational`` -- optional (numerator, denominator) pair
     """
 
-    label: str
-    degree: int
-    embeddings: tuple
-    log_norm_minimal_discriminant: float
-    j_rational: Optional[tuple] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __new__(cls, label: str, degree: int, embeddings: Sequence[SiegelTau],
+                log_norm_minimal_discriminant: float, j_rational: Optional[tuple] = None) -> CurveRecord:
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        embs = tuple(self.embeddings)
-        if len(embs) != self.degree:
-            raise ValueError(f"need {self.degree} embeddings, got {len(embs)}")
+        embs = tuple(embeddings)
+        if len(embs) != degree:
+            raise ValueError(f"need {degree} embeddings, got {len(embs)}")
         for e in embs:
             if not isinstance(e, SiegelTau):
                 raise TypeError("embeddings must be SiegelTau instances")
-        if not 0.0 <= self.log_norm_minimal_discriminant < math.inf:
+        if not 0.0 <= log_norm_minimal_discriminant < math.inf:
             raise ValueError("log |N(min disc)| must be finite and >= 0")
-        if self.j_rational is not None:
-            num, den = self.j_rational
+        if j_rational is not None:
+            num, den = j_rational
             if den == 0:
                 raise ValueError("j denominator is zero")
-            object.__setattr__(self, "j_rational", (int(num), int(den)))
-        object.__setattr__(self, "embeddings", embs)
-        self._validate_conjugate_pairs(embs)
+            j_rational = (int(num), int(den))
+        cls._validate_conjugate_pairs(label, embs)
+        return super().__new__(cls, label, degree, embs, log_norm_minimal_discriminant, j_rational)
+
+    # namedtuple's _make, which _replace calls, skips __new__ and so these checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @staticmethod
-    def _validate_conjugate_pairs(embs: Sequence[SiegelTau]) -> None:
+    def _validate_conjugate_pairs(label: str, embs: Sequence[SiegelTau]) -> None:
         # loose: every off-axis tau wants a partner at the mirrored abscissa,
         # to within 1e-6; an unpaired one only warns because all downstream
         # quantities depend on |re| alone
@@ -74,8 +75,8 @@ class CurveRecord:
                     del unmatched[k]
                     break
             else:
-                warnings.warn(
-                    f"embedding at re={t.re} has no conjugate partner", stacklevel=3
+                warnings.warn(  # level 3 is the line that built the record
+                    f"record {label!r}: embedding at re={t.re} has no conjugate partner", stacklevel=3
                 )
 
 

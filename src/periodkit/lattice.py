@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
 _BOUNDARY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SiegelTau:
+class SiegelTau(NamedTuple("SiegelTau", [("re", float), ("im", float)])):
     """Point of the standard fundamental domain for SL2(Z).
 
     INPUT:
@@ -31,52 +29,45 @@ class SiegelTau:
       ``DEFAULT_TOL``.
     """
 
-    re: float
-    im: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"tau = ({self.re}, {self.im}) is not finite")
-        if abs(self.re) > 0.5 + DEFAULT_TOL:
-            raise ValueError(f"re={self.re} outside [-1/2, 1/2]")
-        if self.im < math.sqrt(3.0) / 2.0 - DEFAULT_TOL:
-            raise ValueError(f"im={self.im} below sqrt(3)/2")
+    def __new__(cls, re: float, im: float) -> SiegelTau:
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"tau = ({re}, {im}) is not finite")
+        if abs(re) > 0.5 + DEFAULT_TOL:
+            raise ValueError(f"re={re} outside [-1/2, 1/2]")
+        if im < math.sqrt(3.0) / 2.0 - DEFAULT_TOL:
+            raise ValueError(f"im={im} below sqrt(3)/2")
         # im >= 1 already clears the unit circle; squaring a huge im would overflow
-        if self.im < 1.0 and self.re**2 + self.im**2 < 1.0 - DEFAULT_TOL:
+        if im < 1.0 and re**2 + im**2 < 1.0 - DEFAULT_TOL:
             raise ValueError("re^2 + im^2 < 1: point below the unit circle")
+        return super().__new__(cls, re, im)
+
+    # namedtuple's _make, which _replace calls, skips __new__ and so these checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(NamedTuple("UnimodularMap", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """Integer Moebius map z -> (a z + b)/(c z + d) with a d - b c = 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for entry in (self.a, self.b, self.c, self.d):
+    def __new__(cls, a: int, b: int, c: int, d: int) -> UnimodularMap:
+        for entry in (a, b, c, d):
             if not isinstance(entry, int):
                 raise TypeError("entries must be integers")
-        if self.a * self.d - self.b * self.c != 1:
+        if a * d - b * c != 1:
             raise ValueError("determinant must be exactly 1")
+        return super().__new__(cls, a, b, c, d)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def apply(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """Map equal to applying ``other`` first, then self."""
-        return UnimodularMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,23 @@ decreases in p, so the set {f(p) >= 1} has a largest integer element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import bisect_last
 
 
-@dataclass(frozen=True)
-class SerreThreshold:
-    p_star: int
-    f_at_p_star: float
-    f_at_p_star_plus_1: float
+class SerreThreshold(NamedTuple("SerreThreshold", [
+    ("p_star", int), ("f_at_p_star", float), ("f_at_p_star_plus_1", float),
+])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.f_at_p_star >= 1.0 > self.f_at_p_star_plus_1:
+    def __new__(cls, p_star: int, f_at_p_star: float, f_at_p_star_plus_1: float) -> SerreThreshold:
+        if not f_at_p_star >= 1.0 > f_at_p_star_plus_1:
             raise ValueError("threshold values do not bracket 1")
+        return super().__new__(cls, p_star, f_at_p_star, f_at_p_star_plus_1)
+
+    # namedtuple's _make, which _replace calls, skips __new__ and so this check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def H_of_p(p: float) -> float:

@@ -14,7 +14,6 @@ only, is no quadrature at all: by Bost's identity it is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport
@@ -28,10 +27,10 @@ if TYPE_CHECKING:
 TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 
 
-@dataclass(frozen=True)
 class RiemannTau:
-    """Symmetric g x g matrix with positive-definite imaginary part."""
+    """Symmetric g x g matrix with positive-definite imaginary part; immutable, its array read-only."""
 
+    __slots__ = ("g", "matrix")
     g: int
     matrix: np.ndarray
 
@@ -50,6 +49,11 @@ class RiemannTau:
         m.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"RiemannTau is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def y(self) -> np.ndarray:

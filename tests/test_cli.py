@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import json
+import linecache
 import math
 import os
 import random
@@ -65,6 +66,18 @@ class TestIngest:
         t = records[0].embeddings[0]
         assert t.re == pytest.approx(-4.0 / 13.0, abs=1e-12)
         assert t.im == pytest.approx(20.0 / 13.0, abs=1e-12)
+
+    def test_unpaired_embedding_warning_names_the_record_and_where_it_was_built(self, tmp_path, capsys):
+        path = tmp_path / "lone.jsonl"
+        path.write_text(VALID_LINE.replace('"probe"', '"lone"').replace('"tau_re": 0.0', '"tau_re": 0.2') + "\n")
+        with pytest.warns(UserWarning) as caught:
+            assert main(["height", "--curves", str(path)]) == 0
+        (w,) = caught
+        assert str(w.message) == "record 'lone': embedding at re=0.2 has no conjugate partner"
+        # the line that built the record, not the body of a generated __init__
+        assert w.filename != "<string>" and Path(w.filename).name == "cli.py"
+        assert "CurveRecord(" in linecache.getline(w.filename, w.lineno)
+        assert capsys.readouterr().out.startswith("lone: h_F = ")
 
     def test_invalid_line_is_skipped_with_line_number(self, tmp_path):
         path = tmp_path / "mixed.jsonl"

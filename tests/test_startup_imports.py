@@ -1,0 +1,71 @@
+"""A cold ``ptk`` defines its value types without ``dataclasses`` and hashes only in ``verify``.
+
+``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
+``tokenize``) and runs code generation for every decorated class; ``hashlib``
+loads OpenSSL's libcrypto. Neither is needed to import the package or to run
+``ptk height``. The scan reads the sources with ``ast`` and imports nothing;
+one fresh interpreter checks the same at run time.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
+COLD_FREE = ("dataclasses", "inspect", "hashlib")
+
+
+def _imported_modules(tree: ast.AST) -> set:
+    """Top-level names of every absolute import, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert "dataclasses" not in _imported_modules(tree), f"periodkit.{module} imports dataclasses"
+
+
+@pytest.mark.parametrize(
+    "source", ["import dataclasses", "from dataclasses import dataclass", "def f():\n    import dataclasses as dc\n"]
+)
+def test_the_scan_sees_every_import_form(source):
+    assert "dataclasses" in _imported_modules(ast.parse(source))
+
+
+# after each step: the step, its exit code and which of COLD_FREE are loaded
+PROBE = """
+import contextlib, io, sys
+from periodkit import cli
+names = {names!r}
+print("import", 0, *(m for m in names if m in sys.modules))
+for argv in (["height"], ["verify", "--suite", "serre"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    print(argv[0], rc, *(m for m in names if m in sys.modules))
+"""
+
+
+def test_import_and_height_load_none_of_them():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("PTK_FIXTURES", None)
+    probe = PROBE.format(names=COLD_FREE)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [line.split() for line in proc.stdout.splitlines()]
+    assert steps[0] == ["import", "0"]
+    assert steps[1] == ["height", "0"]
+    # verify hashes its input, so the probe does see hashlib once it is loaded
+    assert steps[2][:2] == ["verify", "0"] and "hashlib" in steps[2]

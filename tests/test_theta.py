@@ -201,9 +201,10 @@ class TestLogProduct:
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_sl2z(self, re, im, shifts):
         # gamma = S T^k1 S T^k2 ..., applied to a reduced tau
-        gamma = UnimodularMap(1, 0, 0, 1)
+        word = (1, 0, 0, 1)
         for k in shifts:
-            gamma = gamma.compose(UnimodularMap(0, -1, 1, 0)).compose(UnimodularMap(1, k, 0, 1))
+            word = oracles.mat_mul(oracles.mat_mul(word, (0, -1, 1, 0)), (1, k, 0, 1))
+        gamma = UnimodularMap(*word)
         tau = complex(re, im)
         want = torus_log_integral(RiemannTau(1, [[tau]]))
         got = torus_log_integral(RiemannTau(1, [[gamma.apply(tau)]]))
