@@ -21,7 +21,6 @@ import re
 import sys
 import time
 import warnings
-from importlib import resources
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -126,7 +125,7 @@ def default_fixture_path() -> str:
     override = os.environ.get("PTK_FIXTURES")
     if override:
         return os.path.join(override, "curves.jsonl")
-    return str(resources.files("periodkit").joinpath("fixtures/curves.jsonl"))
+    return os.path.join(os.path.dirname(__file__), "fixtures", "curves.jsonl")
 
 
 def _number(key: str, value) -> float:

@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
-_BOUNDARY_EPS = 1e-12
 
 
 class SiegelTau(NamedTuple("SiegelTau", [("re", float), ("im", float)])):
@@ -81,41 +80,38 @@ def siegel_reduce(z: complex) -> tuple[SiegelTau, UnimodularMap]:
     broken deterministically: Re tau = +1/2 is preferred to -1/2, and on the
     unit circle the representative with Re tau >= 0 is chosen.
 
-    Each S step moves the point by at most 2^-51 |z|/Im z in the hyperbolic
-    metric (translations are exact, later steps are isometries); raises
-    ``ValueError`` once the sum of these bounds exceeds ``DEFAULT_TOL``, or
-    once an S step overflows (Im z = 1e-320 maps to Im tau = inf).
+    The reduction is exact. A finite z is (X + iY)/den with integers X, Y and
+    den, so it is the root of the integral form den^2 |m + n z|^2 =
+    (A, B, C) = (den^2, 2 den X, X^2 + Y^2), and Gauss reduction of that form
+    (Cohen, GTM 138, 5.4) runs in integers. Its discriminant 4AC - B^2 =
+    (2 den Y)^2 is invariant, so tau = (B/(2A), den Y/A), each correctly
+    rounded. Raises ``ValueError`` where Im tau overflows a double (Im z =
+    1e-320 maps to Im tau = 1e320).
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError("periods must be finite")
     if not z.imag > 0:
         raise ValueError(f"Im tau = {z.imag} is not positive")
-    im, drift = z.imag, 0.0
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(xd, yd)  # both are powers of two
+    X, Y = xn * (den // xd), yn * (den // yd)
+    A, B, C = den * den, 2 * den * X, X * X + Y * Y
     a, b, c, d = 1, 0, 0, 1  # the word so far, built into a UnimodularMap once at the end
-    for _ in range(10_000):
-        n = round(z.real)
-        if n != 0:
-            z = complex(z.real - n, z.imag)
+    while True:
+        n = -((A - B) // (2 * A))  # Re tau - n in (-1/2, 1/2]
+        if n:
+            B, C = B - 2 * n * A, C - n * B + n * n * A
             a, b = a - n * c, b - n * d
-        if abs(z) < 1.0 - _BOUNDARY_EPS:
-            drift += abs(z) / z.imag
-            z = -1.0 / z
-            if math.ldexp(drift, -51) > DEFAULT_TOL or not cmath.isfinite(z):
-                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
-            a, b, c, d = -c, -d, a, b
-            continue
-        break
-    else:
-        raise RuntimeError("reduction did not terminate")
-    # boundary ties
-    if abs(z.real + 0.5) <= _BOUNDARY_EPS:
-        z = complex(z.real + 1.0, z.imag)
-        a, b = a + c, b + d
-    if abs(abs(z) - 1.0) <= _BOUNDARY_EPS and z.real < -_BOUNDARY_EPS:
-        z = -1.0 / z
+        if C > A or (C == A and B >= 0):  # |tau| > 1, or |tau| = 1 with Re tau >= 0
+            break
+        A, B, C = C, -B, A
         a, b, c, d = -c, -d, a, b
-    return SiegelTau(z.real, z.imag), UnimodularMap(a, b, c, d)
+    try:
+        tau = SiegelTau(B / (2 * A), den * Y / A)
+    except OverflowError:
+        raise ValueError(f"Im z = {z.imag} is too close to the real axis to reduce in double precision") from None
+    return tau, UnimodularMap(a, b, c, d)
 
 
 def rho_inverse_squared(tau: SiegelTau) -> float:

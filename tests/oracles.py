@@ -417,65 +417,24 @@ def siegel_bfs(tau0, entry_bound=200, max_nodes=500_000):
     return ref, hits[0][1]
 
 
-def siegel_reduce_compose_chain(z, tol=1e-9, eps=1e-12):
-    """The float Siegel reduction with its word composed as a matrix product at every step.
-
-    The same float steps, tie-breaks (within ``eps``) and rounding-drift
-    refusal (past ``tol``) as ``lattice.siegel_reduce``; the word is
-    multiplied on the left by T^-n, S or T after each step, as the package
-    once did with ``UnimodularMap.compose``. Returns (re, im, (a, b, c, d)),
-    or raises ``ValueError`` with the package's message.
-    """
-    z = complex(z)
-    im, drift = z.imag, 0.0
-    word = (1, 0, 0, 1)
-    for _ in range(10_000):
-        n = round(z.real)
-        if n != 0:
-            z = complex(z.real - n, z.imag)
-            word = mat_mul((1, -n, 0, 1), word)
-        if abs(z) < 1.0 - eps:
-            drift += abs(z) / z.imag
-            z = -1.0 / z
-            if math.ldexp(drift, -51) > tol or not cmath.isfinite(z):
-                raise ValueError(f"Im z = {im} is too close to the real axis to reduce in double precision")
-            word = mat_mul((0, -1, 1, 0), word)
-            continue
-        break
-    else:
-        raise RuntimeError("reduction did not terminate")
-    if abs(z.real + 0.5) <= eps:
-        z = complex(z.real + 1.0, z.imag)
-        word = mat_mul((1, 1, 0, 1), word)
-    if abs(abs(z) - 1.0) <= eps and z.real < -eps:
-        z = -1.0 / z
-        word = mat_mul((0, -1, 1, 0), word)
-    return z.real, z.imag, word
-
-
 def exact_siegel_reduce(re, im):
     """Reduce the float point re + i im into the fundamental domain in exact rationals.
 
-    Returns (x, y, drift): the reduced point as Fractions, with the package's
-    tie-breaks, and the sum of |z|/Im z over the S steps (a float, inf once it
-    overflows). Every float is an exact dyadic rational, so the only rounding
-    is in ``drift``.
+    Returns (x, y): the reduced point as Fractions, with the package's
+    tie-breaks. Every float is an exact dyadic rational, so nothing is rounded.
     """
     x, y = Fraction(re), Fraction(im)
-    drift = 0.0
     while True:
         x -= math.floor(x + Fraction(1, 2))
         r2 = x * x + y * y
         if r2 >= 1:
             break
-        ratio = r2 / (y * y)
-        drift += math.sqrt(ratio) if ratio < 1e300 else math.inf
         x, y = -x / r2, y / r2
     if x == Fraction(-1, 2):
         x = -x
     if r2 == 1 and x < 0:
         x = -x
-    return x, y, drift
+    return x, y
 
 
 # ---------------------------------------------------------------------------

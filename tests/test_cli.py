@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import periodkit
 from periodkit import cli
 from periodkit.bounds import BoundReport
@@ -190,7 +191,7 @@ class TestStrictInput:
     @pytest.mark.parametrize(
         "content",
         # the last: malformed lines and an embedding the reduction refuses
-        ["", "\n\n", NON_FINITE_LINES, '{"label": "broken"}\n[1, 2]\n' + VALID_LINE.replace("0.0, \"tau_im\": 1.25", "0.1, \"tau_im\": 1e-300")],
+        ["", "\n\n", NON_FINITE_LINES, '{"label": "broken"}\n[1, 2]\n' + VALID_LINE.replace("0.0, \"tau_im\": 1.25", "0.0, \"tau_im\": 1e-320")],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -690,12 +691,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["reduce", "rho", "delta"])
     @pytest.mark.parametrize("re, im", [("0.3", "1e-12"), ("0.3", "1e-20"), ("0.3", "5e-324"), ("0.1", "1e-300")])
-    def test_point_too_near_the_real_axis(self, command, re, im, capsys):
-        # the double-precision reduction of these points is off by more than DEFAULT_TOL
-        assert main([command, re, im]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: Im z = {float(im)} is too close to the real axis to reduce in double precision\n"
+    def test_point_near_the_real_axis(self, command, re, im, capsys):
+        # the reduction is exact: each prints the exact reduced point, rounded once
+        assert main([command, re, im]) == 0
+        out = capsys.readouterr().out
+        x, y = (float(v) for v in oracles.exact_siegel_reduce(float(re), float(im)))
+        if command == "reduce":
+            assert out.splitlines()[0] == f"tau = {x:.17g} + {y:.17g}i"
+        elif command == "rho":
+            assert out == f"rho^-2 = {y:.17g}\n"
+        else:
+            delta, closed = (float(line.split(" = ")[1]) for line in out.splitlines())
+            assert closed == math.sqrt(1.0 / y) / math.sqrt(2.0)
+            assert delta == pytest.approx(closed, rel=1e-15)
 
     @pytest.mark.parametrize("command", ["reduce", "rho", "delta"])
     @pytest.mark.parametrize("im", ["1e-320", "5e-324"])
@@ -739,13 +747,16 @@ class TestExitCodes:
             assert "period_norm_ceiling" in captured.out
 
     @pytest.mark.parametrize("argv", [["height"], ["verify"]])
-    def test_record_too_near_the_real_axis(self, argv, tmp_path, capsys):
-        # an embedding the double-precision reduction cannot place skips its record
+    def test_record_near_the_real_axis(self, argv, tmp_path, capsys):
+        # 0.1 + 1e-300 i reduces exactly to 0.5 + 7.7e266 i, and its record is ingested
         path = tmp_path / "axis.jsonl"
         path.write_text(VALID_LINE.replace('[{"tau_re": 0.0, "tau_im": 1.25}]', "[[0.1, 1e-300]]") + "\n")
-        with pytest.warns(UserWarning, match="skipped invalid record: Im z = 1e-300 is too close"):
-            assert main(argv + ["--curves", str(path)]) == 2
-        assert "no valid records" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match=r"\(0.1, 1e-300\) reduced to \(0.4999999999999999, 7.703719777548943e\+266\)"):
+            code = main(argv + ["--curves", str(path)])
+        captured = capsys.readouterr()
+        assert code in ((0,) if argv == ["height"] else (0, 1))
+        assert captured.err == ""
+        assert "probe" in captured.out
 
     @pytest.mark.parametrize("im", ["60", "120", "1900", "1e6"])
     def test_valid_record_at_large_im(self, im, tmp_path, capsys):

@@ -1,8 +1,5 @@
 import math
-import re
-import struct
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +10,7 @@ import oracles
 from periodkit.cli import _random_reduced_tau as random_reduced_tau
 from periodkit.cli import _random_unimodular as random_unimodular
 from periodkit.lattice import (
-    DEFAULT_TOL,
     SiegelTau,
-    UnimodularMap,
     avoidance_minimum,
     rho_inverse_squared,
     shortest_vector,
@@ -66,10 +61,16 @@ class TestSiegelReduce:
 
     def test_boundary_tie_breaks(self):
         t, _ = siegel_reduce(-0.5 + 1.3j)
-        assert t.re == pytest.approx(0.5)
-        # on the unit circle the representative keeps nonnegative real part
-        t, _ = siegel_reduce(complex(-0.3, math.sqrt(1 - 0.09)))
-        assert t.re >= 0
+        assert t.re == 0.5
+        # both lie on the orbit of 5/13 + 12/13 i, on the unit circle, whose
+        # representative keeps nonnegative real part
+        for z in (-0.5 + 0.75j, 0.5 + 0.75j):
+            t, m = siegel_reduce(z)
+            assert (t.re, t.im) == (0.38461538461538464, 0.9230769230769231)
+            assert m.apply(z) == pytest.approx(t.value, abs=1e-15)
+        # the reduction of 0.5 + 3/8 i passes -7/25 + 24/25 i on the unit circle
+        t, _ = siegel_reduce(0.5 + 0.375j)
+        assert (t.re, t.im) == (0.28, 0.96)
 
     @pytest.mark.parametrize(
         "re,im", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 2.0)]
@@ -78,49 +79,51 @@ class TestSiegelReduce:
         with pytest.raises(ValueError, match="not finite"):
             SiegelTau(re, im)
 
-    def test_agrees_with_the_exact_reduction_within_its_bound(self):
-        # scrambles as in the lattice suite, plus accepted points near the real axis
+    def test_equals_the_exact_reduction_bit_for_bit(self):
+        # scrambles as in the lattice suite, plus points near the real axis and the cusp
         rng = np.random.default_rng(0)
         points = [5.3 + 0.2j, 0.5 + 0.5j, 0.3 + 1e-6j, 1e-9j, 0.1 + 1e298j]
         while len(points) < 300:
             points.append(random_unimodular(rng).apply(random_reduced_tau(rng).value))
         for z in points:
-            t, _ = siegel_reduce(z)
-            x, y, drift = oracles.exact_siegel_reduce(z.real, z.imag)
-            bound = math.ldexp(drift, -51)
-            assert bound <= DEFAULT_TOL, z
-            dist = math.sqrt((Fraction(t.re) - x) ** 2 + (Fraction(t.im) - y) ** 2)
-            assert dist <= bound * y, z
-
-    def test_bit_identical_to_the_compose_chain(self):
-        # C7-style scrambles (1 to 4 factors T^k S), the tie points, and points it refuses
-        rng = np.random.default_rng(7)
-        points = [-0.5 + 1.3j, complex(-0.3, math.sqrt(1 - 0.09)), 0.5 + 0.5j, 5.3 + 0.2j]
-        for _ in range(1000):
-            tau, m = random_reduced_tau(rng), (1, 0, 0, 1)
-            for _ in range(int(rng.integers(1, 5))):
-                m = oracles.mat_mul(m, (int(rng.integers(-4, 5)), -1, 1, 0))  # times T^k S
-            points.append(UnimodularMap(*m).apply(tau.value))
-        points += [0.3 + 1e-12j, 0.1 + 1e-300j, 1e-320j]
-        for z in points:
-            try:
-                want = oracles.siegel_reduce_compose_chain(z)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    siegel_reduce(z)
-                continue
             t, m = siegel_reduce(z)
-            assert (struct.pack("dd", t.re, t.im), (m.a, m.b, m.c, m.d)) == (struct.pack("dd", *want[:2]), want[2]), z
+            x, y = oracles.exact_siegel_reduce(z.real, z.imag)
+            assert (t.re, t.im) == (float(x), float(y)), z
+            assert m.apply(z) == pytest.approx(t.value, rel=1e-6), z
 
-    @pytest.mark.parametrize("z", [0.3 + 1e-12j, 0.3 + 1e-20j, 0.3 + 5e-324j, 0.1 + 1e-300j])
-    def test_rounding_past_the_tolerance_is_an_error(self, z):
-        # the float reduction of these lands far from the exact one (Im 7.7e266 for 0.1 + 1e-300 i)
-        with pytest.raises(ValueError, match="too close to the real axis"):
-            siegel_reduce(z)
+    @given(
+        st.floats(-1e300, 1e300),
+        st.floats(5e-324, allow_infinity=False, allow_subnormal=True),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_exact_reduction_over_the_double_range(self, re_z, im_z):
+        x, y = oracles.exact_siegel_reduce(re_z, im_z)
+        try:
+            want = (float(x), float(y))
+        except OverflowError:
+            with pytest.raises(ValueError, match="too close to the real axis"):
+                siegel_reduce(complex(re_z, im_z))
+            return
+        t, _ = siegel_reduce(complex(re_z, im_z))
+        assert (t.re, t.im) == want
+
+    @pytest.mark.parametrize(
+        "z, re_tau, im_tau",
+        [
+            (0.3 + 1e-12j, -0.3975511688968056, 9999999998.767405),
+            (0.3 + 1e-20j, -0.3104354650152022, 811295725944.7778),
+            (0.3 + 5e-324j, -0.4999999999999997, 6.237000967296e290),
+            (0.1 + 1e-300j, 0.4999999999999999, 7.703719777548943e266),
+        ],
+    )
+    def test_point_near_the_real_axis_is_reduced_exactly(self, z, re_tau, im_tau):
+        x, y = oracles.exact_siegel_reduce(z.real, z.imag)
+        t, _ = siegel_reduce(z)
+        assert (t.re, t.im) == (float(x), float(y)) == (re_tau, im_tau)
 
     @pytest.mark.parametrize("z", [1e-320j, 5e-324j, -0.0 + 1e-310j])
     def test_overflowing_s_step_is_an_error(self, z):
-        # the drift bound is |z| / Im z = 1 here, but -1/z has Im z = inf
+        # Im tau = 1/Im z exceeds the largest double
         with pytest.raises(ValueError, match=f"Im z = {z.imag} is too close to the real axis"):
             siegel_reduce(z)
 

@@ -1,4 +1,5 @@
-"""A cold ``ptk`` defines its value types without ``dataclasses`` and hashes only in ``verify``.
+"""A cold ``ptk`` defines its value types without ``dataclasses``, hashes only in ``verify``
+and finds its fixtures without ``importlib.resources``.
 
 ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and runs code generation for every decorated class; ``hashlib``
@@ -58,14 +59,30 @@ for argv in (["height"], ["verify", "--suite", "serre"]):
 """
 
 
-def test_import_and_height_load_none_of_them():
+def _cold_env() -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     env.pop("PTK_FIXTURES", None)
+    return env
+
+
+def test_import_and_height_load_none_of_them():
     probe = PROBE.format(names=COLD_FREE)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", probe], env=_cold_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = [line.split() for line in proc.stdout.splitlines()]
     assert steps[0] == ["import", "0"]
     assert steps[1] == ["height", "0"]
     # verify hashes its input, so the probe does see hashlib once it is loaded
     assert steps[2][:2] == ["verify", "0"] and "hashlib" in steps[2]
+
+
+def test_fixture_path_loads_no_resource_machinery():
+    # importlib.resources brings pathlib, shutil and tempfile; -S keeps a site
+    # module that imports it anyway (as certifi's does) from hiding a regression
+    probe = PROBE.format(names=("importlib.resources", "tempfile", "shutil"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=_cold_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [line.split() for line in proc.stdout.splitlines()]
+    assert steps[0] == ["import", "0"]
+    # height reads the bundled fixtures; argparse's help formatter loads shutil there
+    assert steps[1][:2] == ["height", "0"]
