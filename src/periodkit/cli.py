@@ -50,7 +50,7 @@ from .lattice import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
+    import random
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _digest(path: str) -> str:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _random_reduced_tau(rng: np.random.Generator) -> SiegelTau:
+def _random_reduced_tau(rng: random.Random) -> SiegelTau:
     while True:
         re = rng.uniform(-0.5, 0.5)
         im = rng.uniform(math.sqrt(3.0) / 2.0, 2.5)
@@ -228,10 +228,10 @@ def _random_reduced_tau(rng: np.random.Generator) -> SiegelTau:
             return SiegelTau(re, im)
 
 
-def _random_unimodular(rng: np.random.Generator) -> UnimodularMap:
+def _random_unimodular(rng: random.Random) -> UnimodularMap:
     """(a b; c d) of determinant 1 for a coprime pair a, c drawn from [-10, 10]."""
     while True:
-        a, c = (int(x) for x in rng.integers(-10, 11, 2))
+        a, c = rng.randint(-10, 10), rng.randint(-10, 10)
         if math.gcd(a, c) == 1:
             break
     # d = a^-1 mod |c| (extended Euclid) makes a d - 1 a multiple of c; for c = 0, a = +-1 = a^-1
@@ -244,9 +244,9 @@ def _equality_report(name: str, value: float, expected: float, tol: float, **inp
 
 
 def _suite_lattice(records, seed: int, quad: int) -> list[BoundReport]:
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     reports: list[BoundReport] = []
     worst = 0.0
     for _ in range(200):
@@ -493,6 +493,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"argument --seed: must be >= 0, not {args.seed}")
+    if args.quad_points < 16:
+        parser.error(f"argument --quad-points: must be >= 16, not {args.quad_points}")
     try:
         if args.command == "reduce":
             t, m = siegel_reduce(complex(args.re, args.im))

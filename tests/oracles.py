@@ -562,6 +562,62 @@ def circle_min_sweep(S, k, rho, samples=8192):
 
 
 # ---------------------------------------------------------------------------
+# Monotone sweeps (structural_constants and u_sequence evaluate proofs instead)
+# ---------------------------------------------------------------------------
+
+def _first_least_margin(rows):
+    """The first (name, lhs, rhs, inputs) of least rhs - lhs, or None for no rows."""
+    return min(rows, key=lambda row: row[2] - row[1], default=None)
+
+
+def _c1_envelope(g):
+    return math.pi / 6.0 - (math.log(11.0) + 2.0 * math.log(g)) / (22.0 * math.log(g) - 22.0)
+
+
+def structural_sweeps(g_max, t_max=50):
+    """The four monotone families of ``structural_constants`` swept, as they were.
+
+    Name -> (name, lhs, rhs, inputs) at the first point of least margin over
+    g = 6..g_max (the envelope step over g = 6..g_max - 1) and t = 4..t_max;
+    None for a family whose range is empty.
+    """
+    families = {
+        "c2_is_three_halves_for_g_ge_6": (
+            (2.0 * math.pi**2 * math.e, 3.0 * g * math.exp(math.lgamma(g + 1.0) / g), {"g": g})
+            for g in range(6, g_max + 1)
+        ),
+        "c1_envelope_increasing_g_ge_6": (
+            (0.0, _c1_envelope(g + 1) - _c1_envelope(g), {"g": g}) for g in range(6, g_max)
+        ),
+        "blichfeldt_ratio_t_ge_4": (
+            ((2.0 / math.pi) * (t + 1.0) ** (1.0 / t), 1.0, {"t": t}) for t in range(4, t_max + 1)
+        ),
+        "one_plus_t_root_le_half_pi": (
+            ((1.0 + t) ** (1.0 / t), math.pi / 2.0, {"t": t}) for t in range(4, t_max + 1)
+        ),
+    }
+    return {name: _first_least_margin((name, *row) for row in rows) for name, rows in families.items()}
+
+
+def u_sweeps(S_max, u):
+    """``u_monotone_decreasing`` and ``u_below_8_3_from_3`` swept, as they were.
+
+    Name -> (name, lhs, rhs, inputs): the first least gap u_S - u_{S+1} over
+    S = 2..S_max, and the first largest u_S over S = 3..S_max (None for
+    S_max = 2). ``u`` evaluates u_S.
+    """
+    us = {S: u(S) for S in range(2, S_max + 2)}
+    return {
+        "u_monotone_decreasing": _first_least_margin(
+            ("u_monotone_decreasing", 0.0, us[S] - us[S + 1], {"S": S}) for S in range(2, S_max + 1)
+        ),
+        "u_below_8_3_from_3": _first_least_margin(
+            ("u_below_8_3_from_3", us[S], 8.0 / 3.0, {"worst_S": S}) for S in range(3, S_max + 1)
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Freeze script
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from periodkit.bounds import (
     EPS_COEFFICIENT,
+    EPS_MIN,
     GAMMA4,
     GAMMA6,
     BoundReport,
@@ -238,7 +239,8 @@ class TestStructuralConstants:
         # replace, keeping the first point of least margin
         g_max, grid = 60, 200
         c = EPS_COEFFICIENT
-        by_name = {r.name: r for r in structural_constants(g_max, eps_grid=grid)}
+        assert EPS_MIN == 1 / grid
+        by_name = {r.name: r for r in structural_constants(g_max)}
 
         def first_min(points):
             return min(points, key=lambda p: p[1] - p[0])
@@ -274,8 +276,20 @@ class TestStructuralConstants:
         names = {r.name for r in structural_constants(5)}
         assert "eps_choice_inequality_g_ge_3" in names
         assert "c2_is_three_halves_for_g_ge_6" not in names
-        with pytest.raises(ValueError):
-            structural_constants(10, eps_grid=1)
+
+    def test_proved_worst_points_equal_the_sweeps(self):
+        # the four monotone families, against the sweeps they replace
+        for g_max in (*range(2, 81), 500):
+            swept = oracles.structural_sweeps(g_max)
+            got = {r.name: r for r in structural_constants(g_max, seed=3) if r.name in swept}
+            assert got == {name: BoundReport(*row) for name, row in swept.items() if row}, g_max
+
+    def test_proved_worst_points_are_the_argmins(self):
+        swept = oracles.structural_sweeps(5000, t_max=10**4)
+        assert swept["c2_is_three_halves_for_g_ge_6"][3] == {"g": 6}
+        assert swept["c1_envelope_increasing_g_ge_6"][3] == {"g": 4999}
+        assert swept["blichfeldt_ratio_t_ge_4"][3] == {"t": 4}
+        assert swept["one_plus_t_root_le_half_pi"][3] == {"t": 4}
 
     def test_c2_at_most_11_c1_prefix(self):
         for g in range(1, 40):

@@ -536,8 +536,9 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: ptk")
 
-    # modular draws nothing from the seed, lattice and interpolation hand it to
-    # numpy; the curves file does not exist, so only a check at parse time exits first
+    # modular draws nothing from the seed, lattice and interpolation seed
+    # random.Random with it; the curves file does not exist, so only a check at
+    # parse time exits first
     @pytest.mark.parametrize("suite", ["modular", "lattice", "interpolation"])
     def test_negative_seed_is_a_usage_error(self, suite, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -546,6 +547,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.search(r"^ptk: error: argument --seed: ", captured.err, re.M)
+
+    # height and the lattice suite never read the flag, and verify --suite all
+    # used to run two suites before theta refused it
+    @pytest.mark.parametrize(
+        "argv",
+        [["height"], ["theta", "check"], ["verify", "--suite", "lattice"], ["verify", "--suite", "all"]],
+    )
+    @pytest.mark.parametrize("points", [8, 0, 15])
+    def test_quad_points_below_16_is_a_usage_error(self, argv, points, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quad-points", str(points), *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ptk: error: argument --quad-points: must be >= 16, not {points}\n" in captured.err
 
     def test_reduce_subcommand(self, capsys):
         assert main(["reduce", "5.3", "0.2"]) == 0

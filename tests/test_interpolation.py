@@ -78,6 +78,11 @@ class TestLemma52Suite:
                 _, vals = oracles.node_poly_on_circle(S, center, 0.5, 2**16)
                 assert bound >= vals.max(), (S, center)
 
+    def test_half_disc_bound_stays_below_the_unit_disc_maximum(self):
+        # so node_poly_region_upper keeps the exact unit-disc value as its lhs
+        for S in range(2, 13):
+            assert _half_disc_bound(S) < math.prod(1 + j * j for j in range(1, S)), S
+
     def test_region_lhs_only_falls_against_the_cofactor_sweep(self):
         regions = [r for r in lemma52_checks(12) if r.name.startswith("node_poly_region_upper")]
         for S, report in zip(range(2, 13), regions):
@@ -133,6 +138,12 @@ class TestUSequence:
         assert reports["u_below_8_3_from_3"].margin > 0.0
         assert reports["sinh_constant_10"].margin > 0.0
         assert reports["sinh_constant_12"].margin > 0.0
+
+    def test_proved_worst_points_equal_the_sweeps(self):
+        for S_max in (*range(2, 61), 1000, 10**4):
+            swept = oracles.u_sweeps(S_max, u_value)
+            got = {r.name: r for r in u_sequence(S_max) if r.name in swept}
+            assert got == {name: BoundReport(*row) for name, row in swept.items() if row}, S_max
 
     @given(st.integers(2, 200))
     @settings(max_examples=60)

@@ -8,7 +8,8 @@ import it, but only inside the functions that build them: no module imports
 numpy when it is itself imported, that is in its module body outside an
 ``if TYPE_CHECKING:`` block (class bodies and other blocks included,
 function bodies not). One fresh interpreter checks the same at run time,
-through the ``ptk`` commands that build no array.
+through the ``ptk`` commands that build no array, and checks that no command
+loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -121,17 +122,18 @@ def test_the_module_level_scan(source, runs):
     assert bool(_import_time_numpy(ast.parse(source).body)) == runs
 
 
-# after each step: the step, its exit code and whether numpy is loaded
+# after each step: the step, its exit code, whether numpy and numpy.random are loaded
 PROBE = """
 import contextlib, io, sys
 import periodkit
 from periodkit import cli
-print("import", 0, "numpy" in sys.modules)
+print("import", 0, "numpy" in sys.modules, "numpy.random" in sys.modules)
 for argv in (["height"], ["reduce", "0.3", "1.2"], ["rho", "0.1", "1.5"], ["delta", "0.5", "1.2"],
-             ["bound", "isogeny"], ["serre", "threshold"], ["verify", "--suite", "theta"]):
+             ["bound", "isogeny"], ["serre", "threshold"], ["verify", "--suite", "lattice"],
+             ["verify", "--suite", "theta"], ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    print(argv[0], rc, "numpy" in sys.modules)
+    print(argv[-1] if argv[0] == "verify" else argv[0], rc, "numpy" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
@@ -141,6 +143,10 @@ def test_only_commands_that_build_arrays_load_numpy():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = [line.split() for line in proc.stdout.splitlines()]
-    assert [s[0] for s in steps] == ["import", "height", "reduce", "rho", "delta", "bound", "serre", "verify"]
-    assert all(rc == "0" for _, rc, _ in steps)
-    assert [loaded for _, _, loaded in steps] == ["False"] * 7 + ["True"]
+    assert [s[0] for s in steps] == [
+        "import", "height", "reduce", "rho", "delta", "bound", "serre", "lattice", "theta", "all"
+    ]
+    assert all(rc == "0" for _, rc, _, _ in steps)
+    assert [loaded for _, _, loaded, _ in steps] == ["False"] * 8 + ["True"] * 2
+    # the seeded draws come from random.Random: no command loads numpy's generators
+    assert [loaded for _, _, _, loaded in steps] == ["False"] * 10

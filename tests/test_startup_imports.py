@@ -78,11 +78,12 @@ def test_import_and_height_load_none_of_them():
 
 def test_fixture_path_loads_no_resource_machinery():
     # importlib.resources brings pathlib, shutil and tempfile; -S keeps a site
-    # module that imports it anyway (as certifi's does) from hiding a regression
-    probe = PROBE.format(names=("importlib.resources", "tempfile", "shutil"))
+    # module that imports it anyway (as certifi's does) from hiding a regression.
+    # random (about 6 ms under -S) is imported only by the suites that draw from it
+    probe = PROBE.format(names=("importlib.resources", "tempfile", "shutil", "random"))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=_cold_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = [line.split() for line in proc.stdout.splitlines()]
     assert steps[0] == ["import", "0"]
     # height reads the bundled fixtures; argparse's help formatter loads shutil there
-    assert steps[1][:2] == ["height", "0"]
+    assert steps[1][:2] == ["height", "0"] and "random" not in steps[1]
