@@ -204,6 +204,75 @@ def grid_log_integral_g1(tau, m):
     return (4.0 * grid_mean(2 * m) - grid_mean(m)) / 3.0
 
 
+def _l2_box(t):
+    """ceil(sqrt(40 / (pi lambda_min(Im tau)))) + 2: the n-box whose omitted terms are below e^-40."""
+    return math.ceil(math.sqrt(40.0 / (math.pi * float(np.linalg.eigvalsh(t.imag).min())))) + 2
+
+
+def grid_l2_mean(tau, m):
+    """Mean of |F|^2 over the full m^g x m^g midpoint grid, F summed over the n-box.
+
+    ``tau`` is anything with ``.g`` and a g x g ``.matrix``; m must be even.
+    """
+    t = np.asarray(tau.matrix, dtype=complex)
+    box = _l2_box(t)
+    axis = (np.arange(m) + 0.5) / m
+    pts = np.stack(np.meshgrid(*[axis] * tau.g, indexing="ij"), axis=-1).reshape(-1, tau.g)
+    ns = np.stack(
+        np.meshgrid(*[np.arange(-box, box + 1)] * tau.g, indexing="ij"), axis=-1
+    ).reshape(-1, tau.g)
+    w = ns[:, None, :] + pts[None, :, :]
+    A = np.exp(1j * math.pi * np.einsum("kij,jl,kil->ki", w, t, w))
+    B = np.exp(2j * math.pi * (ns @ pts.T))
+    F = float(np.linalg.det(2.0 * t.imag)) ** 0.25 * (A.T @ B)
+    return float(np.mean(np.abs(F) ** 2))
+
+
+def _fold(C, axis, m):
+    """Sum the entries along one axis whose indices agree mod m; a no-op for length <= m."""
+    n = C.shape[axis]
+    if n <= m:
+        return C
+    pad = [(0, 0)] * C.ndim
+    pad[axis] = (0, -n % m)
+    C = np.pad(C, pad)
+    return C.reshape(C.shape[:axis] + (-1, m) + C.shape[axis + 1:]).sum(axis=axis)
+
+
+def stream_l2_norm(tau, m, block=1 << 16):
+    """The same grid mean by discrete Parseval in q, streaming the p-grid in blocks.
+
+    On the midpoint q-grid F(p, .) is an m^g-point DFT of the coefficients
+    C_r(p) = sum over n = r (mod m) of exp(i pi (n + p)^T tau (n + p) + i pi sum(n) / m),
+    so the q-mean of |F|^2 is det(2y)^(1/2) sum_r |C_r(p)|^2. The p-grid is
+    taken max(1, block // (2 box + 1)^g) points at a time, and the block sums
+    are added by math.fsum. An overflowing exponent raises FloatingPointError.
+    """
+    t = np.asarray(tau.matrix, dtype=complex)
+    g = tau.g
+    with np.errstate(over="raise", invalid="raise"):
+        box = _l2_box(t)
+        ns = np.stack(np.meshgrid(*[np.arange(-box, box + 1)] * g, indexing="ij"), axis=-1).reshape(-1, g)
+        tn = [sum(t[j, l] * ns[:, l] for l in range(g)) for j in range(g)]  # (tau n)_j per term
+        term = 1j * math.pi * (sum(ns[:, j] * tn[j] for j in range(g)) + ns.sum(axis=1) / m)
+        cross = [2j * math.pi * u for u in tn]
+        step = max(1, block // ns.shape[0])
+        sums = []
+        for i0 in range(0, m**g, step):
+            i = np.arange(i0, min(i0 + step, m**g))
+            p = [(i // m ** (g - 1 - j) % m + 0.5) / m for j in range(g)]  # row-major p-grid
+            point = 1j * math.pi * sum(p[j] * sum(t[j, l] * p[l] for l in range(g)) for j in range(g))
+            E = np.add.outer(term, point)
+            prod = np.empty_like(E)
+            for j in range(g):
+                E += np.multiply.outer(cross[j], p[j], out=prod)
+            C = np.exp(E, out=E).reshape((2 * box + 1,) * g + (-1,))
+            for axis in range(g):
+                C = _fold(C, axis, m)
+            sums.append(float((C.real**2).sum() + (C.imag**2).sum()))
+        return float(np.linalg.det(2.0 * t.imag)) ** 0.5 * math.fsum(sums) / m**g
+
+
 def mp_log_integral_g1(tau, dps=30):
     """Exact torus integral of log|F|, g=1: (1/4) log 2y + log|eta(tau)|.
 

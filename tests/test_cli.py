@@ -615,6 +615,12 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert "expect 1" in capsys.readouterr().out
 
+    def test_theta_check_tall_tau_reads_zero(self, capsys):
+        # every midpoint of the m = 16 grid is at least 1/32 from an integer, so each term
+        # of the primal sum underflows; the dual sum would need 7e5 alternating terms
+        assert main(["--quad-points", "16", "theta", "check", "--tau-im", "1e12"]) == 1
+        assert capsys.readouterr().out.startswith("l2 integral  = 0 (expect 1;")
+
     @pytest.mark.parametrize("im, code", [("300", 0), ("1000", 1)])
     def test_theta_check_states_its_aliasing_term(self, im, code, capsys):
         # on the even m = 64 grid the L2 mean is 1 + 2 sum_k (-1)^k e^{-pi k^2 m^2 / (2 Im tau)}

@@ -3,8 +3,8 @@
 The scans read the sources with ``ast`` and import nothing. A module counts
 as importing numpy when any of its ``import`` statements, at any depth, names
 numpy or a ``numpy.`` submodule, or when it imports a package module that
-does. ``theta``, ``interpolation`` and ``cli`` evaluate on arrays and may
-import it, but only inside the functions that build them: no module imports
+does. ``interpolation`` and ``cli`` evaluate on arrays and may import it,
+but only inside the functions that build them: no module imports
 numpy when it is itself imported, that is in its module body outside an
 ``if TYPE_CHECKING:`` block (class bodies and other blocks included,
 function bodies not). One fresh interpreter checks the same at run time,
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
-SCALAR_MODULES = ("lattice", "heights", "modular", "bounds", "isogeny", "serre")
+SCALAR_MODULES = ("lattice", "heights", "modular", "theta", "bounds", "isogeny", "serre")
 
 
 def _names_numpy(node: ast.AST) -> bool:
@@ -88,7 +88,7 @@ def test_scalar_module_loads_no_numpy(module):
 
 def test_the_scan_sees_numpy_where_it_is():
     loads = _loads_numpy()
-    assert loads["theta"] and loads["interpolation"] and loads["cli"]
+    assert loads["interpolation"] and loads["cli"]
 
 
 @pytest.mark.parametrize(
@@ -129,11 +129,12 @@ import periodkit
 from periodkit import cli
 print("import", 0, "numpy" in sys.modules, "numpy.random" in sys.modules)
 for argv in (["height"], ["reduce", "0.3", "1.2"], ["rho", "0.1", "1.5"], ["delta", "0.5", "1.2"],
-             ["bound", "isogeny"], ["serre", "threshold"], ["verify", "--suite", "lattice"],
+             ["bound", "isogeny"], ["serre", "threshold"], ["theta", "check"], ["verify", "--suite", "lattice"],
              ["verify", "--suite", "theta"], ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    print(argv[-1] if argv[0] == "verify" else argv[0], rc, "numpy" in sys.modules, "numpy.random" in sys.modules)
+    print(argv[0] + "-" + argv[-1] if argv[0] in ("verify", "theta") else argv[0], rc,
+          "numpy" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
@@ -144,9 +145,11 @@ def test_only_commands_that_build_arrays_load_numpy():
     assert proc.returncode == 0, proc.stderr
     steps = [line.split() for line in proc.stdout.splitlines()]
     assert [s[0] for s in steps] == [
-        "import", "height", "reduce", "rho", "delta", "bound", "serre", "lattice", "theta", "all"
+        "import", "height", "reduce", "rho", "delta", "bound", "serre", "theta-check",
+        "verify-lattice", "verify-theta", "verify-all",
     ]
     assert all(rc == "0" for _, rc, _, _ in steps)
-    assert [loaded for _, _, loaded, _ in steps] == ["False"] * 8 + ["True"] * 2
+    # only the interpolation suite, inside verify --suite all, builds arrays
+    assert [loaded for _, _, loaded, _ in steps] == ["False"] * 10 + ["True"]
     # the seeded draws come from random.Random: no command loads numpy's generators
-    assert [loaded for _, _, _, loaded in steps] == ["False"] * 10
+    assert [loaded for _, _, _, loaded in steps] == ["False"] * 11

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,30 @@ class TestRiemannTau:
     def test_g1_lambda_min_equals_eigvalsh(self, y):
         tau = RiemannTau(1, [[0.3 + 1j * y]])
         assert tau.lambda_min == float(np.linalg.eigvalsh(np.array([[y]])).min()) == y
+
+    @pytest.mark.parametrize(
+        "y",
+        [((1.0, 0.0), (0.0, 2.0)), ((1.1, 0.3), (0.3, 0.9)), ((0.03, 0.01), (0.01, 0.04)),
+         ((1e-8, 0.0), (0.0, 1e8)), ((1e8, 0.5), (0.5, 1e-8 + 0.25e-8)), ((1e300, 0.0), (0.0, 3e300))],
+    )
+    def test_g2_lambda_min_matches_50_digits(self, y):
+        # det / lambda_max keeps the small eigenvalue where (a + c)/2 - hypot((a - c)/2, b) cancels
+        tau = RiemannTau(2, [[1j * v for v in row] for row in y])
+        (a, b), (_, c) = y
+        with mp.workdps(50):
+            a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+            want = float((a + c) / 2 - mp.sqrt(((a - c) / 2) ** 2 + b**2))
+        assert tau.lambda_min == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g, matrix, message",
+        [(3, [[1j]], "g must be 1 or 2"), (2, [[1j, 0.0]], "matrix must be 2 x 2"),
+         (1, [[1j, 0.0]], "matrix must be 1 x 1"), (1, [[complex("nan")]], "entries must be finite"),
+         (2, [[1j, 0.1], [0.2, 1j]], "matrix must be symmetric")],
+    )
+    def test_malformed_matrix_rejected(self, g, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            RiemannTau(g, matrix)
 
 
 class TestTorusIntegrals:
@@ -85,21 +110,6 @@ class TestTorusIntegrals:
         assert np.geterr() == before  # the raising error state ends with the call
 
 
-def _grid_l2_mean(tau: RiemannTau, m: int) -> float:
-    """Reference sweep: mean of |F|^2 over the full m^g x m^g midpoint grid."""
-    box = default_truncation(tau)
-    axis = (np.arange(m) + 0.5) / m
-    pts = np.stack(np.meshgrid(*[axis] * tau.g, indexing="ij"), axis=-1).reshape(-1, tau.g)
-    ns = np.stack(
-        np.meshgrid(*[np.arange(-box, box + 1)] * tau.g, indexing="ij"), axis=-1
-    ).reshape(-1, tau.g)
-    w = ns[:, None, :] + pts[None, :, :]
-    A = np.exp(1j * math.pi * np.einsum("kij,jl,kil->ki", w, tau.matrix, w))
-    B = np.exp(2j * math.pi * (ns @ pts.T))
-    F = float(np.linalg.det(2.0 * tau.y)) ** 0.25 * (A.T @ B)
-    return float(np.mean(np.abs(F) ** 2))
-
-
 TAU_ALIAS_G1 = RiemannTau(1, [[0.3 + 0.08j]])
 TAU_ALIAS_G2 = RiemannTau(2, [[0.2 + 0.1j, 0.05], [0.05, 0.3 + 0.12j]])
 # thin and with real part 0, so the wrapped terms n and n + 16 move the mean of |F|^2
@@ -114,10 +124,12 @@ class TestL2Fold:
         + [(TAU_CORNER, m) for m in (16, 64, 256)]
         + [(TAU_G2, 16), (TAU_G2, 32)]
         + [(RiemannTau(2, [[0.4 + 1.1j, 0.1 + 0.3j], [0.1 + 0.3j, -0.2 + 0.9j]]), m) for m in (16, 32)]
-        + [(TAU_ALIAS_G1, 16), (TAU_ALIAS_G2, 16), (TAU_WRAP_G1, 16), (TAU_WRAP_G2, 16)],
+        + [(TAU_ALIAS_G1, 16), (TAU_ALIAS_G2, 16), (TAU_WRAP_G1, 16), (TAU_WRAP_G2, 16)]
+        # visible aliasing: 0.96414, 0.30376 and 0.99679
+        + [(RiemannTau(1, [[100j]]), 16), (RiemannTau(1, [[400j]]), 16), (RiemannTau(1, [[1000j]]), 64)],
     )
     def test_matches_full_grid(self, tau, m):
-        assert abs(torus_l2_norm(tau, m) - _grid_l2_mean(tau, m)) <= 1e-13
+        assert abs(torus_l2_norm(tau, m) - oracles.grid_l2_mean(tau, m)) <= 1e-13
 
     def test_aliasing_cases_have_more_terms_than_points(self):
         # 2 box + 1 > m = 16, so the coefficients wrap mod m in the cases above
@@ -127,16 +139,51 @@ class TestL2Fold:
             assert 1.0 - torus_l2_norm(tau, 16) > 1e-6
 
 
-class TestL2Stream:
-    @pytest.mark.parametrize("block", [1, 169, 1000])
-    @pytest.mark.parametrize("m", [16, 32])
-    @pytest.mark.parametrize("tau", [TAU_G2, TAU_WRAP_G2], ids=["g2", "wrap_g2"])
-    def test_block_size_does_not_move_the_result(self, tau, m, block, monkeypatch):
-        # blocks of 1, 1 and 5 points for the 169 terms of TAU_G2, of 1 point for TAU_WRAP_G2
-        whole = torus_l2_norm(tau, m)
-        monkeypatch.setattr(theta, "_BLOCK", block)
-        assert abs(torus_l2_norm(tau, m) - whole) <= 1e-15
+def _positive_definite(a, c, rho):
+    return (a, rho * math.sqrt(a * c)), (rho * math.sqrt(a * c), c)
 
+
+TAUS = st.one_of(
+    st.builds(lambda x, y: RiemannTau(1, [[complex(x, y)]]), st.floats(-0.5, 0.5), st.floats(0.05, 400.0)),
+    st.builds(
+        lambda x, y: RiemannTau(2, [[complex(x[i][j], y[i][j]) for j in range(2)] for i in range(2)]),
+        st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(
+            lambda t: ((t[0], t[1]), (t[1], t[2]))
+        ),
+        st.builds(_positive_definite, st.floats(0.1, 30.0), st.floats(0.1, 30.0), st.floats(-0.8, 0.8)),
+    ),
+)
+
+
+class TestL2Branches:
+    @given(TAUS, st.sampled_from([16, 18, 32]))
+    @settings(max_examples=100, deadline=None)
+    def test_dual_and_primal_sums_agree(self, tau, m):
+        # the primal form needs an unfolded box; the numpy stream folds by n mod m, so it
+        # also covers the folded boxes, to its own rounding of exponents up to pi (box + 1)^2 |tau|
+        dual = theta._dual_sum(tau, m)
+        assert abs(dual - oracles.stream_l2_norm(tau, m)) <= 1e-12
+        box = default_truncation(tau)
+        if 2 * box + 1 <= m and (m * (2 * box + 1)) ** tau.g <= 25_000:
+            assert abs(dual - theta._primal_sum(tau, m)) <= 1e-14
+
+    @pytest.mark.parametrize("im, m", [(1e3, 64), (1e6, 16), (1e9, 64), (1e12, 16)])
+    def test_tall_tau_takes_the_primal_sum(self, im, m, monkeypatch):
+        # the dual sum would need about sqrt(Im tau) / m terms; the primal form needs m (2 box + 1)
+        tau = RiemannTau(1, [[complex(0.1, im)]])
+        calls = []
+        monkeypatch.setattr(theta, "_primal_sum", lambda *a: calls.append(a) or 0.5)
+        assert torus_l2_norm(tau, m) == (0.5 if im > 1e3 else theta._dual_sum(tau, m))
+        assert len(calls) == (im > 1e3)
+
+    def test_too_many_terms_is_an_input_error(self):
+        # the primal box folds at lambda_min = 1e-6, and the dual sum needs 705 l_1 by 70,522 k_2 values
+        tau = RiemannTau(2, [[1e-6j, 0.0], [0.0, 1e10j]])
+        with pytest.raises(ValueError, match=r"needs 4.97e\+07 dual or 1.31e\+10 primal terms, over 2\^24"):
+            torus_l2_norm(tau, 16)
+
+
+class TestL2Memory:
     def test_peak_memory_does_not_grow_with_the_grid(self):
         tracemalloc.start()
         try:

@@ -96,8 +96,9 @@ def test_assigning_or_deleting_an_attribute_raises(obj, field):
 
 def test_riemann_tau_matrix_is_read_only():
     rt = RiemannTau(1, [[1j]])
-    with pytest.raises(ValueError):
-        rt.matrix[0, 0] = 2j
+    with pytest.raises(TypeError):
+        rt.matrix[0][0] = 2j
+    assert rt.matrix == ((1j,),)
 
 
 def test_reports_built_without_inputs_share_no_dict():
