@@ -12,12 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bounds import BoundReport
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SINH_PI = math.sinh(math.pi)
 # epsilon of the interpolation contours: each node circle has radius 1/2 - epsilon
@@ -57,12 +54,10 @@ class AnalyticTestFunction:
     def polynomial(cls, coeffs: Sequence[complex]) -> "AnalyticTestFunction":
         return cls(coeffs)
 
-    def __call__(self, z):
-        """f(z) at a complex number, or elementwise on a numpy array."""
+    def __call__(self, z: complex) -> complex:
+        """f(z) at a complex number."""
         if self.coeffs is None:
-            import numpy as np
-
-            return np.exp(self.rate * z)
+            return cmath.exp(self.rate * z)
         acc = complex(0.0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -105,8 +100,8 @@ class AnalyticTestFunction:
 # The node polynomial
 # ---------------------------------------------------------------------------
 
-def poly_P(S: int, z):
-    """Product of (z - j) over the integer nodes 1-S .. S-1; elementwise on arrays."""
+def poly_P(S: int, z: complex) -> complex:
+    """Product of (z - j) over the integer nodes 1-S .. S-1."""
     if S < 1:
         raise ValueError("S must be >= 1")
     acc = complex(1.0)
@@ -142,17 +137,26 @@ def lemma52_checks(S_max: int, seed: int = 7) -> list[BoundReport]:
     """Per-S verdicts for the four properties of the node polynomial.
 
     (1) endpoint values are +-(2S-1)! exactly; (2) |P| dominates
-    (S-1)!^2 |sin(pi t)| / pi on a grid of step 1e-3 over [-S, S]; (3) |P|
-    stays below (S-1)!^2 sinh(pi)/pi on the unit disc (exact maximum) and the
-    two half-discs at +-1 (``_half_disc_bound``, by pairing the nodes); (4) on
-    a circle about a node, drawn with ``random.Random(seed)``, the proved
+    (S-1)!^2 |sin(pi t)| / pi on the grid t_i = -S + i*delta of step 1e-3
+    over [-S, S] (built as ``numpy.arange`` builds it); (3) |P| stays below
+    (S-1)!^2 sinh(pi)/pi on the unit disc (exact maximum) and the two
+    half-discs at +-1 (``_half_disc_bound``, by pairing the nodes); (4) on a
+    circle about a node, drawn with ``random.Random(seed)``, the proved
     minimum (``_circle_min``) is the smaller real-point value.
+
+    (2) reports the grid point of least rel = (|P| - lower) / max(1, |P|),
+    the first one in t on a tie, and evaluates only the point nearest each
+    integer in [-S, S]. No other point can hold the minimum: by the Euler
+    product for sin, |P(t)| / ((S-1)!^2 |sin(pi t)| / pi) is
+    prod_{j>=S} |1 - t^2/j^2|^-1 >= 1 for |t| <= S, so 1 - lower/|P| >=
+    1 - exp(-t^2/S), and |P| >= lower >= (S-1)!^2 2d/pi at distance d from
+    the integers. A point at least ~1e-3 from every integer therefore has
+    rel >= ~3e-10, while the point nearest 0 has rel within rounding,
+    ~1e-15, of 0.
     """
     if S_max < 2:
         raise ValueError("S_max must be >= 2")
     import random
-
-    import numpy as np
 
     rng = random.Random(seed)
     grid_step = 1e-3
@@ -167,18 +171,24 @@ def lemma52_checks(S_max: int, seed: int = 7) -> list[BoundReport]:
         )
 
         c = math.factorial(S - 1) ** 2 / math.pi
-        t = np.arange(-S, S + grid_step / 2.0, grid_step)
-        # |sin(pi t)| via the reduced argument: exact at integer grid hits
-        lower = c * np.abs(np.sin(math.pi * (t - np.round(t))))
-        absP = np.abs(poly_P(S, t))
-        rel = (absP - lower) / np.maximum(1.0, absP)
-        k = int(rel.argmin())
+        start = -S
+        delta = (start + grid_step) - start
+        worst = None
+        for n in range(-S, S + 1):
+            t = start + round((n - start) / delta) * delta
+            # |sin(pi t)| via the reduced argument: exact at integer grid hits
+            lower = c * abs(math.sin(math.pi * (t - round(t))))
+            absP = abs(poly_P(S, t))
+            rel = (absP - lower) / max(1.0, absP)
+            if worst is None or rel < worst[0]:
+                worst = (rel, t, lower, absP)
+        _, t, lower, absP = worst
         reports.append(
             BoundReport(
                 f"node_poly_sin_lower[S={S}]",
-                float(lower[k]),
-                float(absP[k]),
-                inputs={"S": S, "worst_t": float(t[k]), "grid_step": grid_step},
+                lower,
+                absP,
+                inputs={"S": S, "worst_t": t, "grid_step": grid_step},
             )
         )
 
@@ -259,15 +269,23 @@ def u_sequence(S_max: int) -> list[BoundReport]:
 # Contour-integral identity and the two-term comparison
 # ---------------------------------------------------------------------------
 
-def _contour_mean(g: Callable[[np.ndarray], np.ndarray], center: complex, radius: float, n: int) -> complex:
-    """(1/2 pi i) times the contour integral of g, by the trapezoid rule.
+def _contour_means(
+    h: Callable[[list[complex]], list[complex]], center: complex, radius: float, roots: Sequence[complex], T: int
+) -> list[complex]:
+    """(1/2 pi i) times the contour integrals of h(w) (w - center)^ell for ell < T.
 
-    ``g`` is evaluated once, elementwise on the array of all n nodes.
+    The circle |w - center| = radius is summed by the trapezoid rule on the
+    nodes center + radius u, u in ``roots`` (the n-th roots of unity). ``h``
+    maps the list of nodes to the list of its values, once; the T moments
+    share them.
     """
-    import numpy as np
-
-    w = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-    return complex(np.sum(g(w) * (w - center)) / n)
+    ds = [radius * u for u in roots]
+    terms = [v * d for v, d in zip(h([center + d for d in ds]), ds)]
+    means = [sum(terms) / len(roots)]
+    for _ in range(1, T):
+        terms = [v * d for v, d in zip(terms, ds)]
+        means.append(sum(terms) / len(roots))
+    return means
 
 
 def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) -> BoundReport:
@@ -275,8 +293,8 @@ def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) 
 
     The outer circle has radius S; each node carries a circle of radius
     1/2 - epsilon. Only derivative orders below T contribute at a node, so
-    the truncated sum is exact for holomorphic f. Every contour takes 2048
-    trapezoid nodes, and the residual must be at most 1e-8.
+    the truncated sum is exact for holomorphic f. Every contour takes the
+    same 2048 trapezoid nodes, and the residual must be at most 1e-8.
     """
     if S < 1 or T < 1:
         raise ValueError("S and T must be >= 1")
@@ -288,19 +306,23 @@ def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) 
     for j in range(1 - S, S):
         if abs(z - j) <= small_r:
             raise ValueError(f"z too close to node {j}")
+    roots = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
 
-    def Q(w: complex) -> complex:
-        return poly_P(S, w) ** T
+    def kernel(ws: list[complex]) -> list[complex]:
+        """1 / (P(w)^T (w - z)) at each node, with P(w) = w prod_{k<S} (w^2 - k^2)."""
+        squares = [w * w for w in ws]
+        p = ws
+        for k in range(1, S):
+            k2 = k * k
+            p = [a * (b - k2) for a, b in zip(p, squares)]
+        return [1.0 / (a**T * (w - z)) for a, w in zip(p, ws)]
 
-    outer = _contour_mean(lambda w: f(w) / (Q(w) * (w - z)), 0.0, float(S), nodes)
+    outer = _contour_means(lambda ws: [f(w) * v for w, v in zip(ws, kernel(ws))], 0.0, float(S), roots, 1)[0]
     node_sum = complex(0.0)
     for j in range(1 - S, S):
-        for ell in range(T):
-            kernel = _contour_mean(
-                lambda w: (w - j) ** ell / (Q(w) * (w - z)), complex(j), small_r, nodes
-            )
-            node_sum += f.divided_derivative(ell, j) * kernel
-    lhs_val = f(z) / Q(z)
+        kernels = _contour_means(kernel, complex(j), small_r, roots, T)
+        node_sum += sum(f.divided_derivative(ell, j) * m for ell, m in enumerate(kernels))
+    lhs_val = f(z) / poly_P(S, z) ** T
     return BoundReport(
         "hermite_identity_residual",
         abs(lhs_val - (outer - node_sum)),

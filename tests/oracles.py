@@ -630,6 +630,33 @@ def circle_min_sweep(S, k, rho, samples=8192):
     return float(node_poly_on_circle(S, k, rho, samples)[1].min())
 
 
+def sine_grid_worst(S, grid_step=1e-3):
+    """(lower, |P|, t) at the first least rel = (|P| - lower) / max(1, |P|) over the
+    whole grid np.arange(-S, S + step/2, step), lower = (S-1)!^2 |sin(pi t)| / pi.
+
+    This is node_poly_sin_lower[S] evaluated on every grid point, where the
+    package evaluates only the point nearest each integer; |P| is the same
+    complex product, node by node.
+    """
+    c = math.factorial(S - 1) ** 2 / math.pi
+    t = np.arange(-S, S + grid_step / 2.0, grid_step)
+    lower = c * np.abs(np.sin(math.pi * (t - np.round(t))))
+    acc = complex(1.0)
+    for j in range(1 - S, S):
+        acc *= t - j
+    absP = np.abs(acc)
+    rel = (absP - lower) / np.maximum(1.0, absP)
+    k = int(rel.argmin())
+    return float(lower[k]), float(absP[k]), float(t[k])
+
+
+def trapezoid_contour_mean(g, center, radius, n):
+    """(1/2 pi i) times the contour integral of g, by the trapezoid rule,
+    with ``g`` evaluated once, elementwise on the array of all n nodes."""
+    w = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+    return complex(np.sum(g(w) * (w - center)) / n)
+
+
 # ---------------------------------------------------------------------------
 # Monotone sweeps (structural_constants and u_sequence evaluate proofs instead)
 # ---------------------------------------------------------------------------

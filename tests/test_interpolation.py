@@ -13,7 +13,7 @@ from periodkit.interpolation import (
     SINH_PI,
     AnalyticTestFunction,
     _circle_min,
-    _contour_mean,
+    _contour_means,
     _half_disc_bound,
     hermite_identity_check,
     lemma52_checks,
@@ -106,6 +106,13 @@ class TestLemma52Suite:
         dense = oracles.circle_min_sweep(S, k, rho, samples=2**14)
         assert proved <= dense * (1.0 + 1e-12)
 
+    def test_sine_reports_equal_the_full_grid(self):
+        # the nearest-integer points hold the argmin of the whole step-1e-3 grid
+        reports = [r for r in lemma52_checks(16) if r.name.startswith("node_poly_sin_lower")]
+        for S, report in zip(range(2, 17), reports):
+            got = (report.lhs, report.rhs, report.inputs["worst_t"])
+            assert got == oracles.sine_grid_worst(S), S
+
     def test_circle_min_reports_match_the_sampled_circle(self):
         for report in lemma52_checks(8, seed=3):
             if report.name.startswith("node_poly_circle_min"):
@@ -179,43 +186,25 @@ class TestHermiteIdentity:
         with pytest.raises(ValueError):
             hermite_identity_check(f, 2, 1, 2.5 + 0.0j)
 
-    def test_array_contour_mean_matches_loop(self):
-        # reference: the trapezoid rule summed node by node
-        f = AnalyticTestFunction.polynomial([1.0, 2.0, 0.0, 1.0])
-        z, n = 0.37 + 0.21j, 2048
+    def test_contour_means_match_the_numpy_trapezoid(self):
+        # reference: the trapezoid rule with g evaluated on the array of all nodes
+        z, n, T = 0.37 + 0.21j, 2048, 3
+        roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
 
-        def g(w):
-            return f(w) / (poly_P(3, w) ** 2 * (w - z))
+        def h(w):
+            return np.polyval([1.0, 0.0, 2.0, 1.0], w) / (np.prod([w - j for j in range(-2, 3)], axis=0) ** 2 * (w - z))
 
         for center, radius in ((0.0, 3.0), (1.0, 0.5 - 1.0 / 12.0)):
-            terms = []
-            for k in range(n):
-                w = center + radius * cmath.exp(2j * math.pi * k / n)
-                terms.append(g(w) * (w - center))
-            want = sum(terms) / n
-            scale = sum(abs(t) for t in terms) / n
-            assert abs(_contour_mean(g, center, radius, n) - want) <= 1e-12 * scale
+            got = _contour_means(lambda ws: [complex(v) for v in h(np.array(ws))], center, radius, roots, T)
+            for ell in range(T):
 
+                def g(w):
+                    return h(w) * (w - center) ** ell
 
-class TestArrayEvaluation:
-    def test_array_call_matches_scalar_call(self):
-        zs = np.array([0.3 + 0.4j, -1.2 + 0.0j, 2.0 - 0.7j, 0.0j])
-        for f in (
-            AnalyticTestFunction.monomial(0),
-            AnalyticTestFunction.monomial(7),
-            AnalyticTestFunction.exponential(-1.3 + 0.2j),
-            AnalyticTestFunction.polynomial([1.0, 2.0, 0.0, 1.0]),
-        ):
-            got = f(zs)
-            assert got.shape == zs.shape
-            for w, value in zip(zs, got):
-                assert value == pytest.approx(complex(f(complex(w))), rel=1e-14, abs=1e-300)
-
-    def test_poly_P_on_array_matches_scalar(self):
-        zs = np.array([0.5 + 0.25j, 2.0 + 0.0j, -1.7 - 0.4j])
-        got = poly_P(4, zs)
-        for w, value in zip(zs, got):
-            assert value == pytest.approx(poly_P(4, complex(w)), rel=1e-14, abs=1e-300)
+                w = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+                scale = float(np.mean(np.abs(g(w) * (w - center))))
+                want = oracles.trapezoid_contour_mean(g, center, radius, n)
+                assert abs(got[ell] - want) <= 1e-12 * scale, (center, ell)
 
 
 class TestDividedDerivatives:
@@ -327,8 +316,8 @@ class TestSchwarzLemma:
         for S in (2, 3, 4):
             sharp, _ = schwarz_lemma_check(f, S, 1)
             f_S = sharp.inputs["f_S"]
-            w = S * np.exp(2j * math.pi * np.arange(64) / 64)
-            assert f_S == pytest.approx(math.sqrt(np.mean(np.abs(f(w)) ** 2)), rel=1e-13)
+            squares = [abs(f(S * cmath.exp(2j * math.pi * k / 64))) ** 2 for k in range(64)]
+            assert f_S == pytest.approx(math.sqrt(sum(squares) / 64), rel=1e-13)
             assert f_S <= oracles.sup_on_circle(f, float(S)) * (1.0 + 1e-14)
 
 

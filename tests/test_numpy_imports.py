@@ -1,15 +1,13 @@
-"""numpy only where arrays pay: importing periodkit loads no numpy, and the scalar modules never do.
+"""No numpy at run time: no module of periodkit imports it, and no ``ptk`` command loads it.
 
 The scans read the sources with ``ast`` and import nothing. A module counts
 as importing numpy when any of its ``import`` statements, at any depth, names
 numpy or a ``numpy.`` submodule, or when it imports a package module that
-does. ``interpolation`` and ``cli`` evaluate on arrays and may import it,
-but only inside the functions that build them: no module imports
-numpy when it is itself imported, that is in its module body outside an
-``if TYPE_CHECKING:`` block (class bodies and other blocks included,
-function bodies not). One fresh interpreter checks the same at run time,
-through the ``ptk`` commands that build no array, and checks that no command
-loads ``numpy.random``.
+does. No module may (``SCALAR_MODULES`` lists every one). The weaker
+module-level scan, which allowed imports inside function bodies and under
+``if TYPE_CHECKING:``, still runs on every module. One fresh interpreter
+checks the same at run time, through every ``ptk`` command, ``verify --suite
+all`` included, and checks that no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
-SCALAR_MODULES = ("lattice", "heights", "modular", "theta", "bounds", "isogeny", "serre")
+SCALAR_MODULES = (
+    "__init__", "bounds", "cli", "heights", "interpolation", "isogeny", "lattice", "modular", "serre", "theta",
+)
 
 
 def _names_numpy(node: ast.AST) -> bool:
@@ -86,9 +86,10 @@ def test_scalar_module_loads_no_numpy(module):
     assert not _loads_numpy()[module], f"periodkit.{module} imports numpy, directly or through the package"
 
 
-def test_the_scan_sees_numpy_where_it_is():
+def test_no_module_loads_numpy():
     loads = _loads_numpy()
-    assert loads["interpolation"] and loads["cli"]
+    assert sorted(loads) == sorted(SCALAR_MODULES), "SCALAR_MODULES must list every module"
+    assert not any(loads.values())
 
 
 @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ for argv in (["height"], ["reduce", "0.3", "1.2"], ["rho", "0.1", "1.5"], ["delt
 """
 
 
-def test_only_commands_that_build_arrays_load_numpy():
+def test_no_command_loads_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     env.pop("PTK_FIXTURES", None)
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
@@ -149,7 +150,6 @@ def test_only_commands_that_build_arrays_load_numpy():
         "verify-lattice", "verify-theta", "verify-all",
     ]
     assert all(rc == "0" for _, rc, _, _ in steps)
-    # only the interpolation suite, inside verify --suite all, builds arrays
-    assert [loaded for _, _, loaded, _ in steps] == ["False"] * 10 + ["True"]
+    assert [loaded for _, _, loaded, _ in steps] == ["False"] * 11
     # the seeded draws come from random.Random: no command loads numpy's generators
     assert [loaded for _, _, _, loaded in steps] == ["False"] * 11

@@ -4,8 +4,9 @@ and finds its fixtures without ``importlib.resources``.
 ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and runs code generation for every decorated class; ``hashlib``
 loads OpenSSL's libcrypto. Neither is needed to import the package or to run
-``ptk height``. The scan reads the sources with ``ast`` and imports nothing;
-one fresh interpreter checks the same at run time.
+``ptk height``, and no command needs ``dataclasses`` or ``inspect``, ``verify
+--suite all`` included. The scan reads the sources with ``ast`` and imports
+nothing; one fresh interpreter checks the same at run time.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ import contextlib, io, sys
 from periodkit import cli
 names = {names!r}
 print("import", 0, *(m for m in names if m in sys.modules))
-for argv in (["height"], ["verify", "--suite", "serre"]):
+for argv in (["height"], ["verify", "--suite", "serre"], ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    print(argv[0], rc, *(m for m in names if m in sys.modules))
+    print("-".join(argv[::2]), rc, *(m for m in names if m in sys.modules))
 """
 
 
@@ -73,7 +74,9 @@ def test_import_and_height_load_none_of_them():
     assert steps[0] == ["import", "0"]
     assert steps[1] == ["height", "0"]
     # verify hashes its input, so the probe does see hashlib once it is loaded
-    assert steps[2][:2] == ["verify", "0"] and "hashlib" in steps[2]
+    assert steps[2][:2] == ["verify-serre", "0"] and "hashlib" in steps[2]
+    # every suite runs on value types and builds no array: nothing brings inspect back
+    assert steps[3] == ["verify-all", "0", "hashlib"]
 
 
 def test_fixture_path_loads_no_resource_machinery():
