@@ -1,10 +1,11 @@
 """Auxiliary interpolation estimates on integer nodes.
 
 The node polynomial P with simple roots at 1-S..S-1, the normalized factorial
-ratio u_S, a contour-integral interpolation identity with multiplicity T at
-each node, and the two-term comparison between the unit-disc maximum of an
-entire function and its derivative data at the nodes. Where a fact has a
-short proof (a disc maximum, a circle minimum, Parseval), it is evaluated.
+ratio u_S, the interpolation identity with multiplicity T at each node (an
+outer trapezoid contour against exact node residues), and the two-term
+comparison between the unit-disc maximum of an entire function and its
+derivative data at the nodes. Where a fact has a short proof (a disc
+maximum, a circle minimum, Parseval, a residue), it is evaluated.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import BoundReport
 
@@ -269,32 +270,30 @@ def u_sequence(S_max: int) -> list[BoundReport]:
 # Contour-integral identity and the two-term comparison
 # ---------------------------------------------------------------------------
 
-def _contour_means(
-    h: Callable[[list[complex]], list[complex]], center: complex, radius: float, roots: Sequence[complex], T: int
-) -> list[complex]:
-    """(1/2 pi i) times the contour integrals of h(w) (w - center)^ell for ell < T.
+def _node_residues(S: int, T: int, j: int, z: complex) -> list[complex]:
+    """Res_{w=j} (w - j)^ell / (P(w)^T (w - z)) for ell < T, exactly.
 
-    The circle |w - center| = radius is summed by the trapezoid rule on the
-    nodes center + radius u, u in ``roots`` (the n-th roots of unity). ``h``
-    maps the list of nodes to the list of its values, once; the T moments
-    share them.
+    With u = w - j the residue is the u^(T-1-ell) Taylor coefficient of
+    1 / (prod_{k != j} (u + j - k)^T (u + j - z)). The series 1 is divided
+    by each linear factor a + u in turn: c[n] = (c[n] - c[n-1]) / a.
     """
-    ds = [radius * u for u in roots]
-    terms = [v * d for v, d in zip(h([center + d for d in ds]), ds)]
-    means = [sum(terms) / len(roots)]
-    for _ in range(1, T):
-        terms = [v * d for v, d in zip(terms, ds)]
-        means.append(sum(terms) / len(roots))
-    return means
+    c = [complex(1.0)] + [complex(0.0)] * (T - 1)
+    for a in [j - k for k in range(1 - S, S) if k != j for _ in range(T)] + [j - z]:
+        c[0] /= a
+        for n in range(1, T):
+            c[n] = (c[n] - c[n - 1]) / a
+    return c[::-1]
 
 
 def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) -> BoundReport:
     """Residue decomposition of f(z)/P(z)^T against direct quadrature.
 
-    The outer circle has radius S; each node carries a circle of radius
-    1/2 - epsilon. Only derivative orders below T contribute at a node, so
-    the truncated sum is exact for holomorphic f. Every contour takes the
-    same 2048 trapezoid nodes, and the residual must be at most 1e-8.
+    The outer circle |w| = S is summed by the trapezoid rule on 2048 nodes;
+    each node j contributes its exact residues (``_node_residues``) weighted
+    by the divided derivatives of f at j. Only derivative orders below T
+    contribute at a node, so the truncated sum is exact for holomorphic f.
+    z must lie outside the node discs of radius 1/2 - epsilon, the node
+    circles of the paper's contour, and the residual must be at most 1e-8.
     """
     if S < 1 or T < 1:
         raise ValueError("S and T must be >= 1")
@@ -302,26 +301,15 @@ def hermite_identity_check(f: AnalyticTestFunction, S: int, T: int, z: complex) 
     z = complex(z)
     if abs(z) >= S:
         raise ValueError("z must satisfy |z| < S")
-    small_r = 0.5 - eps
     for j in range(1 - S, S):
-        if abs(z - j) <= small_r:
+        if abs(z - j) <= 0.5 - eps:
             raise ValueError(f"z too close to node {j}")
-    roots = [cmath.exp(2j * math.pi * k / nodes) for k in range(nodes)]
-
-    def kernel(ws: list[complex]) -> list[complex]:
-        """1 / (P(w)^T (w - z)) at each node, with P(w) = w prod_{k<S} (w^2 - k^2)."""
-        squares = [w * w for w in ws]
-        p = ws
-        for k in range(1, S):
-            k2 = k * k
-            p = [a * (b - k2) for a, b in zip(p, squares)]
-        return [1.0 / (a**T * (w - z)) for a, w in zip(p, ws)]
-
-    outer = _contour_means(lambda ws: [f(w) * v for w, v in zip(ws, kernel(ws))], 0.0, float(S), roots, 1)[0]
+    circle = (S * cmath.exp(2j * math.pi * k / nodes) for k in range(nodes))
+    outer = sum(f(w) * w / (poly_P(S, w) ** T * (w - z)) for w in circle) / nodes
     node_sum = complex(0.0)
     for j in range(1 - S, S):
-        kernels = _contour_means(kernel, complex(j), small_r, roots, T)
-        node_sum += sum(f.divided_derivative(ell, j) * m for ell, m in enumerate(kernels))
+        residues = _node_residues(S, T, j, z)
+        node_sum += sum(f.divided_derivative(ell, j) * r for ell, r in enumerate(residues))
     lhs_val = f(z) / poly_P(S, z) ** T
     return BoundReport(
         "hermite_identity_residual",

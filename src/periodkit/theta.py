@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import product
+from typing import NamedTuple
 
 from .bounds import BoundReport
 from .heights import H_SHIFT, CurveRecord, faltings_height_silverman
@@ -24,14 +25,12 @@ TAIL_EXPONENT = 40.0  # e^-40 sits below double-precision noise
 _DUAL_EXPONENT = TAIL_EXPONENT + 10.0  # the dual sum keeps the terms down to e^-50
 
 
-class RiemannTau:
+class RiemannTau(NamedTuple("RiemannTau", [("g", int), ("matrix", tuple)])):
     """Symmetric g x g matrix with positive-definite imaginary part; immutable, held as tuples."""
 
-    __slots__ = ("g", "matrix")
-    g: int
-    matrix: tuple[tuple[complex, ...], ...]
+    __slots__ = ()
 
-    def __init__(self, g: int, matrix) -> None:
+    def __new__(cls, g: int, matrix) -> RiemannTau:
         if g not in (1, 2):
             raise ValueError("g must be 1 or 2")
         rows = tuple(tuple(complex(z) for z in row) for row in matrix)
@@ -43,13 +42,9 @@ class RiemannTau:
             raise ValueError("matrix must be symmetric")
         if not _eigenvalues(tuple(tuple(z.imag for z in row) for row in rows))[0] > 0:
             raise ValueError("imaginary part must be positive-definite")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "matrix", rows)
+        return super().__new__(cls, g, rows)
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"RiemannTau is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def y(self) -> tuple[tuple[float, ...], ...]:

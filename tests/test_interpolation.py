@@ -13,8 +13,8 @@ from periodkit.interpolation import (
     SINH_PI,
     AnalyticTestFunction,
     _circle_min,
-    _contour_means,
     _half_disc_bound,
+    _node_residues,
     hermite_identity_check,
     lemma52_checks,
     poly_P,
@@ -186,25 +186,33 @@ class TestHermiteIdentity:
         with pytest.raises(ValueError):
             hermite_identity_check(f, 2, 1, 2.5 + 0.0j)
 
-    def test_contour_means_match_the_numpy_trapezoid(self):
-        # reference: the trapezoid rule with g evaluated on the array of all nodes
-        z, n, T = 0.37 + 0.21j, 2048, 3
-        roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    def test_node_residues_match_the_numpy_trapezoid(self):
+        # reference: the trapezoid rule on the node circles of radius 1/2 - 1/12
+        z, n = 0.37 + 0.21j, 2048
+        for S, T in ((2, 1), (3, 3), (5, 2)):
+            for j in range(1 - S, S):
+                got = _node_residues(S, T, j, z)
+                assert len(got) == T
+                for ell in range(T):
 
-        def h(w):
-            return np.polyval([1.0, 0.0, 2.0, 1.0], w) / (np.prod([w - j for j in range(-2, 3)], axis=0) ** 2 * (w - z))
+                    def g(w):
+                        return (w - j) ** ell / (np.prod([w - k for k in range(1 - S, S)], axis=0) ** T * (w - z))
 
-        for center, radius in ((0.0, 3.0), (1.0, 0.5 - 1.0 / 12.0)):
-            got = _contour_means(lambda ws: [complex(v) for v in h(np.array(ws))], center, radius, roots, T)
-            for ell in range(T):
+                    want = oracles.trapezoid_contour_mean(g, j, 0.5 - 1.0 / 12.0, n)
+                    assert abs(got[ell] - want) <= 1e-12 * max(1.0, abs(want)), (S, T, j, ell)
 
-                def g(w):
-                    return h(w) * (w - center) ** ell
+    def test_a_wrong_residue_fails_the_check(self, monkeypatch):
+        exact = _node_residues
 
-                w = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-                scale = float(np.mean(np.abs(g(w) * (w - center))))
-                want = oracles.trapezoid_contour_mean(g, center, radius, n)
-                assert abs(got[ell] - want) <= 1e-12 * scale, (center, ell)
+        def zero_at_node_1(S, T, j, z):
+            return [0.0] * T if j == 1 else exact(S, T, j, z)
+
+        f = AnalyticTestFunction.polynomial([1.0, 2.0, 0.0, 1.0])
+        assert hermite_identity_check(f, 3, 2, 0.37 + 0.21j).satisfied
+        monkeypatch.setattr("periodkit.interpolation._node_residues", zero_at_node_1)
+        report = hermite_identity_check(f, 3, 2, 0.37 + 0.21j)
+        assert not report.satisfied
+        assert report.lhs > 1e6 * report.rhs
 
 
 class TestDividedDerivatives:

@@ -1,8 +1,9 @@
 """The value types are immutable, and none can be built around its checks.
 
 The validated tuples (``SiegelTau``, ``UnimodularMap``, ``CurveRecord``,
-``SerreThreshold``) check their fields in ``__new__``; namedtuple's ``_make``
-and ``_replace`` must reach the same checks and raise the same error.
+``SerreThreshold``, ``RiemannTau``) check their fields in ``__new__``;
+namedtuple's ``_make`` and ``_replace`` must reach the same checks and raise
+the same error.
 ``BoundReport`` and ``RunManifest`` default their dicts to None, read as a
 fresh ``{}``, so no two instances share one.
 """
@@ -39,6 +40,7 @@ INVALID = [
     (RECORD, "j_rational", (1, 0)),
     (SerreThreshold(3094027, 1.5, 0.5), "f_at_p_star", 0.9),
     (SerreThreshold(3094027, 1.5, 0.5), "f_at_p_star_plus_1", 1.0),
+    (RiemannTau(1, [[1j]]), "g", 3),
 ]
 
 
@@ -58,7 +60,8 @@ def test_replace_and_make_raise_what_the_constructor_raises(obj, field, bad):
         type(obj)._make(fields.values())
 
 
-@pytest.mark.parametrize("obj", [TAU, UnimodularMap(2, 1, 1, 1), RECORD, SerreThreshold(3094027, 1.5, 0.5)],
+@pytest.mark.parametrize("obj", [TAU, UnimodularMap(2, 1, 1, 1), RECORD, SerreThreshold(3094027, 1.5, 0.5),
+                                 RiemannTau(2, [[1j, 0.5], [0.5, 2j]])],
                          ids=lambda o: type(o).__name__)
 def test_valid_replace_and_make_equal_the_constructor(obj):
     assert type(obj)._make(list(obj)) == obj == obj._replace()
