@@ -3,10 +3,11 @@
 The scans read the sources with ``ast`` and import nothing. A module counts
 as importing numpy when any of its ``import`` statements, at any depth, names
 numpy or a ``numpy.`` submodule, or when it imports a package module that
-does. No module may (``SCALAR_MODULES`` lists every one). One fresh
-interpreter checks the same at run time, through every ``ptk`` command,
-``verify --suite all`` included, and checks that no command loads
-``numpy.random``.
+does. No module may (``SCALAR_MODULES`` lists every one). The weaker
+module-level scan, which allowed imports inside function bodies and under
+``if TYPE_CHECKING:``, still runs on every module. One fresh interpreter
+checks the same at run time, through every ``ptk`` command, ``verify --suite
+all`` included, and checks that no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def _imports(tree: ast.Module) -> tuple[bool, set]:
     return numpy, package
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _import_time_numpy(nodes) -> list[int]:
+    """Lines of the numpy imports among these statements that run when the module is imported."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # its body runs when it is called
+        if _names_numpy(node):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.If) and _is_type_checking(node.test):
+            lines += _import_time_numpy(node.orelse)
+        else:
+            lines += _import_time_numpy(ast.iter_child_nodes(node))
+    return lines
+
+
 def _loads_numpy() -> dict:
     """Module name -> whether it imports numpy anywhere, through package imports too."""
     direct, edges = {}, {}
@@ -76,6 +98,29 @@ def test_no_module_loads_numpy():
 )
 def test_every_import_form_counts(source):
     assert _imports(ast.parse(source))[0]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_numpy_when_imported(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert _import_time_numpy(tree.body) == [], f"periodkit.{module} imports numpy at module level"
+
+
+@pytest.mark.parametrize(
+    "source, runs",
+    [
+        ("import numpy as np", True),
+        ("try:\n    import numpy\nexcept ImportError:\n    pass", True),
+        ("class A:\n    import numpy", True),
+        ("if TYPE_CHECKING:\n    pass\nelse:\n    from numpy import array", True),
+        ("if TYPE_CHECKING:\n    import numpy as np", False),
+        ("if typing.TYPE_CHECKING:\n    import numpy.typing", False),
+        ("def f():\n    import numpy as np", False),
+        ("class A:\n    def f(self):\n        import numpy", False),
+    ],
+)
+def test_the_module_level_scan(source, runs):
+    assert bool(_import_time_numpy(ast.parse(source).body)) == runs
 
 
 # after each step: the step, its exit code, whether numpy and numpy.random are loaded
