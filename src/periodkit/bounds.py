@@ -32,16 +32,6 @@ class BoundReport(NamedTuple):
     def satisfied(self) -> bool:
         return self.margin >= -self.tol * max(1.0, abs(self.rhs))
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-            "inputs": dict(self.inputs or {}),
-        }
-
     def __str__(self) -> str:
         verdict = "PASS" if self.satisfied else "FAIL"
         return f"{verdict} {self.name}: lhs={self.lhs:.12g} rhs={self.rhs:.12g} margin={self.margin:.3g}"

@@ -7,8 +7,14 @@ The canonical JSON report is the manifest written by the standard ``json``
 encoder with sorted keys and floats in their shortest round-trip form
 (``repr``): the top level with a 2-space indent, and each report on one line
 of its own, indented by 4 spaces. ``wall_time`` is written as null, so
-repeated runs give identical bytes. A non-finite float raises ``ValueError``
-before anything is written.
+repeated runs give identical bytes. Both outputs are written a line at a
+time. A report file is written to a temporary file beside it, which
+``os.replace`` moves over the path after the last byte, so an error (a
+non-finite float raises ``ValueError``) leaves the path as it was. A
+symlink's target is the file replaced. A path that a replace would change
+in another way (a device or FIFO, a file with another hard link or another
+owner, a file in a directory where none can be created) is rendered whole
+first and then written in place.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ if TYPE_CHECKING:
 
 class RunManifest(NamedTuple):
     suites: list
-    reports: list  # list of BoundReport.as_dict() dictionaries
+    reports: list  # (suite name, BoundReport, satisfied) rows, each verdict computed once
     tolerances: dict
     wall_time: Optional[float]
     tool_version: str = __version__
@@ -67,12 +73,12 @@ class RunManifest(NamedTuple):
 
     @property
     def all_satisfied(self) -> bool:
-        return all(r["satisfied"] for r in self.reports)
+        return all(ok for _, _, ok in self.reports)
 
     def to_dict(self) -> dict:
         return {
             "suites": list(self.suites),
-            "reports": [dict(r) for r in self.reports],
+            "reports": [_report_dict(*row) for row in self.reports],
             "tolerances": dict(self.tolerances),
             # nulled for byte-identical reports across runs; kept on the object
             "wall_time": None,
@@ -81,40 +87,117 @@ class RunManifest(NamedTuple):
         }
 
 
+def _report_dict(suite: str, report: BoundReport, satisfied: bool) -> dict:
+    """A report in the canonical JSON layout, with its suite and the stored verdict.
+
+    The one definition of the layout: ``RunManifest.to_dict`` and the JSON
+    emitter both build their report dicts here.
+    """
+    return {
+        "name": report.name,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "margin": report.margin,
+        "satisfied": satisfied,
+        "inputs": dict(report.inputs or {}),
+        "suite": suite,
+    }
+
+
+def _json_lines(manifest: RunManifest) -> Iterator[str]:
+    """The canonical JSON a report at a time.
+
+    The C encoder runs only without an indent: each report is one line of it,
+    spliced into the indented top level, which is rendered from the manifest
+    with its reports left out.
+    """
+    doc = manifest._replace(reports=[]).to_dict()
+    top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if not manifest.reports:
+        yield top
+        return
+    head, tail = top.split('\n  "reports": []', 1)
+    yield head + '\n  "reports": [\n'
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    sep = "    "
+    for row in manifest.reports:
+        yield sep + encode(_report_dict(*row))
+        sep = ",\n    "
+    yield "\n  ]" + tail
+
+
+def _text_lines(manifest: RunManifest) -> Iterator[str]:
+    """The table a line at a time, after one pass over the names for the column width."""
+    yield f"suites: {', '.join(manifest.suites)}  (tool {manifest.tool_version})\n"
+    name_w = max((len(r.name) for _, r, _ in manifest.reports), default=4)
+    yield f"{'check':<{name_w}}  {'lhs':>13} {'rhs':>13} {'margin':>13}  verdict\n"
+    n_bad = 0
+    for _, r, ok in manifest.reports:
+        n_bad += not ok
+        verdict = "PASS" if ok else "FAIL"
+        yield f"{r.name:<{name_w}}  {r.lhs:>13.6g} {r.rhs:>13.6g} {r.margin:>13.3g}  {verdict}\n"
+    wt = f"{manifest.wall_time:.2f}s" if manifest.wall_time is not None else "n/a"
+    yield f"{len(manifest.reports)} checks, {n_bad} failed, wall time {wt}\n"
+
+
+def _open_beside(target: str) -> tuple:
+    """A new file in the directory of ``target``, created exclusively.
+
+    A name already taken (say, left by a killed run) is skipped, not an error.
+    """
+    n = 0
+    while True:
+        tmp = f"{target}.{os.getpid()}.{n}.tmp"
+        try:
+            return tmp, open(tmp, "x", encoding="utf-8")
+        except FileExistsError:
+            n += 1
+
+
 def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str] = None) -> None:
-    """Write the manifest as a human table or canonical JSON."""
-    if format == "json":
-        # The C encoder runs only without an indent: each report is one line
-        # of it, spliced into the indented top level, which is rendered from
-        # the manifest with its reports left out, so no report is copied.
-        # Reports are encoded before the file is opened, so a ValueError
-        # leaves no partial file. The pieces are written without joining them.
-        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
-        reports = ",\n".join("    " + encode(r) for r in manifest.reports)
-        doc = manifest._replace(reports=[]).to_dict()
-        top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        head, tail = top.split('\n  "reports": []', 1)
-        parts = [head, '\n  "reports": [\n', reports, "\n  ]", tail] if reports else [top]
-    elif format == "text":
-        lines = [f"suites: {', '.join(manifest.suites)}  (tool {manifest.tool_version})"]
-        name_w = max((len(r["name"]) for r in manifest.reports), default=4)
-        lines.append(f"{'check':<{name_w}}  {'lhs':>13} {'rhs':>13} {'margin':>13}  verdict")
-        for r in manifest.reports:
-            verdict = "PASS" if r["satisfied"] else "FAIL"
-            lines.append(
-                f"{r['name']:<{name_w}}  {r['lhs']:>13.6g} {r['rhs']:>13.6g} {r['margin']:>13.3g}  {verdict}"
-            )
-        n_bad = sum(not r["satisfied"] for r in manifest.reports)
-        wt = f"{manifest.wall_time:.2f}s" if manifest.wall_time is not None else "n/a"
-        lines.append(f"{len(manifest.reports)} checks, {n_bad} failed, wall time {wt}")
-        parts = ["\n".join(lines) + "\n"]
-    else:
+    """Write the manifest as a human table or canonical JSON, one line at a time."""
+    render = {"json": _json_lines, "text": _text_lines}.get(format)
+    if render is None:
         raise ValueError(f"unknown format {format!r}")
+    lines = render(manifest)
     if path is None:
-        sys.stdout.writelines(parts)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        sys.stdout.writelines(lines)
+        return
+    import stat
+
+    # A temporary file beside the resolved path replaces it after the last
+    # line, so an error (a non-finite float is a ValueError) leaves the file
+    # as it was. Where a replace would change more than the bytes (a device
+    # or FIFO, a file with another hard link or another owner) or no file can
+    # be created beside it, the report is rendered whole before the path is
+    # opened, which leaves the path as it was on an error too.
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+        replace = stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    except FileNotFoundError:
+        st, replace = None, True
+    except OSError:  # a symlink loop, say: the open below raises it as before
+        replace = False
+    if replace:
+        try:
+            tmp, fh = _open_beside(target)
+        except OSError:
+            pass
+        else:
+            try:
+                with fh:
+                    if st is not None:
+                        os.chmod(tmp, stat.S_IMODE(st.st_mode))
+                    fh.writelines(lines)
+                os.replace(tmp, target)
+            except BaseException:
+                os.remove(tmp)
+                raise
+            return
+    lines = list(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +495,7 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     t0 = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]
-    reports: list[dict] = []
-    for name in names:
-        for rep in SUITES[name](records, seed, quad_points):
-            d = rep.as_dict()
-            d["suite"] = name
-            reports.append(d)
+    reports = [(name, rep, rep.satisfied) for name in names for rep in SUITES[name](records, seed, quad_points)]
     return RunManifest(
         suites=names,
         reports=reports,

@@ -5,7 +5,9 @@ so |Delta| ~ e^{-2 pi y} never underflows. N is the first order whose log tail
 24 |q|^{N+1} / (1 - |q|)^2 is at most 2^-70, far below double rounding: N <= 9
 on the fundamental domain, where |q| <= e^{-pi sqrt 3}. ``ORDER`` only caps N off
 it, and ``InsufficientTruncationError`` is raised where 64 terms miss 2^-70.
-The E4 series always runs to ``ORDER``, from a divisor-sum table built once.
+E4 stops the same way, at the first order whose tail
+240 zeta(3) (N+1)^3 |q|^(N+1) / (1 - 8 zeta(3) |q|) is at most 2^-70 (N <= 11 on
+the fundamental domain), from a divisor-sum table built once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ ZETA3 = 1.2020569031595942854
 _Y_MIN = math.sqrt(3.0) / 2.0
 # Log tail at which the Delta sum stops, 2^-17 below the rounding of a double.
 _STOP_TAIL = 2.0**-70
-# Cap on the Delta sum and length of the E4 series.
+# Cap on the Delta and E4 sums.
 ORDER = 64
 
 
@@ -92,29 +94,33 @@ def _sigma3_prefix(n: int) -> tuple[int, ...]:
 
 
 def _e4(q: complex) -> SeriesValue:
+    """E4 = 1 + 240 sum sigma_3(n) q^n to the first order N <= ORDER whose tail is <= 2^-70.
+
+    sigma_3(n) <= zeta(3) n^3 and the ratio of consecutive terms is <= 8 zeta(3) |q|.
+    """
     sig = _sigma3_prefix(ORDER)
+    abs_q = abs(q)
+    r = 8.0 * ZETA3 * abs_q
     acc = complex(1.0)
     qn = complex(1.0)
     for n in range(1, ORDER + 1):
         qn *= q
         acc += 240.0 * sig[n - 1] * qn
-    # sigma_3(n) <= zeta(3) n^3; ratio of consecutive terms <= 8 zeta(3) |q|
-    abs_q = abs(q)
-    r = 8.0 * ZETA3 * abs_q
-    if r >= 1.0:
-        return SeriesValue(acc, math.inf)
-    head = 240.0 * ZETA3 * (ORDER + 1) ** 3 * abs_q ** (ORDER + 1)
-    return SeriesValue(acc, head / (1.0 - r))
+        tail = 240.0 * ZETA3 * (n + 1) ** 3 * abs_q ** (n + 1) / (1.0 - r) if r < 1.0 else math.inf
+        if tail <= _STOP_TAIL:
+            break
+    return SeriesValue(acc, tail)
 
 
 def _e4_cubed_over(e4: SeriesValue, log_d: complex, t: float) -> tuple[complex, float]:
     """E4^3 exp(-log_d) and its error bound, for log_d off by at most t and E4 by e.
 
-    The bound is (((|E4| + e)^3 - |E4|^3) e^t + |E4|^3 expm1(t)) |exp(-log_d)|.
+    The bound is (((|E4| + e)^3 - |E4|^3) e^t + |E4|^3 expm1(t)) |exp(-log_d)|, with the
+    difference of cubes expanded, so an e below ulp(|E4|) does not round away.
     """
     aE, eE = abs(e4.value), e4.tail
     inverse = cmath.exp(-log_d)
-    tail = (((aE + eE) ** 3 - aE**3) * math.exp(t) + aE**3 * math.expm1(t)) * abs(inverse)
+    tail = (eE * (3.0 * aE * aE + 3.0 * aE * eE + eE * eE) * math.exp(t) + aE**3 * math.expm1(t)) * abs(inverse)
     return e4.value**3 * inverse, tail
 
 

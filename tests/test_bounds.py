@@ -23,6 +23,7 @@ from periodkit.bounds import (
     quadratic_root_bound,
     structural_constants,
 )
+from periodkit.cli import RunManifest
 from periodkit.isogeny import implicit_delta_solver
 
 finite = st.floats(-1e12, 1e12)
@@ -38,11 +39,10 @@ class TestBoundReport:
 
     def test_to_dict_round_trip_fields(self):
         report = BoundReport("probe", 1.0, 2.0, inputs={"x": 3})
-        d = report.as_dict()
-        assert d["name"] == "probe"
-        assert d["lhs"] == 1.0 and d["rhs"] == 2.0
-        assert d["margin"] == 1.0 and d["satisfied"] is True
-        assert d["inputs"] == {"x": 3}
+        manifest = RunManifest(["probes"], [("probes", report, report.satisfied)], {}, None)
+        (d,) = manifest.to_dict()["reports"]
+        assert d == {"name": "probe", "lhs": 1.0, "rhs": 2.0, "margin": 1.0, "satisfied": True,
+                     "inputs": {"x": 3}, "suite": "probes"}
 
     def test_str_verdict_prefix(self):
         assert str(BoundReport("ok", 0.0, 1.0)).startswith("PASS ok:")

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -336,9 +337,9 @@ class TestRunSuite:
         manifest = run_suite("serre", [])
         assert manifest.all_satisfied
         values = [
-            r["inputs"].get("value")
-            for r in manifest.reports
-            if r["name"] == "threshold_integer"
+            r.inputs.get("value")
+            for _, r, _ in manifest.reports
+            if r.name == "threshold_integer"
         ]
         assert values == [3094027.0]
 
@@ -353,7 +354,7 @@ class TestRunSuite:
     def test_suite_label_recorded(self, bundled_records):
         manifest = run_suite("heights", bundled_records)
         assert manifest.suites == ["heights"]
-        assert all(r["suite"] == "heights" for r in manifest.reports)
+        assert all(suite == "heights" for suite, _, _ in manifest.reports)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_round_trip_builds_200_determinant_one_maps(self, seed, monkeypatch):
@@ -365,20 +366,21 @@ class TestRunSuite:
 
         draw = cli._random_unimodular
         monkeypatch.setattr(cli, "_random_unimodular", recording)
-        (report,) = [r for r in run_suite("lattice", [], seed=seed).reports if r["name"] == "siegel_round_trip_200"]
+        rows = run_suite("lattice", [], seed=seed).reports
+        ((_, report, satisfied),) = [row for row in rows if row[1].name == "siegel_round_trip_200"]
         assert len(built) == 200
         assert all(m.a * m.d - m.b * m.c == 1 for m in built)
-        assert report["satisfied"] and 0.0 < report["lhs"] < 1e-12
+        assert satisfied and report.satisfied and 0.0 < report.lhs < 1e-12
 
     def test_seed_reaches_the_quadratic_root_trials(self, bundled_records):
         def worst_trial(seed):
             manifest = run_suite("bounds", bundled_records, seed=seed)
-            (report,) = [r for r in manifest.reports if r["name"] == "quadratic_root_fact"]
-            return report
+            (row,) = [row for row in manifest.reports if row[1].name == "quadratic_root_fact"]
+            return row
 
-        default, seeded = worst_trial(0), worst_trial(5)
-        assert seeded["inputs"] != default["inputs"]
-        assert seeded["satisfied"] and default["satisfied"]
+        (_, default, default_ok), (_, seeded, seeded_ok) = worst_trial(0), worst_trial(5)
+        assert seeded.inputs != default.inputs
+        assert seeded_ok and default_ok and seeded.satisfied and default.satisfied
 
 
 class TestEmitReport:
@@ -436,6 +438,167 @@ class TestEmitReport:
         with pytest.raises(OSError):
             emit_report(self.make_manifest(), "json", "/nonexistent-dir/x.json")
 
+    @pytest.mark.parametrize("bad", [
+        BoundReport("nan_input", 0.0, 1.0, inputs={"x": math.nan}),
+        BoundReport("nan_lhs", math.nan, 1.0),
+    ])
+    def test_non_finite_float_in_a_report_leaves_the_directory_as_it_was(self, bad, tmp_path):
+        good = self.make_manifest().reports
+        # far more than one write buffer of reports goes out before the bad one
+        manifest = self.make_manifest()._replace(reports=good * 300 + [("serre", bad, False)] + good)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"an earlier report\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                emit_report(manifest, "json", str(path))
+        assert os.listdir(tmp_path) == ["old.json"]
+        assert old.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_symlinked_path_keeps_its_link(self, existing, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        if existing:
+            target.write_text("an earlier report\n")
+        link.symlink_to(target)
+        emit_report(self.make_manifest(), "json", str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text()) == self.make_manifest().to_dict()
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    def test_a_symlink_loop_raises_and_stays(self, tmp_path):
+        link = tmp_path / "loop.json"
+        link.symlink_to(link)
+        with pytest.raises(OSError):
+            emit_report(self.make_manifest(), "json", str(link))
+        assert link.is_symlink() and os.listdir(tmp_path) == ["loop.json"]
+
+    def test_devnull_stays_a_device(self, capsys):
+        assert main(["verify", "--suite", "serre", "--json", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("an earlier report\n")
+        path.chmod(0o640)
+        emit_report(self.make_manifest(), "json", str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert json.loads(path.read_text()) == self.make_manifest().to_dict()
+
+    def test_a_taken_temporary_name_is_skipped(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("an earlier report\n")
+        inode = path.stat().st_ino
+        stale = tmp_path / f"report.json.{os.getpid()}.0.tmp"
+        stale.write_text("left by a killed run\n")
+        emit_report(self.make_manifest(), "json", str(path))
+        assert path.stat().st_ino != inode  # replaced, not rewritten in place
+        assert json.loads(path.read_text()) == self.make_manifest().to_dict()
+        assert stale.read_text() == "left by a killed run\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["report.json", stale.name])
+
+    @pytest.mark.parametrize("obstacle", ["hard link", "other owner", "no file beside it"])
+    def test_a_file_a_replace_would_change_is_written_in_place(self, obstacle, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("an earlier report\n")
+        if obstacle == "hard link":
+            os.link(path, tmp_path / "other-name.json")
+        elif obstacle == "other owner":
+            monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
+        else:  # as in a directory the user may not write to
+            def refuse(target):
+                raise PermissionError(13, "Permission denied", target)
+
+            monkeypatch.setattr(cli, "_open_beside", refuse)
+        inode = path.stat().st_ino
+        bad = ("serre", BoundReport("nan_lhs", math.nan, 1.0), False)
+        manifest = self.make_manifest()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(manifest._replace(reports=manifest.reports + [bad]), "json", str(path))
+        assert path.read_text() == "an earlier report\n"
+        emit_report(manifest, "json", str(path))
+        assert path.stat().st_ino == inode
+        assert json.loads(path.read_text()) == manifest.to_dict()
+        if obstacle == "hard link":
+            assert (tmp_path / "other-name.json").read_text() == path.read_text()
+
+    def test_memory_does_not_grow_with_the_report_count(self, tmp_path):
+        def manifest(n):
+            rows = [
+                ("modular", BoundReport(f"j_lower[c{k}:0]", k / 7.0, k / 3.0,
+                                        inputs={"tau_re": 0.5, "tau_im": 1.0 + k / n, "tail": k * 1e-22}), k % 5 > 0)
+                for k in range(n)
+            ]
+            return RunManifest(["modular"], rows, {"quad_points": 64, "seed": 0}, 1.0)
+
+        n = 2000
+        manifests = [manifest(n), manifest(n), manifest(4 * n)]  # the first run fills lazy caches
+        peaks, sizes = {}, {}
+        for fmt in ("json", "text"):
+            for k, m in enumerate(manifests):
+                out = tmp_path / f"{fmt}{k}"
+                with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+                    tracemalloc.start()
+                    try:
+                        emit_report(m, fmt, str(out) if fmt == "json" else None)
+                        peaks[fmt, k] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                sizes[fmt, k] = os.path.getsize(out if fmt == "json" else tmp_path / "stdout")
+            written = sizes[fmt, 2] - sizes[fmt, 1]
+            assert written > 3 * n * 60, sizes
+            assert peaks[fmt, 2] - peaks[fmt, 1] < written / 50, (fmt, peaks, sizes)
+
+    def test_streamed_bytes_equal_the_joined_rendering(self, tmp_path, capsys):
+        path = tmp_path / "batch.jsonl"
+        _perfbench_module("gen").generate(str(path), 200, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = ingest_curves(str(path))
+        manifest = run_suite("all", records)
+        assert len(records) > 190 and not manifest.all_satisfied  # FAIL rows are rendered too
+        emit_report(manifest, "text")
+        assert capsys.readouterr().out == _joined_rendering(manifest, "text")
+        out = tmp_path / "report.json"
+        emit_report(manifest, "json", str(out))
+        assert out.read_bytes() == _joined_rendering(manifest, "json").encode()
+
+    def test_each_verdict_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        satisfied = BoundReport.satisfied
+        monkeypatch.setattr(BoundReport, "satisfied", property(lambda r: calls.append(r.name) or satisfied.fget(r)))
+        monkeypatch.delenv("PTK_FIXTURES", raising=False)
+        assert main(["verify", "--suite", "all", "--json", str(tmp_path / "r.json")]) == 0
+        names = [r["name"] for r in json.loads((tmp_path / "r.json").read_text())["reports"]]
+        assert len(names) > 700 and calls == names
+
+
+def _joined_rendering(manifest, format: str) -> str:
+    """The whole report as one string, joined as the emitter joined it before it streamed.
+
+    The report layout is spelled out here, so a change to the emitter's shows.
+    """
+    reports = [
+        {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "satisfied": r.satisfied,
+         "inputs": dict(r.inputs or {}), "suite": suite}
+        for suite, r, _ in manifest.reports
+    ]
+    if format == "json":
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+        body = ",\n".join("    " + encode(r) for r in reports)
+        top = json.dumps(manifest._replace(reports=[]).to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        head, tail = top.split('\n  "reports": []', 1)
+        return "".join([head, '\n  "reports": [\n', body, "\n  ]", tail]) if body else top
+    lines = [f"suites: {', '.join(manifest.suites)}  (tool {manifest.tool_version})"]
+    name_w = max((len(r["name"]) for r in reports), default=4)
+    lines.append(f"{'check':<{name_w}}  {'lhs':>13} {'rhs':>13} {'margin':>13}  verdict")
+    for r in reports:
+        verdict = "PASS" if r["satisfied"] else "FAIL"
+        lines.append(f"{r['name']:<{name_w}}  {r['lhs']:>13.6g} {r['rhs']:>13.6g} {r['margin']:>13.3g}  {verdict}")
+    n_bad = sum(not r["satisfied"] for r in reports)
+    wt = f"{manifest.wall_time:.2f}s" if manifest.wall_time is not None else "n/a"
+    lines.append(f"{len(reports)} checks, {n_bad} failed, wall time {wt}")
+    return "\n".join(lines) + "\n"
+
 
 def _reports_span(lines: list) -> tuple:
     """Indices of the opening and the closing line of the top-level reports list."""
@@ -485,7 +648,7 @@ class TestCanonicalJson:
         old_start, old_end = _reports_span(indented)
         assert lines[: start + 1] + lines[end:] == indented[: old_start + 1] + indented[old_end:]
         assert emitted.endswith("\n}\n")
-        extracted = _perfbench_check().reports_bytes(emitted).decode()
+        extracted = _perfbench_module("check").reports_bytes(emitted).decode()
         assert json.loads(extracted.split(":", 1)[1].rstrip().rstrip(",")) == reports
 
     def test_parses_back_bit_identical(self, fixture_manifest, emitted):
@@ -849,11 +1012,12 @@ class TestExitCodes:
         assert captured.err == f"error: h_F = {float(value)} is not finite\n"
 
 
-def _perfbench_check():
-    """The benchmark's reference check module, loaded read-only from its path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
-    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+def _perfbench_module(name: str):
+    """A module of the benchmark (its reference check or its curve generator), loaded read-only from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
@@ -870,7 +1034,7 @@ class TestPinnedReferences:
     )
     def test_summary_equals_committed_reference(self, workload, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("PTK_FIXTURES", raising=False)
-        check = _perfbench_check()
+        check = _perfbench_module("check")
         with open(os.path.join(check.REFS, f"{workload}.json"), encoding="utf-8") as fh:
             reference = json.load(fh)
         out = tmp_path / "reports.json"

@@ -158,7 +158,7 @@ class TestInequalityReports:
         per_record = []
         for label in ("11a1", "37a1", "11a1-quad", "square", "hex-corner"):
             per_record += [f"height_floor[{label}]", "height_vs_j_height"]
-        assert [r["name"] for r in manifest.reports] == per_record + [
+        assert [r.name for _, r, _ in manifest.reports] == per_record + [
             "isogeny_height_shift",
             "isogeny_height_shift",
             "subvariety_height",

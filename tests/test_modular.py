@@ -265,14 +265,25 @@ def _log_delta_sum(z, factors):
     return 2j * math.pi * z + _log_factor_sum(cmath.exp(2j * math.pi * z), factors)
 
 
+def _e4_tail(abs_q, n):
+    """240 zeta(3) (n+1)^3 |q|^(n+1) / (1 - 8 zeta(3) |q|), the E4 tail after n terms."""
+    r = 8.0 * 1.2020569031595942854 * abs_q
+    return 240.0 * 1.2020569031595942854 * (n + 1) ** 3 * abs_q ** (n + 1) / (1.0 - r) if r < 1.0 else math.inf
+
+
+def _e4_stop_order(abs_q):
+    """First order N <= 64 whose E4 tail is <= 2^-70, else 64."""
+    return next((n for n in range(1, 64) if _e4_tail(abs_q, n) <= 2.0**-70), 64)
+
+
 def _j_rebuilding_sigma3(z):
-    """Reference: E4 from a divisor-sum sieve rebuilt on every call."""
-    order = 64
+    """Reference: E4 to its stop order from a divisor-sum sieve rebuilt on every call."""
+    q = cmath.exp(2j * math.pi * z)
+    order = _e4_stop_order(abs(q))
     sig = [0] * (order + 1)
     for d in range(1, order + 1):
         for m in range(d, order + 1, d):
             sig[m] += d * d * d
-    q = cmath.exp(2j * math.pi * z)
     acc = complex(1.0)
     qn = complex(1.0)
     for n in range(1, order + 1):
@@ -305,6 +316,28 @@ class TestEarlyStop:
         taus += [SiegelTau(z.real, z.imag) for z in _early_stop_grid()[::4]]
         for tau in taus:
             assert j_invariant(tau).value == _j_rebuilding_sigma3(tau.value), tau
+
+    def test_e4_stops_within_11_terms_on_the_fundamental_domain(self):
+        for z in _early_stop_grid():
+            q = cmath.exp(2j * math.pi * z)
+            n = _e4_stop_order(abs(q))
+            got = modular._e4(q)
+            assert n <= 11 and got.tail == _e4_tail(abs(q), n) <= 2.0**-70, z
+
+    @pytest.mark.parametrize("z", [1j, complex(0.5, math.sqrt(3.0) / 2.0), complex(0.1, 3.0)])
+    def test_e4_within_its_tail_of_the_long_sum(self, z):
+        got = modular._e4(cmath.exp(2j * math.pi * z))
+        want = complex(oracles.mp_e4(z))
+        # q^n by repeated products and the sum round by a few 2^-53 of the terms' moduli,
+        # which sum to E4 at |q|
+        moduli = float(oracles.mp_e4(1j * z.imag).real)
+        assert abs(got.value - want) <= got.tail + 24 * 2.0**-53 * moduli
+
+    def test_j_tail_counts_the_e4_tail_at_i(self):
+        e4 = modular._e4(cmath.exp(-2.0 * math.pi))
+        assert 0.0 < e4.tail < math.ulp(abs(e4.value))  # (|E4| + e)^3 - |E4|^3 would round to 0
+        inverse_delta = abs(cmath.exp(-delta_on_upper_half_plane(1j).value))
+        assert j_invariant(SiegelTau(0.0, 1.0)).tail >= 3.0 * abs(e4.value) ** 2 * e4.tail * inverse_delta
 
     @pytest.mark.parametrize("z", [1j, complex(0.5, math.sqrt(3.0) / 2.0)])
     def test_within_tail_of_long_product(self, z):

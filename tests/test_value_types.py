@@ -106,10 +106,11 @@ def test_riemann_tau_matrix_is_read_only():
 
 def test_reports_built_without_inputs_share_no_dict():
     a, b = BoundReport("a", 0.0, 1.0), BoundReport("b", 0.0, 1.0)
-    inputs = a.as_dict()["inputs"]
+    manifest = RunManifest(["s"], [("s", a, True), ("s", b, True)], {}, None)
+    inputs = manifest.to_dict()["reports"][0]["inputs"]
     inputs["x"] = 1.0
-    assert inputs is not b.as_dict()["inputs"]
-    assert a.as_dict()["inputs"] == b.as_dict()["inputs"] == {}
+    assert inputs is not manifest.to_dict()["reports"][1]["inputs"]
+    assert [r["inputs"] for r in manifest.to_dict()["reports"]] == [{}, {}]
 
 
 def test_manifests_built_without_digests_share_no_dict():
