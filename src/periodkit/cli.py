@@ -8,13 +8,8 @@ encoder with sorted keys and floats in their shortest round-trip form
 (``repr``): the top level with a 2-space indent, and each report on one line
 of its own, indented by 4 spaces. ``wall_time`` is written as null, so
 repeated runs give identical bytes. Both outputs are written a line at a
-time. A report file is written to a temporary file beside it, which
-``os.replace`` moves over the path after the last byte, so an error (a
-non-finite float raises ``ValueError``) leaves the path as it was. A
-symlink's target is the file replaced. A path that a replace would change
-in another way (a device or FIFO, a file with another hard link or another
-owner, a file in a directory where none can be created) is rendered whole
-first and then written in place.
+time. A non-finite float raises ``ValueError`` before a report file is
+opened, so the path is left as it was.
 """
 
 from __future__ import annotations
@@ -109,10 +104,21 @@ def _json_lines(manifest: RunManifest) -> Iterator[str]:
 
     The C encoder runs only without an indent: each report is one line of it,
     spliced into the indented top level, which is rendered from the manifest
-    with its reports left out.
+    with its reports left out. Every non-finite float raises ``ValueError``
+    before the first line is yielded: the top level's while it renders, a
+    report's in a scan of its margin (finite only if ``lhs`` and ``rhs`` are
+    and their difference does not overflow) and of its ``inputs``, which hold
+    no nested values.
     """
     doc = manifest._replace(reports=[]).to_dict()
     top = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    bad = "Out of range float values are not JSON compliant: {!r} in {!r}"
+    for _, report, _ in manifest.reports:
+        if not math.isfinite(report.margin):
+            raise ValueError(bad.format(report.margin, report.name))
+        for x in (report.inputs or {}).values():
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(bad.format(x, report.name))
     if not manifest.reports:
         yield top
         return
@@ -140,20 +146,6 @@ def _text_lines(manifest: RunManifest) -> Iterator[str]:
     yield f"{len(manifest.reports)} checks, {n_bad} failed, wall time {wt}\n"
 
 
-def _open_beside(target: str) -> tuple:
-    """A new file in the directory of ``target``, created exclusively.
-
-    A name already taken (say, left by a killed run) is skipped, not an error.
-    """
-    n = 0
-    while True:
-        tmp = f"{target}.{os.getpid()}.{n}.tmp"
-        try:
-            return tmp, open(tmp, "x", encoding="utf-8")
-        except FileExistsError:
-            n += 1
-
-
 def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str] = None) -> None:
     """Write the manifest as a human table or canonical JSON, one line at a time."""
     render = {"json": _json_lines, "text": _text_lines}.get(format)
@@ -163,40 +155,9 @@ def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str]
     if path is None:
         sys.stdout.writelines(lines)
         return
-    import stat
-
-    # A temporary file beside the resolved path replaces it after the last
-    # line, so an error (a non-finite float is a ValueError) leaves the file
-    # as it was. Where a replace would change more than the bytes (a device
-    # or FIFO, a file with another hard link or another owner) or no file can
-    # be created beside it, the report is rendered whole before the path is
-    # opened, which leaves the path as it was on an error too.
-    target = os.path.realpath(path)
-    try:
-        st = os.stat(target)
-        replace = stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
-    except FileNotFoundError:
-        st, replace = None, True
-    except OSError:  # a symlink loop, say: the open below raises it as before
-        replace = False
-    if replace:
-        try:
-            tmp, fh = _open_beside(target)
-        except OSError:
-            pass
-        else:
-            try:
-                with fh:
-                    if st is not None:
-                        os.chmod(tmp, stat.S_IMODE(st.st_mode))
-                    fh.writelines(lines)
-                os.replace(tmp, target)
-            except BaseException:
-                os.remove(tmp)
-                raise
-            return
-    lines = list(lines)
+    first = next(lines)  # the JSON scan for non-finite floats runs here, before "w" truncates the path
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first)
         fh.writelines(lines)
 
 

@@ -441,6 +441,9 @@ class TestEmitReport:
     @pytest.mark.parametrize("bad", [
         BoundReport("nan_input", 0.0, 1.0, inputs={"x": math.nan}),
         BoundReport("nan_lhs", math.nan, 1.0),
+        BoundReport("margin_overflow", -1e308, 1e308),
+        BoundReport("inf_rhs", 0.0, math.inf),
+        BoundReport("inf_input", 0.0, 1.0, inputs={"a": "x", "b": 3, "c": True, "d": 0.5, "x": -math.inf}),
     ])
     def test_non_finite_float_in_a_report_leaves_the_directory_as_it_was(self, bad, tmp_path):
         good = self.make_manifest().reports
@@ -449,8 +452,9 @@ class TestEmitReport:
         new, old = tmp_path / "new.json", tmp_path / "old.json"
         old.write_bytes(b"an earlier report\n")
         for path in (new, old):
-            with pytest.raises(ValueError, match="not JSON compliant"):
+            with pytest.raises(ValueError, match="not JSON compliant") as err:
                 emit_report(manifest, "json", str(path))
+            assert bad.name in str(err.value)
         assert os.listdir(tmp_path) == ["old.json"]
         assert old.read_bytes() == b"an earlier report\n"
 
@@ -476,7 +480,7 @@ class TestEmitReport:
         assert main(["verify", "--suite", "serre", "--json", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
-    def test_replaced_file_keeps_its_mode(self, tmp_path):
+    def test_rewritten_file_keeps_its_mode(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("an earlier report\n")
         path.chmod(0o640)
@@ -484,31 +488,10 @@ class TestEmitReport:
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
         assert json.loads(path.read_text()) == self.make_manifest().to_dict()
 
-    def test_a_taken_temporary_name_is_skipped(self, tmp_path):
+    def test_an_existing_file_is_rewritten_in_place(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("an earlier report\n")
-        inode = path.stat().st_ino
-        stale = tmp_path / f"report.json.{os.getpid()}.0.tmp"
-        stale.write_text("left by a killed run\n")
-        emit_report(self.make_manifest(), "json", str(path))
-        assert path.stat().st_ino != inode  # replaced, not rewritten in place
-        assert json.loads(path.read_text()) == self.make_manifest().to_dict()
-        assert stale.read_text() == "left by a killed run\n"
-        assert sorted(os.listdir(tmp_path)) == sorted(["report.json", stale.name])
-
-    @pytest.mark.parametrize("obstacle", ["hard link", "other owner", "no file beside it"])
-    def test_a_file_a_replace_would_change_is_written_in_place(self, obstacle, tmp_path, monkeypatch):
-        path = tmp_path / "report.json"
-        path.write_text("an earlier report\n")
-        if obstacle == "hard link":
-            os.link(path, tmp_path / "other-name.json")
-        elif obstacle == "other owner":
-            monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
-        else:  # as in a directory the user may not write to
-            def refuse(target):
-                raise PermissionError(13, "Permission denied", target)
-
-            monkeypatch.setattr(cli, "_open_beside", refuse)
+        os.link(path, tmp_path / "other-name.json")
         inode = path.stat().st_ino
         bad = ("serre", BoundReport("nan_lhs", math.nan, 1.0), False)
         manifest = self.make_manifest()
@@ -518,8 +501,7 @@ class TestEmitReport:
         emit_report(manifest, "json", str(path))
         assert path.stat().st_ino == inode
         assert json.loads(path.read_text()) == manifest.to_dict()
-        if obstacle == "hard link":
-            assert (tmp_path / "other-name.json").read_text() == path.read_text()
+        assert (tmp_path / "other-name.json").read_text() == path.read_text()
 
     def test_memory_does_not_grow_with_the_report_count(self, tmp_path):
         def manifest(n):
