@@ -248,10 +248,12 @@ def structural_constants(g_max: int, seed: int = 0) -> list[BoundReport]:
             BoundReport("c1_envelope_increasing_g_ge_6", 0.0, envelope(g + 1) - envelope(g), inputs={"g": g})
         )
     reports.append(BoundReport("c1_envelope_at_6_exceeds_3_22", 3.0 / 22.0, envelope(6), inputs={}))
-    reports += _worst_of(
-        BoundReport("c1_dominates_envelope_g_ge_6", 0.0, c1_of_g(g) - envelope(g), inputs={"g": g})
-        for g in range(6, g_max + 1)
-    )
+    # c1 >= envelope for g >= 6: m = log g! >= x = g (log g - 1) (Stirling), x rises in g, and log(11x)/x
+    # falls for x > e/11. So once e/11 <= 6 (log 6 - 1), c1's term (g/2) log(11m)/(11m) is at most
+    # (log 11 + log g + log(log g - 1))/(22 (log g - 1)) <= the envelope's (log 11 + 2 log g)/(22 (log g - 1))
+    if g_max >= 6:
+        x = 6.0 * (math.log(6.0) - 1.0)
+        reports.append(BoundReport("c1_dominates_envelope_g_ge_6", math.e / 11.0, x, inputs={"g": 6}))
 
     # (b) r(g, eps) <= g^g eps/(1-eps), in log space to avoid overflow:
     # (1 + eps/g)^g <= 1/(1-eps). The margin -log(1-eps) - g log(1+eps/g)

@@ -166,9 +166,6 @@ def emit_report(manifest: RunManifest, format: str = "text", path: Optional[str]
 # ---------------------------------------------------------------------------
 
 def default_fixture_path() -> str:
-    override = os.environ.get("PTK_FIXTURES")
-    if override:
-        return os.path.join(override, "curves.jsonl")
     return os.path.join(os.path.dirname(__file__), "fixtures", "curves.jsonl")
 
 
@@ -499,10 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="bound calculators")
     bsub = pb.add_subparsers(dest="bound_command", required=True)
-    bm = bsub.add_parser("matrix-lemma", help="mean inverse-square minima vs height (the bounds suite)")
-    bm.add_argument("--curves", default=None)
-    # the nested parser's defaults override command = "bound": main runs it as verify --suite bounds
-    bm.set_defaults(command="verify", suite="bounds", json=None)
     bi = bsub.add_parser("isogeny", help="explicit isogeny degree bounds")
     bi.add_argument("--case", choices=iso.CASES, default="general")
     bi.add_argument("--degree", type=int, default=1)

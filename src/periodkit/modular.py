@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 from .bounds import BoundReport
@@ -82,13 +82,13 @@ def delta_on_upper_half_plane(z: complex) -> SeriesValue:
     return SeriesValue(2j * math.pi * z + log_dq.value, log_dq.tail)
 
 
-@lru_cache(maxsize=8)
-def _sigma3_prefix(n: int) -> tuple[int, ...]:
-    """sigma_3(1..n) by sieving divisors, built once per n."""
-    s = [0] * (n + 1)
-    for d in range(1, n + 1):
+@cache
+def _sigma3_table() -> tuple[int, ...]:
+    """sigma_3(1..ORDER) by sieving divisors, built on first use."""
+    s = [0] * (ORDER + 1)
+    for d in range(1, ORDER + 1):
         cube = d * d * d
-        for m in range(d, n + 1, d):
+        for m in range(d, ORDER + 1, d):
             s[m] += cube
     return tuple(s[1:])
 
@@ -98,7 +98,7 @@ def _e4(q: complex) -> SeriesValue:
 
     sigma_3(n) <= zeta(3) n^3 and the ratio of consecutive terms is <= 8 zeta(3) |q|.
     """
-    sig = _sigma3_prefix(ORDER)
+    sig = _sigma3_table()
     abs_q = abs(q)
     r = 8.0 * ZETA3 * abs_q
     acc = complex(1.0)
@@ -130,46 +130,6 @@ def j_invariant(tau: SiegelTau) -> SeriesValue:
     q = cmath.exp(log_q)
     log_dq = _log_delta_over_q(q)
     return SeriesValue(*_e4_cubed_over(_e4(q), log_q + log_dq.value, log_dq.tail))
-
-
-def j_series_coefficients(count: int) -> list[int]:
-    """First ``count`` coefficients of the direct expansion 1/q + 744 + ...
-
-    Exact integer series division of E4^3 by the discriminant expansion;
-    index k holds the coefficient of q^{k-1}. Debug cross-check path.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    n = count + 1
-    # 24th power of eta-quotient part: delta/q = prod (1-q^m)^24
-    dq = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        for _ in range(24):
-            new = dq[:]
-            for k in range(m, n):
-                new[k] -= dq[k - m]
-            dq = new
-    sig = _sigma3_prefix(n - 1)
-    e4 = [1] + [240 * sig[k - 1] for k in range(1, n)]
-    e43 = [0] * n
-    for a in range(n):
-        if e4[a] == 0:
-            continue
-        for b in range(n - a):
-            e43[a + b] += e4[a] * e4[b]
-    cube = [0] * n
-    for a in range(n):
-        if e43[a] == 0:
-            continue
-        for b in range(n - a):
-            cube[a + b] += e43[a] * e4[b]
-    out = [0] * n
-    for k in range(n):
-        acc = cube[k]
-        for i in range(k):
-            acc -= out[i] * dq[k - i]
-        out[k] = acc  # leading divisor coefficient is 1
-    return out[:count]
 
 
 def check_classical_bounds(tau: SiegelTau) -> tuple[BoundReport, BoundReport]:

@@ -670,12 +670,19 @@ def _c1_envelope(g):
     return math.pi / 6.0 - (math.log(11.0) + 2.0 * math.log(g)) / (22.0 * math.log(g) - 22.0)
 
 
+def _c1(g):
+    m = max(1.0, math.lgamma(g + 1.0))
+    return math.pi / 6.0 - (g / 2.0) * math.log(11.0 * m) / (11.0 * m)
+
+
 def structural_sweeps(g_max, t_max=50):
-    """The four monotone families of ``structural_constants`` swept, as they were.
+    """The five families of ``structural_constants`` swept, as they were.
 
     Name -> (name, lhs, rhs, inputs) at the first point of least margin over
     g = 6..g_max (the envelope step over g = 6..g_max - 1) and t = 4..t_max;
-    None for a family whose range is empty.
+    None for a family whose range is empty. ``structural_constants`` reports
+    four of them at their proved worst points, and c1 >= envelope by the
+    one numeric step of its proof.
     """
     families = {
         "c2_is_three_halves_for_g_ge_6": (
@@ -684,6 +691,9 @@ def structural_sweeps(g_max, t_max=50):
         ),
         "c1_envelope_increasing_g_ge_6": (
             (0.0, _c1_envelope(g + 1) - _c1_envelope(g), {"g": g}) for g in range(6, g_max)
+        ),
+        "c1_dominates_envelope_g_ge_6": (
+            (0.0, _c1(g) - _c1_envelope(g), {"g": g}) for g in range(6, g_max + 1)
         ),
         "blichfeldt_ratio_t_ge_4": (
             ((2.0 / math.pi) * (t + 1.0) ** (1.0 / t), 1.0, {"t": t}) for t in range(4, t_max + 1)

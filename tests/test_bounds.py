@@ -281,8 +281,20 @@ class TestStructuralConstants:
         # the four monotone families, against the sweeps they replace
         for g_max in (*range(2, 81), 500):
             swept = oracles.structural_sweeps(g_max)
+            del swept["c1_dominates_envelope_g_ge_6"]
             got = {r.name: r for r in structural_constants(g_max, seed=3) if r.name in swept}
             assert got == {name: BoundReport(*row) for name, row in swept.items() if row}, g_max
+
+    def test_c1_dominates_envelope_by_its_proof(self):
+        # the report is the proof's one numeric step; the sweep it replaced stays positive
+        name = "c1_dominates_envelope_g_ge_6"
+        assert [r for r in structural_constants(5) if r.name == name] == []
+        step = BoundReport(name, math.e / 11.0, 6.0 * (math.log(6.0) - 1.0), {"g": 6})
+        for g_max in (6, 500):
+            assert [r for r in structural_constants(g_max) if r.name == name] == [step]
+        assert step.margin == pytest.approx(4.504, abs=1e-3)
+        _, lhs, rhs, inputs = oracles.structural_sweeps(500)[name]
+        assert inputs == {"g": 500} and rhs - lhs == pytest.approx(0.0399, abs=1e-4)
 
     def test_proved_worst_points_are_the_argmins(self):
         swept = oracles.structural_sweeps(5000, t_max=10**4)

@@ -95,12 +95,15 @@ class TestIngest:
             assert ingest_curves(str(path)) == []
 
     def test_fixture_env_override(self, tmp_path, monkeypatch):
+        # --curves is the one way to choose the file: the environment does not move the default
+        bundled = default_fixture_path()
         fixture_dir = tmp_path / "fx"
         fixture_dir.mkdir()
         (fixture_dir / "curves.jsonl").write_text(VALID_LINE + "\n")
         monkeypatch.setenv("PTK_FIXTURES", str(fixture_dir))
-        assert default_fixture_path() == str(fixture_dir / "curves.jsonl")
-        assert [r.label for r in ingest_curves(default_fixture_path())] == ["probe"]
+        assert default_fixture_path() == bundled
+        assert Path(bundled).parent.name == "fixtures"
+        assert "probe" not in [r.label for r in ingest_curves(default_fixture_path())]
 
 
 NON_FINITE_LINES = (
@@ -196,7 +199,7 @@ class TestStrictInput:
     )
     @pytest.mark.parametrize(
         "argv",
-        [["height"], ["verify"], ["verify", "--suite", "heights"], ["bound", "matrix-lemma"]],
+        [["height"], ["verify"], ["verify", "--suite", "heights"], ["verify", "--suite", "bounds"]],
     )
     def test_no_valid_records_is_an_input_error(self, tmp_path, capsys, recwarn, content, argv):
         path = tmp_path / "curves.jsonl"
@@ -548,7 +551,6 @@ class TestEmitReport:
         calls = []
         satisfied = BoundReport.satisfied
         monkeypatch.setattr(BoundReport, "satisfied", property(lambda r: calls.append(r.name) or satisfied.fget(r)))
-        monkeypatch.delenv("PTK_FIXTURES", raising=False)
         assert main(["verify", "--suite", "all", "--json", str(tmp_path / "r.json")]) == 0
         names = [r["name"] for r in json.loads((tmp_path / "r.json").read_text())["reports"]]
         assert len(names) > 700 and calls == names
@@ -642,7 +644,6 @@ class TestCanonicalJson:
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            env.pop("PTK_FIXTURES", None)
             out = tmp_path / f"theta-{threads}.json"
             subprocess.run(
                 [sys.executable, "-m", "periodkit.cli", "verify", "--suite", "theta", "--json", str(out)],
@@ -675,9 +676,11 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_tol_flag_is_a_usage_error(self, capsys):
+    # neither the --tol flag nor the bound matrix-lemma alias of verify --suite bounds exists
+    @pytest.mark.parametrize("argv", [["--tol", "1", "verify"], ["bound", "matrix-lemma"]])
+    def test_tol_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--tol", "1", "verify"])
+            main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: ptk")
 
@@ -800,23 +803,11 @@ class TestExitCodes:
         assert main(["bound", "isogeny", "--case", "real", "--h-f", "1.0"]) == 0
         assert "3583" in capsys.readouterr().out
 
-    def test_bound_matrix_lemma_subcommand(self, capsys):
-        assert main(["bound", "matrix-lemma"]) == 0
-        assert "matrix_lemma_eleven" in capsys.readouterr().out
-
-    def test_bound_matrix_lemma_is_the_bounds_suite(self, tmp_path, monkeypatch, capsys):
+    def test_bounds_suite_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "one.jsonl"
         path.write_text(VALID_LINE + "\n")
-
-        def outputs(code):
-            got = []
-            for argv in (["bound", "matrix-lemma"], ["verify", "--suite", "bounds"]):
-                assert main(argv + ["--curves", str(path)]) == code
-                got.append(re.sub(r"wall time \S+", "", capsys.readouterr().out))
-            assert got[0] == got[1]
-            return got[0]
-
-        assert "0 failed" in outputs(0)
+        assert main(["verify", "--suite", "bounds", "--curves", str(path)]) == 0
+        assert "0 failed" in capsys.readouterr().out
         # the bounds suite proves its inequalities for every valid record, so a
         # failing report is added to it for the exit code
         suite = cli.SUITES["bounds"]
@@ -826,7 +817,8 @@ class TestExitCodes:
             lambda records, seed, quad: suite(records, seed, quad)
             + [BoundReport(f"forced[{records[0].label}]", 2.0, 1.0)],
         )
-        assert "forced[probe] 2 1 -1 FAIL" in " ".join(outputs(1).split())
+        assert main(["verify", "--suite", "bounds", "--curves", str(path)]) == 1
+        assert "forced[probe] 2 1 -1 FAIL" in " ".join(capsys.readouterr().out.split())
 
     def test_serre_threshold_subcommand(self, capsys):
         assert main(["serre", "threshold"]) == 0
@@ -1014,8 +1006,7 @@ class TestPinnedReferences:
             ("theta-fine", ["--quad-points", "256", "verify", "--suite", "theta"]),
         ],
     )
-    def test_summary_equals_committed_reference(self, workload, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("PTK_FIXTURES", raising=False)
+    def test_summary_equals_committed_reference(self, workload, argv, tmp_path, capsys):
         check = _perfbench_module("check")
         with open(os.path.join(check.REFS, f"{workload}.json"), encoding="utf-8") as fh:
             reference = json.load(fh)

@@ -141,7 +141,6 @@ for argv in (["height"], ["reduce", "0.3", "1.2"], ["rho", "0.1", "1.5"], ["delt
 
 def test_no_command_loads_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    env.pop("PTK_FIXTURES", None)
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = [line.split() for line in proc.stdout.splitlines()]

@@ -6,6 +6,9 @@ through ``from .module import name``, or as ``alias.name`` after
 ``from . import module as alias``. A reached class or function counts its
 whole body, annotations and defaults included. ``__init__`` re-exports are
 not roots: ``ptk`` is the program, and the package namespace only mirrors it.
+No definition is exempt. The same scan checks that no import goes unused and
+that no module reads the environment: ``--curves`` and the flags are the only
+inputs of a run.
 """
 
 from __future__ import annotations
@@ -14,14 +17,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
-
-# (module, name) -> why it stays without a caller
-UNREACHED_ALLOWED = {
-    ("modular", "j_series_coefficients"): (
-        "the integer j coefficients are the planned source of a certified "
-        "j_lower_bound; tests check them against tests/oracles.py"
-    ),
-}
 
 
 def _modules() -> dict:
@@ -91,13 +86,22 @@ def _unreached() -> list:
 
 
 def test_every_definition_is_reached_from_cli_main():
-    unreached = [key for key in _unreached() if key not in UNREACHED_ALLOWED]
-    assert unreached == [], "define nothing that no report or command reaches"
+    assert _unreached() == [], "define nothing that no report or command reaches"
 
 
-def test_allowed_exceptions_are_still_unreached():
-    # an exception that gained a caller no longer needs its entry
-    assert set(UNREACHED_ALLOWED) <= set(_unreached())
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for module, tree in _modules().items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "os":
+                if n.attr in ENVIRONMENT_READERS:
+                    reads.append(f"{module}: os.{n.attr}")
+            elif isinstance(n, ast.ImportFrom) and n.module == "os":
+                reads += [f"{module}: from os import {a.name}" for a in n.names if a.name in ENVIRONMENT_READERS]
+    assert reads == []
 
 
 def test_every_import_is_used():

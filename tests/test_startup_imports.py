@@ -61,9 +61,7 @@ for argv in (["height"], ["verify", "--suite", "serre"], ["verify", "--suite", "
 
 
 def _cold_env() -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    env.pop("PTK_FIXTURES", None)
-    return env
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
 
 def test_import_and_height_load_none_of_them():
