@@ -15,6 +15,7 @@ opened, so the path is left as it was.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -228,9 +229,54 @@ def _record_from_obj(obj: dict) -> CurveRecord:
     )
 
 
-def _iter_records(path: str) -> Iterator[CurveRecord]:
-    """Parse newline-delimited JSON records one at a time; skip invalid lines with a warning."""
-    with open(path, "r", encoding="utf-8") as fh:
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that feeds every byte it reads into ``sha``."""
+
+    def __init__(self, raw, sha) -> None:
+        self._raw, self._sha = raw, sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        self._sha.update(memoryview(buf)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _sha256():
+    """A new SHA-256 object, from the builtin module when there is one.
+
+    hashlib loads OpenSSL's libcrypto; like the standard library's ``random``,
+    try the lean ``_sha2`` (Python 3.12 on) or ``_sha256`` (3.10, 3.11) first.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:  # a build without the builtin hashes
+            from hashlib import sha256
+    return sha256()
+
+
+def _iter_records(path: str, sha=None) -> Iterator[CurveRecord]:
+    """Parse newline-delimited JSON records one at a time; skip invalid lines with a warning.
+
+    Given ``sha``, every byte read from the file also goes into it, so a pipe
+    is hashed as it is read. The reader stack is the one ``open(path,
+    encoding="utf-8")`` builds, so decoding and newlines are the same.
+    """
+    if sha is None:
+        fh = open(path, "r", encoding="utf-8")
+    else:
+        raw = _HashingReader(open(path, "rb", buffering=0), sha)
+        fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -243,18 +289,9 @@ def _iter_records(path: str) -> Iterator[CurveRecord]:
             yield record
 
 
-def ingest_curves(path: str) -> list[CurveRecord]:
+def ingest_curves(path: str, sha=None) -> list[CurveRecord]:
     """Parse newline-delimited JSON records; skip invalid lines with a warning."""
-    return list(_iter_records(path))
-
-
-def _digest(path: str) -> str:
-    import hashlib  # only verify hashes its input; hashlib loads OpenSSL
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return list(_iter_records(path, sha))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +551,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_records(path: Optional[str]) -> tuple[list[CurveRecord], dict]:
     actual = path or default_fixture_path()
-    records = ingest_curves(actual)
+    sha = _sha256()
+    records = ingest_curves(actual, sha)
     if not records:
         raise ValueError(f"no valid records in {actual}")
-    return records, {os.path.basename(actual): _digest(actual)}
+    return records, {os.path.basename(actual): sha.hexdigest()}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import json
 import linecache
@@ -222,6 +223,89 @@ class TestStrictInput:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["input_digests"].keys() == {"curves.jsonl"}
+
+
+def _fixture_bytes() -> bytes:
+    with open(default_fixture_path(), "rb") as fh:
+        return fh.read()
+
+
+def _verify_json(tmp_path, curves=None) -> dict:
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "heights", "--json", str(out)]
+    assert main(argv + (["--curves", str(curves)] if curves else [])) == 0
+    return json.loads(out.read_bytes())
+
+
+def _large_crlf_input() -> bytes:
+    """Over 64 KiB of fixture lines with CRLF endings, one blank line and one invalid line."""
+    lines = _fixture_bytes().splitlines() * 80
+    lines[7:7] = [b"", b'{"label": "broken"}']
+    data = b"\r\n".join(lines) + b"\r\n"
+    assert len(data) > 64 * 1024
+    return data
+
+
+class TestInputDigest:
+    """``input_digests`` is the SHA-256 of the bytes that verify read, however they came."""
+
+    def test_bundled_fixtures(self, tmp_path, capsys):
+        doc = _verify_json(tmp_path)
+        assert doc["input_digests"] == {"curves.jsonl": hashlib.sha256(_fixture_bytes()).hexdigest()}
+
+    def test_large_file_with_crlf_and_skipped_lines(self, tmp_path, capsys):
+        data = _large_crlf_input()
+        path = tmp_path / "large.jsonl"
+        path.write_bytes(data)
+        with pytest.warns(UserWarning, match=r"large\.jsonl:9: skipped invalid record"):
+            doc = _verify_json(tmp_path, path)
+        assert doc["input_digests"] == {"large.jsonl": hashlib.sha256(data).hexdigest()}
+
+    def test_pipe_is_hashed_as_it_is_read(self, tmp_path):
+        # a pipe cannot be read twice: hashing after ingestion would see no bytes
+        data = _large_crlf_input()
+        out = tmp_path / "report.json"
+        src = str(Path(periodkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["verify", "--suite", "heights", "--curves", "/dev/stdin", "--json", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "periodkit.cli", *argv], input=data, env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_bytes())["input_digests"] == {"stdin": hashlib.sha256(data).hexdigest()}
+
+
+class TestLineEndingsAndDecoding:
+    """Both commands read the file as ``open(path, encoding="utf-8")`` does: universal newlines, strict UTF-8."""
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_height_reads_every_record(self, tmp_path, capsys, newline):
+        path = tmp_path / "curves.jsonl"
+        path.write_bytes(_fixture_bytes().replace(b"\n", newline))
+        assert main(["height", "--curves", str(path)]) == 0
+        rows = capsys.readouterr().out
+        assert main(["height"]) == 0
+        assert rows == capsys.readouterr().out and rows.count("\n") == 5
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_verify_reads_every_record(self, tmp_path, capsys, newline):
+        path = tmp_path / "curves.jsonl"
+        path.write_bytes(_fixture_bytes().replace(b"\n", newline))
+        (tmp_path / "bundled").mkdir()
+        expected = _verify_json(tmp_path / "bundled")
+        doc = _verify_json(tmp_path, path)
+        assert doc["reports"] == expected["reports"]
+        assert len({r["inputs"]["label"] for r in doc["reports"] if "label" in r["inputs"]}) == 5
+
+    @pytest.mark.parametrize("argv", [["height"], ["verify", "--suite", "heights"]])
+    def test_invalid_utf8_is_an_input_error(self, tmp_path, capsys, argv):
+        data = _fixture_bytes()
+        path = tmp_path / "curves.jsonl"
+        path.write_bytes(data + b"\xff\xfe\n")
+        assert main(argv + ["--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 'utf-8' codec can't decode byte 0xff in position {len(data)}: invalid start byte\n"
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -1,17 +1,19 @@
-"""A cold ``ptk`` defines its value types without ``dataclasses``, hashes only in ``verify``
-and finds its fixtures without ``importlib.resources``.
+"""A cold ``ptk`` defines its value types without ``dataclasses``, never loads
+``hashlib`` and finds its fixtures without ``importlib.resources``.
 
 ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and runs code generation for every decorated class; ``hashlib``
-loads OpenSSL's libcrypto. Neither is needed to import the package or to run
-``ptk height``, and no command needs ``dataclasses`` or ``inspect``, ``verify
---suite all`` included. The scan reads the sources with ``ast`` and imports
-nothing; one fresh interpreter checks the same at run time.
+loads OpenSSL's libcrypto (``_hashlib``). ``verify`` hashes its input with
+the interpreter's builtin SHA-256 (``_sha2`` or ``_sha256``), so no command
+needs any of them, ``verify --suite all`` included. The scan reads the
+sources with ``ast`` and imports nothing; one fresh interpreter checks the
+same at run time.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "periodkit"
-COLD_FREE = ("dataclasses", "inspect", "hashlib")
+COLD_FREE = ("dataclasses", "inspect", "hashlib", "_hashlib")
 
 
 def _imported_modules(tree: ast.AST) -> set:
@@ -64,6 +66,11 @@ def _cold_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
 
+# verify's hash comes from hashlib only where the interpreter has no builtin SHA-256
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no _sha2 or _sha256 module: verify hashes through hashlib")
 def test_import_and_height_load_none_of_them():
     probe = PROBE.format(names=COLD_FREE)
     proc = subprocess.run([sys.executable, "-c", probe], env=_cold_env(), capture_output=True, text=True, timeout=120)
@@ -71,10 +78,10 @@ def test_import_and_height_load_none_of_them():
     steps = [line.split() for line in proc.stdout.splitlines()]
     assert steps[0] == ["import", "0"]
     assert steps[1] == ["height", "0"]
-    # verify hashes its input, so the probe does see hashlib once it is loaded
-    assert steps[2][:2] == ["verify-serre", "0"] and "hashlib" in steps[2]
+    # verify hashes its input with the builtin SHA-256, not through hashlib
+    assert steps[2] == ["verify-serre", "0"]
     # every suite runs on value types and builds no array: nothing brings inspect back
-    assert steps[3] == ["verify-all", "0", "hashlib"]
+    assert steps[3] == ["verify-all", "0"]
 
 
 def test_fixture_path_loads_no_resource_machinery():
