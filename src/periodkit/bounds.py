@@ -9,7 +9,7 @@ inequality is detected.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # Relative tolerance used for verdicts: satisfied <=> margin >= -tol*max(1,|rhs|).
 REPORT_TOL = 1e-12
@@ -198,13 +198,7 @@ def quadratic_root_bound(alpha: float, beta: float) -> float:
     return beta * s * s
 
 
-def _worst_of(candidates: Iterable[BoundReport]) -> list[BoundReport]:
-    """The first report of least margin, as a one-item list; empty if none."""
-    worst = min(candidates, key=lambda r: r.margin, default=None)
-    return [] if worst is None else [worst]
-
-
-def structural_constants(g_max: int, seed: int = 0) -> list[BoundReport]:
+def structural_constants(g_max: int) -> list[BoundReport]:
     """Verdicts for the dimension-uniform constants used by the main bounds.
 
     Covers, for g = 1..g_max: (a) c2(g) <= 11 c1(g) plus the g >= 6 closed
@@ -212,7 +206,7 @@ def structural_constants(g_max: int, seed: int = 0) -> list[BoundReport]:
     (g+eps)^g - g^g <= g^g eps/(1-eps) for eps in [EPS_MIN, 1), evaluated at
     its proved worst point; (c) the epsilon-choice inequality
     (g + (6 sqrt2 - 8) g^-g xi)^g <= g^g + xi/2 for xi in (0, 1], likewise;
-    (d) 200 random instances of the quadratic-root fact, drawn from ``seed``;
+    (d) the quadratic-root fact by the residual of its closed-form root;
     (e) Hermite/Blichfeldt gamma_{2t} t!^{-1/t} <= 1 for t >= 2, at t = 4
     past the exact values. Aggregated checks echo their worst case in their
     inputs.
@@ -293,22 +287,15 @@ def structural_constants(g_max: int, seed: int = 0) -> list[BoundReport]:
             )
         )
 
-    # (d) random instances of the quadratic-root fact
-    import random
-
-    rng = random.Random(seed)
-
-    def trial() -> BoundReport:
-        alpha = rng.uniform(0.0, 10.0)
-        beta = rng.uniform(0.1, 100.0)
-        cap = quadratic_root_bound(alpha, beta)
-        m = cap * rng.uniform(0.0, 1.0) ** 2
-        # by construction m - alpha sqrt(m) <= beta; check m <= cap
-        if m - alpha * math.sqrt(m) > beta + 1e-9:
-            raise AssertionError("random trial violated its own hypothesis")
-        return BoundReport("quadratic_root_fact", m, cap, inputs={"alpha": alpha, "beta": beta})
-
-    reports += _worst_of(trial() for _ in range(200))
+    # (d) M - alpha sqrt(M) <= beta puts x = sqrt(M) where x^2 - alpha x - beta <= 0, so below
+    # the positive root, and M <= cap, its square. The step to check is that cap solves
+    # cap - alpha sqrt(cap) = beta. (10, 0.1) is the corner of the range the fact was once
+    # sampled over, [0, 10] x [0.1, 100], where cap / beta is largest and the subtraction
+    # cancels the most digits.
+    alpha, beta = 10.0, 0.1
+    cap = quadratic_root_bound(alpha, beta)
+    residual = abs(cap - alpha * math.sqrt(cap) - beta)
+    reports.append(BoundReport("quadratic_root_fact", residual, 1e-12 * cap, inputs={"alpha": alpha, "beta": beta}))
     reports.append(
         BoundReport("quadratic_root_fact_alpha0", quadratic_root_bound(0.0, 7.5), 7.5, inputs={"beta": 7.5})
     )

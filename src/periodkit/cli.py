@@ -15,7 +15,6 @@ opened, so the path is left as it was.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -229,25 +228,6 @@ def _record_from_obj(obj: dict) -> CurveRecord:
     )
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw binary file that feeds every byte it reads into ``sha``."""
-
-    def __init__(self, raw, sha) -> None:
-        self._raw, self._sha = raw, sha
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(buf)
-        self._sha.update(memoryview(buf)[:n])
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
 def _sha256():
     """A new SHA-256 object, from the builtin module when there is one.
 
@@ -265,25 +245,24 @@ def _sha256():
 
 
 def _iter_records(path: str, sha=None) -> Iterator[CurveRecord]:
-    """Parse newline-delimited JSON records one at a time; skip invalid lines with a warning.
+    r"""Parse newline-delimited JSON records one at a time; skip invalid lines with a warning.
 
-    Given ``sha``, every byte read from the file also goes into it, so a pipe
-    is hashed as it is read. The reader stack is the one ``open(path,
-    encoding="utf-8")`` builds, so decoding and newlines are the same.
+    Given ``sha``, each line goes into it as it is read, so a pipe is hashed
+    too, and the digest is that of the bytes read: ``newline=""`` splits at
+    ``\n``, ``\r`` and ``\r\n`` as universal newlines do but keeps the endings
+    as they are, and strict UTF-8 encodes each decoded line back to its bytes.
+    An undecodable byte raises before the digest is used.
     """
-    if sha is None:
-        fh = open(path, "r", encoding="utf-8")
-    else:
-        raw = _HashingReader(open(path, "rb", buffering=0), sha)
-        fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
-    with fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if sha is not None:
+                sha.update(line.encode("utf-8"))
             line = line.strip()
             if not line:
                 continue
             try:
                 record = _record_from_obj(json.loads(line))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipped invalid record: {exc}", stacklevel=2)
                 continue
             yield record
@@ -401,7 +380,7 @@ def _suite_heights(records, seed: int, quad: int) -> list[BoundReport]:
 
 
 def _suite_bounds(records, seed: int, quad: int) -> list[BoundReport]:
-    reports = bnd.structural_constants(500, seed=seed)
+    reports = bnd.structural_constants(500)
     _, _, checks = bnd.prop_ell_solver(1.0)
     reports += checks
     for rec in records:
@@ -529,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--tau-im", type=float, default=1.0)
 
     ph = sub.add_parser("height", help="stable heights of ingested curves")
-    ph.add_argument("--curves", default=None, help="JSONL file (default: bundled fixtures)")
+    ph.add_argument("--curves", default=default_fixture_path(), help="JSONL file (default: bundled fixtures)")
 
     pb = sub.add_parser("bound", help="bound calculators")
     bsub = pb.add_subparsers(dest="bound_command", required=True)
@@ -545,17 +524,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=("all", *SUITES), default="all")
     pv.add_argument("--json", default=None, help="also write canonical JSON report here")
-    pv.add_argument("--curves", default=None)
+    pv.add_argument("--curves", default=default_fixture_path())
     return p
 
 
-def _load_records(path: Optional[str]) -> tuple[list[CurveRecord], dict]:
-    actual = path or default_fixture_path()
+def _load_records(path: str) -> tuple[list[CurveRecord], dict]:
     sha = _sha256()
-    records = ingest_curves(actual, sha)
+    records = ingest_curves(path, sha)
     if not records:
-        raise ValueError(f"no valid records in {actual}")
-    return records, {os.path.basename(actual): sha.hexdigest()}
+        raise ValueError(f"no valid records in {path}")
+    return records, {os.path.basename(path): sha.hexdigest()}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -597,7 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if abs(l2 - 1.0) < 1e-5 and li <= 1e-9 else 1
         if args.command == "height":
             # one record at a time, so memory does not grow with the file
-            path, count = args.curves or default_fixture_path(), 0
+            path, count = args.curves, 0
             for count, rec in enumerate(_iter_records(path), start=1):
                 hF = faltings_height_silverman(rec)
                 hj = weil_height_rational_j(rec.j_rational) if rec.j_rational else float("nan")

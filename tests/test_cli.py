@@ -193,6 +193,18 @@ class TestStrictInput:
         )
         assert [r.j_rational for r in ingest_curves(str(path))] == [(50, 3), (-50, 3)]
 
+    # the C JSON scanner raises RecursionError, which is not a ValueError, and exit 1 means "an inequality failed"
+    def test_deeply_nested_line_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "nested.jsonl"
+        path.write_bytes(b"[" * 100_000 + b"\n" + _fixture_bytes())
+        skipped = r"nested\.jsonl:1: skipped invalid record: maximum recursion depth"
+        with pytest.warns(UserWarning, match=skipped):
+            assert main(["height", "--curves", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") == 5
+        with pytest.warns(UserWarning, match=skipped):
+            doc = _verify_json(tmp_path, path)
+        assert len({r["inputs"]["label"] for r in doc["reports"] if "label" in r["inputs"]}) == 5
+
     @pytest.mark.parametrize(
         "content",
         # the last: malformed lines and an embedding the reduction refuses
@@ -237,11 +249,17 @@ def _verify_json(tmp_path, curves=None) -> dict:
     return json.loads(out.read_bytes())
 
 
-def _large_crlf_input() -> bytes:
-    """Over 64 KiB of fixture lines with CRLF endings, one blank line and one invalid line."""
+def _large_crlf_input(newlines=(b"\r\n",)) -> bytes:
+    """Over 64 KiB of fixture lines, ended by ``newlines`` in turn.
+
+    Line 8 is blank, line 9 invalid, line 10 an invalid line behind a UTF-8
+    BOM, and line 11 a record with a multibyte label.
+    """
     lines = _fixture_bytes().splitlines() * 80
-    lines[7:7] = [b"", b'{"label": "broken"}']
-    data = b"\r\n".join(lines) + b"\r\n"
+    bom = b"\xef\xbb\xbf" + lines[0]
+    multibyte = lines[0].replace(b'"11a1"', '"\u03c4-\u00fc"'.encode("utf-8"))
+    lines[7:7] = [b"", b'{"label": "broken"}', bom, multibyte]
+    data = b"".join(line + newlines[i % len(newlines)] for i, line in enumerate(lines))
     assert len(data) > 64 * 1024
     return data
 
@@ -253,12 +271,21 @@ class TestInputDigest:
         doc = _verify_json(tmp_path)
         assert doc["input_digests"] == {"curves.jsonl": hashlib.sha256(_fixture_bytes()).hexdigest()}
 
-    def test_large_file_with_crlf_and_skipped_lines(self, tmp_path, capsys):
-        data = _large_crlf_input()
+    # mixed: no line ending in \r is followed by the blank line, which would make one \r\n ending of two
+    @pytest.mark.parametrize(
+        "newlines",
+        [(b"\n",), (b"\r",), (b"\r\n",), (b"\n", b"\r", b"\r\n")],
+        ids=["lf", "cr", "crlf", "mixed"],
+    )
+    def test_large_file_with_crlf_and_skipped_lines(self, tmp_path, capsys, newlines):
+        data = _large_crlf_input(newlines)
         path = tmp_path / "large.jsonl"
         path.write_bytes(data)
-        with pytest.warns(UserWarning, match=r"large\.jsonl:9: skipped invalid record"):
+        with pytest.warns(UserWarning) as caught:
             doc = _verify_json(tmp_path, path)
+        skipped = [str(w.message).split(": skipped")[0] for w in caught if "skipped" in str(w.message)]
+        assert skipped == [f"{path}:9", f"{path}:10"]
+        assert "height_floor[\u03c4-\u00fc]" in [r["name"] for r in doc["reports"]]
         assert doc["input_digests"] == {"large.jsonl": hashlib.sha256(data).hexdigest()}
 
     def test_pipe_is_hashed_as_it_is_read(self, tmp_path):
@@ -276,7 +303,11 @@ class TestInputDigest:
 
 
 class TestLineEndingsAndDecoding:
-    """Both commands read the file as ``open(path, encoding="utf-8")`` does: universal newlines, strict UTF-8."""
+    """Both commands read through ``open(path, encoding="utf-8", newline="")``.
+
+    Lines split at ``\\n``, ``\\r`` and ``\\r\\n`` as with universal newlines, and
+    decoding is strict UTF-8.
+    """
 
     @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
     def test_height_reads_every_record(self, tmp_path, capsys, newline):
@@ -459,15 +490,11 @@ class TestRunSuite:
         assert all(m.a * m.d - m.b * m.c == 1 for m in built)
         assert satisfied and report.satisfied and 0.0 < report.lhs < 1e-12
 
-    def test_seed_reaches_the_quadratic_root_trials(self, bundled_records):
-        def worst_trial(seed):
-            manifest = run_suite("bounds", bundled_records, seed=seed)
-            (row,) = [row for row in manifest.reports if row[1].name == "quadratic_root_fact"]
-            return row
-
-        (_, default, default_ok), (_, seeded, seeded_ok) = worst_trial(0), worst_trial(5)
-        assert seeded.inputs != default.inputs
-        assert seeded_ok and default_ok and seeded.satisfied and default.satisfied
+    def test_seed_does_not_reach_the_bounds_suite(self, bundled_records):
+        # the quadratic-root fact is its proof's residual, so the suite draws nothing
+        default, seeded = (run_suite("bounds", bundled_records, seed=seed) for seed in (0, 5))
+        assert seeded.reports == default.reports
+        assert "quadratic_root_fact" in [r.name for _, r, _ in default.reports]
 
 
 class TestEmitReport:
@@ -759,6 +786,14 @@ class TestExitCodes:
         code = main(["verify", "--suite", "heights", "--curves", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    # an empty path (an unset shell variable) names no file; it is not a request for the fixtures
+    @pytest.mark.parametrize("argv", [["height"], ["verify", "--suite", "heights"]])
+    def test_empty_curves_path_is_an_input_error(self, argv, capsys):
+        assert main(argv + ["--curves", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
 
     # neither the --tol flag nor the bound matrix-lemma alias of verify --suite bounds exists
     @pytest.mark.parametrize("argv", [["--tol", "1", "verify"], ["bound", "matrix-lemma"]])
