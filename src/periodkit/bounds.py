@@ -44,6 +44,13 @@ GAMMA4 = math.sqrt(2.0)
 GAMMA6 = 2.0 / 3.0 ** (1.0 / 6.0)
 # smallest eps of the r(g, eps) check
 EPS_MIN = 1.0 / 200
+# The elliptic mean-Im caps 6.45 max(h, 1) and 1.92 max(h, 1000), certified by
+# ell_proof_condition_Y6.45_Z1 and ell_proof_condition_Y1920_Z1000 (Y = 1.92 * 1000)
+ELL_GENERAL_SLOPE = 6.45
+ELL_LARGE_SLOPE = 1.92
+ELL_LARGE_HEIGHT = 1000.0
+# the 8.66 of pi delta <= 3 log delta + 6h + 8.66; no report proves it
+ELL_BASE_CONSTANT = 8.66
 
 
 def _log_factorial(g: int) -> float:
@@ -126,20 +133,20 @@ def prop_ell_delta_max(h: float) -> float:
     The left side grows faster than the right for delta >= 3/pi, so the
     admissible set is an interval [3/pi, delta*]; returns delta*.
     """
-    rhs_const = 6.0 * h + 8.66
+    rhs_const = 6.0 * h + ELL_BASE_CONSTANT
 
     def excess(d: float) -> float:
         return math.pi * d - 3.0 * math.log(d) - rhs_const
 
     lo = 3.0 / math.pi
     if excess(lo) > 0:
-        raise ValueError("no admissible delta: need 6h + 8.66 >= 3 - 3 log(3/pi)")
+        raise ValueError(f"no admissible delta: need 6h + {ELL_BASE_CONSTANT:g} >= 3 - 3 log(3/pi)")
     return bisect_last(lambda d: excess(d) <= 0, lo, max(2.0 * lo, 2.0))
 
 
 def prop_ell_caps(h: float) -> tuple[float, float]:
     """Elliptic mean-Im bounds (general, large height): 6.45 max(h,1) and 1.92 max(h,1000)."""
-    return 6.45 * max(h, 1.0), 1.92 * max(h, 1000.0)
+    return ELL_GENERAL_SLOPE * max(h, 1.0), ELL_LARGE_SLOPE * max(h, ELL_LARGE_HEIGHT)
 
 
 def prop_ell_solver(h: float) -> tuple[float, float, list[BoundReport]]:
@@ -151,11 +158,11 @@ def prop_ell_solver(h: float) -> tuple[float, float, list[BoundReport]]:
     """
     t_general, t_large = prop_ell_caps(h)
     checks = []
-    for Y, Z in ((6.45, 1.0), (1920.0, 1000.0)):
+    for Y, Z in ((ELL_GENERAL_SLOPE, 1.0), (ELL_LARGE_SLOPE * ELL_LARGE_HEIGHT, ELL_LARGE_HEIGHT)):
         checks.append(
             BoundReport(
                 f"ell_proof_condition_Y{Y:g}_Z{Z:g}",
-                6.0 * Z + 8.66,
+                6.0 * Z + ELL_BASE_CONSTANT,
                 math.pi * Y - 3.0 * math.log(Y),
                 inputs={"Y": Y, "Z": Z},
             )
@@ -165,7 +172,7 @@ def prop_ell_solver(h: float) -> tuple[float, float, list[BoundReport]]:
         BoundReport(
             "ell_base_inequality_at_delta_max",
             math.pi * dstar,
-            3.0 * math.log(dstar) + 6.0 * h + 8.66,
+            3.0 * math.log(dstar) + 6.0 * h + ELL_BASE_CONSTANT,
             inputs={"h": h, "delta_max": dstar},
             tol=1e-9,
         )

@@ -415,10 +415,10 @@ def _suite_isogeny(records, seed: int, quad: int) -> list[BoundReport]:
     general = iso.explicit_bound(1, 900.0)
     reports.append(_equality_report("general_closed_form", general.bound, 9.70225e12, 1e-3))
     real = iso.explicit_bound(1, 1.0, "real")
-    reports.append(_equality_report("real_closed_form", real.bound, 3583.0, 1e-9))
+    reports.append(_equality_report("real_closed_form", real.bound, iso.REAL_CONSTANT, 1e-9))
     for D in (1, 2, 5):
         for hF in (0.0, 10.0, 985.0):
-            H = max(hF + H_SHIFT, 1000.0)
+            H = max(hF + H_SHIFT, iso.H_FLOOR)
             delta = iso.implicit_delta_solver(2.0 * D, H)
             cap = iso.explicit_bound(D, hF).bound
             reports.append(

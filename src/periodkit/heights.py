@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bounds import BoundReport
 from .lattice import SiegelTau
-from .modular import delta_on_upper_half_plane
+from .modular import SILVERMAN_CONSTANT, delta_on_upper_half_plane
 
 # h = h_F + H_SHIFT, the paper's height for g = 1
 H_SHIFT = 0.5 * math.log(math.pi)
@@ -159,6 +159,6 @@ def hetj_report(record: CurveRecord, h_F: float) -> BoundReport:
     return BoundReport(
         "height_vs_j_height",
         h_F + H_SHIFT,
-        hj / 12.0 + 2.95,
+        hj / 12.0 + SILVERMAN_CONSTANT,
         inputs={"label": record.label, "h_faltings": h_F, "h_j": hj},
     )

@@ -9,12 +9,16 @@ along the way.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bounds import BoundReport, bisect_last
 from .lattice import SiegelTau
 
 CASES = ("general", "cm", "real")
+SURFACE_CONSTANT = 1778.0  # certified by surface_factor_1778
+REAL_CONSTANT = 3583.0  # certified by real_constant_3583
+H_FLOOR = 1000.0  # H = max(h, 1000); find_threshold checks that it is the floor through p* + 1
+SOLVER_SHIFT = 2.4  # the 2.4 of the implicit inequality; no report proves it
 
 
 class ExplicitBound(NamedTuple):
@@ -40,17 +44,26 @@ def explicit_bound(D_k: int, h_F: float, case: str = "general") -> ExplicitBound
     logD = math.log(D)
     try:
         if case == "general":
+            # 10^7 and 985: general_closed_form pins them as a regression value; no report proves them
             out = ExplicitBound(1e7 * D**2 * (max(h_F, 985.0) + 4.0 * logD) ** 2,
                                 1e13 * D**2 * max(h_F, logD, 1.0) ** 2)
         elif case == "cm":
+            # 3.4e4: no report proves it, and none reaches the CM case
             out = ExplicitBound(3.4e4 * D**2 * max(h_F + 0.5 * logD, 1.0) ** 2, None)
         else:
-            out = ExplicitBound(3583.0 * D**2 * max(h_F, logD, 1.0) ** 2, None)
+            out = ExplicitBound(REAL_CONSTANT * D**2 * max(h_F, logD, 1.0) ** 2, None)
     except OverflowError:  # a float ** 2 past the largest double raises instead of giving inf
         out = ExplicitBound(math.inf, None)
     if not all(math.isfinite(x) for x in out if x is not None):
         raise OverflowError(f"{case} isogeny bound is not finite at h_F = {h_F:g}")
     return out
+
+
+def _excess(D: float, H: float) -> Callable[[float], float]:
+    """s -> s - 1778 D sqrt(2/3) (H + log(H)/2 + 2.4 + 4 log s), at most 0 where Delta = s^2 is admissible."""
+    C = SURFACE_CONSTANT * D * math.sqrt(2.0 / 3.0)
+    base = H + 0.5 * math.log(H) + SOLVER_SHIFT
+    return lambda s: s - C * (base + 4.0 * math.log(s))
 
 
 def implicit_delta_solver(D: float, H: float) -> float:
@@ -61,14 +74,9 @@ def implicit_delta_solver(D: float, H: float) -> float:
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    if H < 1000:
-        raise ValueError("H must be >= 1000")
-    C = 1778.0 * D * math.sqrt(2.0 / 3.0)
-    base = H + 0.5 * math.log(H) + 2.4
-
-    def excess(s: float) -> float:
-        return s - C * (base + 4.0 * math.log(s))
-
+    if H < H_FLOOR:
+        raise ValueError(f"H must be >= {H_FLOOR:g}")
+    excess = _excess(D, H)
     if excess(1.0) > 0:
         raise RuntimeError("no admissible Delta at s = 1")
     root = bisect_last(lambda s: excess(s) <= 0, 1.0, 2.0)
@@ -117,10 +125,10 @@ def chain_checkpoints() -> list[BoundReport]:
         _min_margin_pair(
             "real_constant_3583",
             (24.62 * 36.38, 895.7),
-            (895.7 * 4.0, 3583.0),
+            (895.7 * 4.0, REAL_CONSTANT),
             ("product", "final"),
         ),
-        BoundReport("constant_1461", 1.006 * 1778.0 * math.sqrt(2.0 / 3.0), 1461.0, inputs={}),
+        BoundReport("constant_1461", 1.006 * SURFACE_CONSTANT * math.sqrt(2.0 / 3.0), 1461.0, inputs={}),
         BoundReport("two_periods_fallback", 1.03 * math.sqrt(4.0 / 7.0), math.sqrt(2.0 / 3.0), inputs={}),
     ]
 
@@ -142,7 +150,7 @@ def surface_bound_constants() -> list[BoundReport]:
         BoundReport(
             "surface_factor_1778",
             4.0 / (math.pi * te * te) * sq,
-            1778.0,
+            SURFACE_CONSTANT,
             inputs={"x_max": x_max, "theta": theta, "eps": eps},
         ),
         BoundReport(

@@ -26,6 +26,11 @@ _Y_MIN = math.sqrt(3.0) / 2.0
 _STOP_TAIL = 2.0**-70
 # Cap on the Delta and E4 sums.
 ORDER = 64
+# h(E) <= h(j)/12 + 2.95, certified by silverman_height_constant
+SILVERMAN_CONSTANT = 2.95
+# |j| >= 1/|q| - 1193 on the fundamental domain: j_lower_bound samples it at each
+# input tau, and no report proves it
+J_LOWER_COEFFICIENT = 1193.0
 
 
 class InsufficientTruncationError(ValueError):
@@ -145,7 +150,7 @@ def check_classical_bounds(tau: SiegelTau) -> tuple[BoundReport, BoundReport]:
     dq = math.exp(log_dq.value.real)
     j_report = BoundReport(
         "j_lower_bound",
-        1.0 - 1193.0 * math.exp(-2.0 * math.pi * y),
+        1.0 - J_LOWER_COEFFICIENT * math.exp(-2.0 * math.pi * y),
         abs(jq),
         inputs={"tau_re": tau.re, "tau_im": y, "tail": jq_tail},
         tol=1e-9,
@@ -175,20 +180,21 @@ def silverman_f_extrema() -> BoundReport:
 
     def f(y: float) -> float:
         e = math.exp(-2.0 * math.pi * y)
-        return max(y**6 * e, y**6 * (1.0 - 1193.0 * e))
+        return max(y**6 * e, y**6 * (1.0 - J_LOWER_COEFFICIENT * e))
 
-    y0 = math.log(1194.0) / (2.0 * math.pi)
+    c = 1.0 + J_LOWER_COEFFICIENT  # 1194
+    y0 = math.log(c) / (2.0 * math.pi)
     y_peak = 3.0 / math.pi
-    B = 1194.0 * (2.0 * math.pi / math.log(1194.0)) ** 6 * math.exp(1.0 / 9.0) * (2.0 * math.pi) ** 12
+    B = c * (2.0 * math.pi / math.log(c)) ** 6 * math.exp(1.0 / 9.0) * (2.0 * math.pi) ** 12
     return BoundReport(
         "silverman_height_constant",
         0.5 * math.log(math.pi) + math.log(B) / 12.0,
-        2.95,
+        SILVERMAN_CONSTANT,
         inputs={
             "B": B,
             "increasing_to_3_over_pi": _Y_MIN < y_peak <= y0,
             "decreasing_to_y0": y_peak < y0,
-            "increasing_after_y0": 1.0 - 1193.0 * math.exp(-2.0 * math.pi * y0) > 0.0,
+            "increasing_after_y0": 1.0 - J_LOWER_COEFFICIENT * math.exp(-2.0 * math.pi * y0) > 0.0,
             "f_left_endpoint": f(_Y_MIN),
             "f_local_min": f(y0),
             "local_min_below_left_endpoint": f(y0) < f(_Y_MIN),

@@ -1,8 +1,8 @@
 """Exact integer threshold where the prime-size test function drops below 1.
 
-The function f combines the growth bound for log|j| at a CM point with the
-height ceiling and the degree bound of the imaginary-quadratic case; it
-decreases in p, so the set {f(p) >= 1} has a largest integer element.
+f(p) = 2 sqrt(2/3) 1778 (H(p) + 4 log p + 2.4 + log(H(p))/2) / p decreases in
+p. f(p) >= 1 is the isogeny solver's inequality at field degree 1 (solver
+argument 2) and Delta = p^2, so f(p) = 1 - excess(p)/p with its excess.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bounds import bisect_last
+from .isogeny import H_FLOOR, _excess, implicit_delta_solver
+from .modular import SILVERMAN_CONSTANT
 
 
 class SerreThreshold(NamedTuple("SerreThreshold", [
@@ -33,20 +34,17 @@ def H_of_p(p: float) -> float:
         raise ValueError("p must be >= 2")
     sp = math.sqrt(p)
     lp = math.log(p)
-    return max(1000.0, math.pi * sp / 6.0 + lp + 7.0 * lp * lp / (4.0 * sp) + 2.95)
-
-
-def f_of_p(p: float) -> float:
-    """2 sqrt(2/3) 1778 (H(p) + 4 log p + 2.4 + log(H(p))/2) / p."""
-    H = H_of_p(p)
-    return 2.0 * math.sqrt(2.0 / 3.0) * 1778.0 * (H + 4.0 * math.log(p) + 2.4 + 0.5 * math.log(H)) / p
+    return max(H_FLOOR, math.pi * sp / 6.0 + lp + 7.0 * lp * lp / (4.0 * sp) + SILVERMAN_CONSTANT)
 
 
 def find_threshold() -> SerreThreshold:
-    """Largest integer p with f(p) >= 1: the floor of the bisected crossing on [2, 10^8].
+    """Largest integer p with f(p) >= 1: the floor of sqrt(Delta_max) from the solver at H = 1000.
 
-    f(2) >= 1 > f(10^8) and f decreases on the bracket; ``SerreThreshold``
-    checks that the two values it returns bracket 1.
+    Raises ``RuntimeError`` unless H(p* + 1) is that floor: H increases in p,
+    so only then is f the fixed-H solve on all of [2, p* + 1].
     """
-    p = math.floor(bisect_last(lambda x: f_of_p(x) >= 1.0, 2.0, 1e8))
-    return SerreThreshold(p, f_of_p(p), f_of_p(p + 1))
+    p = math.floor(math.sqrt(implicit_delta_solver(2.0, H_FLOOR)))
+    if H_of_p(p + 1) != H_FLOOR:
+        raise RuntimeError(f"H({p + 1}) = {H_of_p(p + 1)!r} is above its floor {H_FLOOR:g}")
+    excess = _excess(2.0, H_FLOOR)
+    return SerreThreshold(p, 1.0 - excess(p) / p, 1.0 - excess(p + 1) / (p + 1))

@@ -3,7 +3,9 @@ import math
 import pytest
 
 import oracles
-from periodkit.serre import H_of_p, SerreThreshold, f_of_p, find_threshold
+from periodkit import serre
+from periodkit.isogeny import _excess
+from periodkit.serre import H_of_p, SerreThreshold, find_threshold
 
 
 class TestJLogUpper:
@@ -38,34 +40,44 @@ class TestHOfP:
 
 
 class TestFOfP:
+    """f itself lives in the extended-precision oracle; find_threshold gives its float values."""
+
     def test_values_at_threshold_pair(self):
-        assert f_of_p(3094027) == pytest.approx(1.0000000373743587, rel=1e-12)
-        assert f_of_p(3094028) < 1.0
+        th = find_threshold()
+        assert th.f_at_p_star == pytest.approx(1.0000000373743587, rel=1e-12)
+        assert th.f_at_p_star_plus_1 < 1.0
+        assert float(oracles.mp_serre_f(3094027)) == pytest.approx(1.0000000373743587, rel=1e-12)
+        assert float(oracles.mp_serre_f(3094028)) < 1.0
 
     def test_matches_extended_precision(self):
-        for p in (3094027, 3094028, 10**6, 10**8):
-            assert f_of_p(p) == pytest.approx(float(oracles.mp_serre_f(p)), rel=1e-12)
+        th = find_threshold()
+        assert th.f_at_p_star == pytest.approx(float(oracles.mp_serre_f(th.p_star)), abs=1e-15)
+        assert th.f_at_p_star_plus_1 == pytest.approx(float(oracles.mp_serre_f(th.p_star + 1)), abs=1e-15)
+        # below p*, where H is at its floor too, f is 1 - excess/p with the solver's excess
+        excess = _excess(2.0, 1000.0)
+        for p in (10**3, 10**6):
+            assert 1.0 - excess(p) / p == pytest.approx(float(oracles.mp_serre_f(p)), rel=1e-14)
 
     def test_strictly_decreasing_on_dyadic_grid(self):
         p = 1000.0
-        prev = f_of_p(p)
+        prev = oracles.mp_serre_f(p)
         while p < 1e9:
             p *= 2.0
-            cur = f_of_p(p)
+            cur = oracles.mp_serre_f(p)
             assert cur < prev
             prev = cur
 
 
 def _find_threshold_by_integer_bisection():
-    """Reference: the integer bisection on [2, 10^8] that find_threshold replaced."""
+    """Reference: the integer bisection on [2, 10^8] of the extended-precision f."""
     lo, hi = 2, 10**8
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if f_of_p(mid) >= 1.0:
+        if oracles.mp_serre_f(mid) >= 1:
             lo = mid
         else:
             hi = mid
-    return SerreThreshold(lo, f_of_p(lo), f_of_p(lo + 1))
+    return SerreThreshold(lo, float(oracles.mp_serre_f(lo)), float(oracles.mp_serre_f(lo + 1)))
 
 
 class TestFindThreshold:
@@ -80,7 +92,22 @@ class TestFindThreshold:
         assert float(oracles.mp_serre_f(th.p_star + 1)) < 1.0
 
     def test_equals_the_integer_bisection(self):
-        assert find_threshold() == _find_threshold_by_integer_bisection()
+        th, ref = find_threshold(), _find_threshold_by_integer_bisection()
+        assert th.p_star == ref.p_star
+        assert th.f_at_p_star == pytest.approx(ref.f_at_p_star, abs=1e-15)
+        assert th.f_at_p_star_plus_1 == pytest.approx(ref.f_at_p_star_plus_1, abs=1e-15)
+
+    def test_h_is_at_its_floor_through_p_star_plus_1(self):
+        p = find_threshold().p_star
+        assert H_of_p(p + 1) == 1000.0
+        sp, lp = math.sqrt(p + 1), math.log(p + 1)
+        assert math.pi * sp / 6.0 + lp + 7.0 * lp * lp / (4.0 * sp) + 2.95 == pytest.approx(939.1, abs=0.05)
+
+    def test_raises_once_h_leaves_its_floor(self, monkeypatch):
+        # 70 in place of 2.95 lifts the analytic branch of H to about 1006 at p* + 1
+        monkeypatch.setattr(serre, "SILVERMAN_CONSTANT", 70.0)
+        with pytest.raises(RuntimeError, match="above its floor"):
+            find_threshold()
 
     def test_threshold_type_validates_bracket(self):
         with pytest.raises(ValueError):
